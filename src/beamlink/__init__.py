@@ -1,145 +1,15 @@
 """Link-level Monte-Carlo simulator for coordinated interference-driving beamformers."""
 
-from beamlink.beamformer import (
-    CompositeBeamformer,
-    DegenerateNormalizationError,
-    DriverMatrix,
-    IllConditionedChannelError,
-    NormalizationG,
-    NoUniqueSolutionError,
-    RotatorMatrix,
-    build_rotator,
-    compose,
-    left_pseudoinverse,
-    normalization,
-    solve_coupled_drivers,
-)
-from beamlink.channel import (
-    MomentDecomposition,
-    NakagamiParams,
-    StackedChannel,
-    derive_moments,
-    expected_gram,
-    sample_channel,
-    stack,
-)
-from beamlink.experiments import (
-    EXPERIMENTS,
-    ConfigError,
-    ExperimentConfig,
-    ScenarioConfig,
-    emit_csv,
-    load_config,
-    run_experiment,
-    serialize_config,
-)
-from beamlink.linksim import (
-    BPSK,
-    QPSK,
-    DetectionError,
-    LinkConfig,
-    ModulationScheme,
-    PacketConfig,
-    PointResult,
-    TrialStats,
-    detect,
-    modulate,
-    modulation_by_name,
-    received_signal,
-    run_trials,
-)
-from beamlink.metrics import (
-    Z95,
-    Estimate,
-    MetricPoint,
-    MetricSeries,
-    StreamErrorParams,
-    capacity,
-    effective_snr,
-    estimate_rates,
-    mean_confidence,
-    packet_error_rate,
-    stream_error,
-    uncoded_stream_params,
-    wilson_interval,
-)
-from beamlink.topology import (
-    NetworkScenario,
-    Node,
-    OverlapRegion,
-    build_scenario,
-    detect_overlaps,
-    interference_points,
-    lens_center_distance,
-    path_gain,
-)
+from beamlink import beamformer, channel, experiments, linksim, metrics, topology
+from beamlink.beamformer import *  # noqa: F401,F403
+from beamlink.channel import *  # noqa: F401,F403
+from beamlink.experiments import *  # noqa: F401,F403
+from beamlink.linksim import *  # noqa: F401,F403
+from beamlink.metrics import *  # noqa: F401,F403
+from beamlink.topology import *  # noqa: F401,F403
 
 __all__ = [
-    # channel
-    "MomentDecomposition",
-    "NakagamiParams",
-    "StackedChannel",
-    "derive_moments",
-    "expected_gram",
-    "sample_channel",
-    "stack",
-    # topology
-    "Node",
-    "OverlapRegion",
-    "NetworkScenario",
-    "detect_overlaps",
-    "lens_center_distance",
-    "interference_points",
-    "path_gain",
-    "build_scenario",
-    # beamformer
-    "RotatorMatrix",
-    "DriverMatrix",
-    "CompositeBeamformer",
-    "NormalizationG",
-    "IllConditionedChannelError",
-    "NoUniqueSolutionError",
-    "DegenerateNormalizationError",
-    "build_rotator",
-    "left_pseudoinverse",
-    "solve_coupled_drivers",
-    "compose",
-    "normalization",
-    # link simulation
-    "ModulationScheme",
-    "BPSK",
-    "QPSK",
-    "modulation_by_name",
-    "PacketConfig",
-    "TrialStats",
-    "LinkConfig",
-    "PointResult",
-    "DetectionError",
-    "modulate",
-    "received_signal",
-    "detect",
-    "run_trials",
-    # metrics
-    "Z95",
-    "Estimate",
-    "StreamErrorParams",
-    "MetricPoint",
-    "MetricSeries",
-    "capacity",
-    "effective_snr",
-    "stream_error",
-    "packet_error_rate",
-    "uncoded_stream_params",
-    "wilson_interval",
-    "estimate_rates",
-    "mean_confidence",
-    # experiments
-    "ConfigError",
-    "ScenarioConfig",
-    "ExperimentConfig",
-    "EXPERIMENTS",
-    "load_config",
-    "serialize_config",
-    "run_experiment",
-    "emit_csv",
+    name
+    for module in (channel, topology, beamformer, linksim, metrics, experiments)
+    for name in module.__all__
 ]

@@ -56,7 +56,6 @@ class RotatorMatrix:
     """Phase-rotated correlation target, 2M x M, every entry magnitude <= 1."""
 
     entries: np.ndarray
-    rotation_angle: float = math.pi
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class CompositeBeamformer:
 
     entries: np.ndarray
     owner: int
-    factor_order: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,7 @@ def build_rotator(
     corr = np.full((n, n), moments.correlation, dtype=complex)
     np.fill_diagonal(corr, 1.0)
     phase = complex(math.cos(rotation_angle), math.sin(rotation_angle))
-    return RotatorMatrix(entries=corr[:, :dimension] * phase, rotation_angle=rotation_angle)
+    return RotatorMatrix(entries=corr[:, :dimension] * phase)
 
 
 def left_pseudoinverse(stacked: StackedChannel, threshold: float = RANK_THRESHOLD) -> np.ndarray:
@@ -189,11 +187,7 @@ def compose(drivers: list[DriverMatrix]) -> CompositeBeamformer:
     product = ordered[0].entries
     for d in ordered[1:]:
         product = product @ d.entries
-    return CompositeBeamformer(
-        entries=product,
-        owner=drivers[0].owner,
-        factor_order=tuple(d.target for d in ordered),
-    )
+    return CompositeBeamformer(entries=product, owner=drivers[0].owner)
 
 
 def normalization(composites: list[CompositeBeamformer]) -> NormalizationG:

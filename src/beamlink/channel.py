@@ -16,6 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
+__all__ = [
+    "NakagamiParams",
+    "MomentDecomposition",
+    "StackedChannel",
+    "derive_moments",
+    "sample_channel",
+    "stack",
+    "expected_gram",
+]
+
 
 @dataclass(frozen=True)
 class NakagamiParams:
@@ -59,13 +69,11 @@ class MomentDecomposition:
 class StackedChannel:
     """Vertical concatenation [top; bottom] of two M x M channel matrices."""
 
-    top: np.ndarray
-    bottom: np.ndarray
     combined: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return self.top.shape[0]
+        return self.combined.shape[1]
 
 
 def derive_moments(params: NakagamiParams) -> MomentDecomposition:
@@ -105,7 +113,7 @@ def stack(top: np.ndarray, bottom: np.ndarray) -> StackedChannel:
         raise ValueError(
             f"expected two equal square matrices, got {top.shape} and {bottom.shape}"
         )
-    return StackedChannel(top=top, bottom=bottom, combined=np.vstack([top, bottom]))
+    return StackedChannel(combined=np.vstack([top, bottom]))
 
 
 def expected_gram(moments: MomentDecomposition, dimension: int) -> np.ndarray:

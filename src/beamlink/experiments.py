@@ -1,16 +1,19 @@
 """Experiment orchestration: config loading, figure-analogue sweeps, CSV output.
 
-Config files are JSON.  Field resolution order is: explicit value in the
-file (or CLI override) > experiment-specific default > generic default, and
-it happens entirely at load time, so a loaded config is fully resolved and
-serializing it round-trips exactly.
+Config files are JSON.  Field resolution order is: CLI override > explicit
+value in the file > experiment-specific default > generic default, and it
+happens entirely at load time, so a loaded config is fully resolved and
+serializing it round-trips exactly.  Each field's generic default, JSON
+type and bounds are declared once, on its dataclass field (see _spec).
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+import operator
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -57,44 +60,79 @@ MODULATION_SWEEP = ("bpsk", "qpsk")
 DIMENSION_SWEEP = (2, 4)
 
 
+_BOUND_CHECKS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+
+def _spec(
+    default=MISSING, kind=float, *, ge=None, gt=None, le=None, choices=None, fold=False, key=None
+):
+    """A config field: its default, and how load_config reads it from JSON.
+
+    kind is the JSON type: float takes any finite number, int an integer,
+    bool true or false, str a non-empty string (or one of choices, compared
+    lower-cased when fold), tuple a pair of distinct integers kept sorted,
+    and a dataclass a non-empty list of objects with that dataclass's
+    fields, each kept as a tuple.  Numbers must be >= ge, > gt and <= le.
+    A field whose default is None also takes null; one without a default
+    is required.  key is the dotted JSON path where it is not the name.
+    """
+    bounds = tuple((op, b) for op, b in ((">=", ge), (">", gt), ("<=", le)) if b is not None)
+    return field(
+        default=default,
+        metadata={"kind": kind, "bounds": bounds, "choices": choices, "fold": fold, "key": key},
+    )
+
+
+@dataclass(frozen=True)
+class _NodeEntry:
+    """Shape of one entry of ScenarioConfig.nodes, stored as a tuple in this order."""
+
+    id: int = _spec(kind=int)
+    x: float = _spec()
+    y: float = _spec()
+    radius: float = _spec(gt=0.0)
+    power: float = _spec(1.0, gt=0.0)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Physical-layer and topology settings shared by every trial of a run."""
 
-    dimension: int = 2
-    modulation: str = "bpsk"
-    packet_bits: int = 2304
-    nakagami_m: float = 1.0
-    nakagami_omega: float = 1.0
-    rotation_angle: float = math.pi
-    path_loss_exponent: float = 3.0
-    reference_distance: float = 1.0
-    node_count: int = 2
-    node_spacing: float = 10.0
-    range_radius: float = 6.0
-    tx_power: float = 1.0
-    per_formula: str = "conventional"
-    transmission_mode: str = "multiplexing"
-    include_interference: bool = True
-    identity_channel: bool = False
-    own_point_distance: float | None = None
-    nodes: tuple[tuple[int, float, float, float, float], ...] | None = None
-    measured_node: int | None = None
-    measured_pair: tuple[int, int] | None = None
+    dimension: int = _spec(2, int, ge=1)
+    modulation: str = _spec("bpsk", str, choices=("bpsk", "qpsk"), fold=True)
+    packet_bits: int = _spec(2304, int, ge=1)
+    # the log-gamma moments lose precision beyond m ~ 1e6
+    nakagami_m: float = _spec(1.0, ge=0.5, le=1e6)
+    nakagami_omega: float = _spec(1.0, gt=0.0)
+    rotation_angle: float = _spec(math.pi)
+    path_loss_exponent: float = _spec(3.0, ge=0.0)
+    reference_distance: float = _spec(1.0, gt=0.0)
+    node_count: int = _spec(2, int, ge=1)
+    node_spacing: float = _spec(10.0, gt=0.0)
+    range_radius: float = _spec(6.0, gt=0.0)
+    tx_power: float = _spec(1.0, gt=0.0)
+    per_formula: str = _spec("conventional", str, choices=("conventional", "literal"))
+    transmission_mode: str = _spec("multiplexing", str, choices=("multiplexing", "diversity"))
+    include_interference: bool = _spec(True, bool)
+    identity_channel: bool = _spec(False, bool)
+    own_point_distance: float | None = _spec(None, gt=0.0)
+    nodes: tuple[tuple[int, float, float, float, float], ...] | None = _spec(None, _NodeEntry)
+    measured_node: int | None = _spec(None, int)
+    measured_pair: tuple[int, int] | None = _spec(None, tuple)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully resolved run: experiment, sweep, budget, seed, output."""
 
-    experiment: str = "custom"
-    snr_start: float = 0.0
-    snr_stop: float = 10.0
-    snr_step: float = 2.0
-    trials: int = 200
-    seed: int = 12345
-    output: str = "results.csv"
-    workers: int = 1
+    experiment: str = _spec("custom", str, choices=EXPERIMENTS)
+    snr_start: float = _spec(0.0, key="snr.start")
+    snr_stop: float = _spec(10.0, key="snr.stop")
+    snr_step: float = _spec(2.0, gt=0.0, key="snr.step")
+    trials: int = _spec(200, int, ge=1)
+    seed: int = _spec(12345, int, ge=0)
+    output: str = _spec("results.csv", str)
+    workers: int = _spec(1, int, ge=1)
     scenario: ScenarioConfig = ScenarioConfig()
 
     def snr_points(self) -> tuple[float, ...]:
@@ -150,250 +188,143 @@ _EXPERIMENT_DEFAULTS: dict[str, dict] = {
     "custom": {},
 }
 
-_TOP_KEYS = {"experiment", "snr", "trials", "seed", "output", "workers", "scenario"}
-_SNR_KEYS = {"start", "stop", "step"}
-_SCENARIO_KEYS = {f for f in ScenarioConfig.__dataclass_fields__}
-_NODE_KEYS = {"id", "x", "y", "radius", "power"}
+# JSON path of each ExperimentConfig field; the accepted top-level and snr keys follow
+_FIELD_BY_KEY = {f.metadata.get("key") or f.name: f.name for f in fields(ExperimentConfig)}
+_TOP_KEYS = {key.partition(".")[0] for key in _FIELD_BY_KEY}
+_SNR_KEYS = {key[len("snr.") :] for key in _FIELD_BY_KEY if key.startswith("snr.")}
+_NODE_KEYS = tuple(f.name for f in fields(_NodeEntry))
 
 
 def _fail(msg: str) -> None:
     raise ConfigError(msg)
 
 
-def _check_keys(mapping: dict, allowed: set, where: str) -> None:
+def _check_keys(mapping: dict, allowed, where: str) -> None:
     for key in mapping:
         if key not in allowed:
             _fail(f"unknown field {key!r} in {where}; expected one of {sorted(allowed)}")
 
 
-def _as_number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"field {field!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_int(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"field {field!r} must be an integer, got {value!r}")
+def _read(f, value, name: str):
+    """One JSON value checked and converted by the spec of field f."""
+    spec, kind = f.metadata, f.metadata["kind"]
+    if value is None and f.default is None:
+        return None
+    if kind is bool:
+        if not isinstance(value, bool):
+            _fail(f"field {name!r} must be true or false, got {value!r}")
+    elif kind is str:
+        if spec["fold"] and isinstance(value, str):
+            value = value.lower()
+        if spec["choices"] is not None and value not in spec["choices"]:
+            _fail(f"field {name!r} must be one of {list(spec['choices'])}, got {value!r}")
+        if not isinstance(value, str) or not value:
+            _fail(f"field {name!r} must be a non-empty string, got {value!r}")
+    elif kind is tuple:
+        if (
+            not isinstance(value, (list, tuple))
+            or len(value) != 2
+            or any(isinstance(v, bool) or not isinstance(v, int) for v in value)
+            or value[0] == value[1]
+        ):
+            _fail(f"field {name!r} must be a pair of distinct node ids, got {value!r}")
+        value = (min(value), max(value))
+    elif is_dataclass(kind):
+        if not isinstance(value, list) or not value:
+            _fail(f"field {name!r} must be a non-empty list of objects")
+        value = tuple(
+            tuple(_read_fields(kind, entry, f"{name}[{i}]").values()) for i, entry in enumerate(value)
+        )
+    elif kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            _fail(f"field {name!r} must be an integer, got {value!r}")
+    else:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            _fail(f"field {name!r} must be a number, got {value!r}")
+        # an integer beyond the float range reads as infinite instead of overflowing
+        value = math.inf if abs(value) > sys.float_info.max else float(value)
+        if not math.isfinite(value):
+            _fail(f"field {name!r} must be a finite number, got {value!r}")
+    for op, bound in spec["bounds"]:
+        if not _BOUND_CHECKS[op](value, bound):
+            _fail(f"field {name!r} must be {op} {bound}, got {value!r}")
     return value
 
 
-def _parse_nodes(raw, field: str):
-    if not isinstance(raw, list) or not raw:
-        _fail(f"field {field!r} must be a non-empty list of node objects")
-    out = []
-    for entry in raw:
-        if not isinstance(entry, dict):
-            _fail(f"entries of {field!r} must be objects")
-        _check_keys(entry, _NODE_KEYS, field)
-        for required in ("id", "x", "y", "radius"):
-            if required not in entry:
-                _fail(f"node entry missing field {required!r}")
-        out.append(
-            (
-                _as_int(entry["id"], "nodes.id"),
-                _as_number(entry["x"], "nodes.x"),
-                _as_number(entry["y"], "nodes.y"),
-                _as_number(entry["radius"], "nodes.radius"),
-                _as_number(entry.get("power", 1.0), "nodes.power"),
-            )
+def _read_fields(cls, raw, where: str) -> dict:
+    """Every spec'd field of cls, read from the JSON object raw or defaulted."""
+    if not isinstance(raw, dict):
+        _fail(f"field {where!r} must be an object")
+    specs = [f for f in fields(cls) if "kind" in f.metadata]
+    _check_keys(raw, {f.name for f in specs}, where)
+    values = {}
+    for f in specs:
+        if f.name in raw:
+            name = f.metadata["key"] or (f"{where}.{f.name}" if where else f.name)
+            values[f.name] = _read(f, raw[f.name], name)
+        elif f.default is MISSING:
+            _fail(f"field {where!r} is missing {f.name!r}")
+        else:
+            values[f.name] = f.default
+    return values
+
+
+def _check_scenario(sc: dict) -> None:
+    """The rules that tie scenario fields to each other."""
+    streams = 1 if sc["transmission_mode"] == "diversity" else sc["dimension"]
+    granule = modulation_by_name(sc["modulation"]).bits_per_symbol * streams
+    if sc["packet_bits"] % granule != 0:
+        _fail(
+            f"field 'scenario.packet_bits' must be a multiple of {granule} "
+            f"(bits per symbol x parallel streams), got {sc['packet_bits']}"
         )
-    ids = [n[0] for n in out]
+    ids = [n[0] for n in sc["nodes"]] if sc["nodes"] is not None else list(range(sc["node_count"]))
     if len(set(ids)) != len(ids):
-        _fail(f"duplicate node ids in {field!r}: {ids}")
-    return tuple(out)
+        _fail(f"duplicate node ids in 'scenario.nodes': {ids}")
+    measured = {"measured_node": [sc["measured_node"]], "measured_pair": sc["measured_pair"] or []}
+    for name, picked in measured.items():
+        for nid in picked:
+            if nid is not None and nid not in ids:
+                _fail(f"field 'scenario.{name}' references unknown node {nid}")
 
 
 def _resolve(raw: dict, overrides: dict | None) -> ExperimentConfig:
     overrides = overrides or {}
     _check_keys(raw, _TOP_KEYS, "config")
     _check_keys(overrides, _TOP_KEYS, "overrides")
-
-    experiment = overrides.get("experiment", raw.get("experiment", "custom"))
-    if experiment not in EXPERIMENTS:
-        _fail(f"unknown experiment {experiment!r}; expected one of {list(EXPERIMENTS)}")
-    exp_defaults = _EXPERIMENT_DEFAULTS[experiment]
-
-    def pick(field, generic):
-        if field in overrides:
-            return overrides[field]
-        if field in raw:
-            return raw[field]
-        return exp_defaults.get(field, generic)
-
-    snr_raw = overrides.get("snr", raw.get("snr", exp_defaults.get("snr")))
-    if snr_raw is None:
-        snr_raw = {"start": 0.0, "stop": 10.0, "step": 2.0}
-    if not isinstance(snr_raw, dict):
-        _fail(f"field 'snr' must be an object with {sorted(_SNR_KEYS)}")
-    _check_keys(snr_raw, _SNR_KEYS, "snr")
-    snr_start = _as_number(snr_raw.get("start", 0.0), "snr.start")
-    snr_stop = _as_number(snr_raw.get("stop", snr_start), "snr.stop")
-    snr_step = _as_number(snr_raw.get("step", 2.0), "snr.step")
-    if snr_step <= 0:
-        _fail(f"field 'snr.step' must be > 0, got {snr_step}")
-    if snr_stop < snr_start:
-        _fail(f"field 'snr.stop' must be >= snr.start, got {snr_stop} < {snr_start}")
-
-    trials = _as_int(pick("trials", 200), "trials")
-    if trials < 1:
-        _fail(f"field 'trials' must be >= 1, got {trials}")
-    seed = _as_int(pick("seed", 12345), "seed")
-    workers = _as_int(pick("workers", 1), "workers")
-    if workers < 1:
-        _fail(f"field 'workers' must be >= 1, got {workers}")
-    output = pick("output", "results.csv")
-    if not isinstance(output, str) or not output:
-        _fail(f"field 'output' must be a non-empty string, got {output!r}")
-
-    sc_raw = raw.get("scenario", {})
-    if not isinstance(sc_raw, dict):
-        _fail("field 'scenario' must be an object")
-    sc_over = overrides.get("scenario", {})
-    if not isinstance(sc_over, dict):
-        _fail("override 'scenario' must be an object")
-    _check_keys(sc_raw, _SCENARIO_KEYS, "scenario")
-    _check_keys(sc_over, _SCENARIO_KEYS, "scenario override")
-    sc_exp = exp_defaults.get("scenario", {})
-    merged = {**sc_exp, **sc_raw, **sc_over}
-    scenario = _validate_scenario(merged)
-
-    return ExperimentConfig(
-        experiment=experiment,
-        snr_start=snr_start,
-        snr_stop=snr_stop,
-        snr_step=snr_step,
-        trials=trials,
-        seed=seed,
-        output=output,
-        workers=workers,
-        scenario=scenario,
+    experiment = _read(
+        ExperimentConfig.__dataclass_fields__["experiment"],
+        overrides.get("experiment", raw.get("experiment", ExperimentConfig.experiment)),
+        "experiment",
     )
 
+    # later layers win; scenario objects merge field by field, snr is taken whole
+    top: dict = {}
+    scenario: dict = {}
+    for layer in (_EXPERIMENT_DEFAULTS[experiment], raw, overrides):
+        top.update(layer)
+        part = layer.get("scenario", {})
+        if not isinstance(part, dict):
+            _fail("field 'scenario' must be an object")
+        scenario.update(part)
+    top.pop("scenario", None)
+    snr = top.pop("snr", None)
+    if snr is not None:
+        if not isinstance(snr, dict):
+            _fail(f"field 'snr' must be an object with {sorted(_SNR_KEYS)}")
+        _check_keys(snr, _SNR_KEYS, "snr")
+        # a partial grid without a stop is the single point at its start
+        snr = {"stop": snr.get("start", ExperimentConfig.snr_start), **snr}
+        top.update({_FIELD_BY_KEY[f"snr.{k}"]: v for k, v in snr.items()})
 
-def _validate_scenario(merged: dict) -> ScenarioConfig:
-    base = ScenarioConfig()
-    vals = {}
-
-    vals["dimension"] = _as_int(merged.get("dimension", base.dimension), "scenario.dimension")
-    if vals["dimension"] < 1:
-        _fail(f"field 'scenario.dimension' must be >= 1, got {vals['dimension']}")
-
-    modulation = merged.get("modulation", base.modulation)
-    try:
-        modulation_by_name(modulation)
-    except (ValueError, AttributeError):
-        _fail(f"field 'scenario.modulation' must be bpsk or qpsk, got {modulation!r}")
-    vals["modulation"] = modulation.lower()
-
-    vals["packet_bits"] = _as_int(merged.get("packet_bits", base.packet_bits), "scenario.packet_bits")
-    if vals["packet_bits"] < 1:
-        _fail(f"field 'scenario.packet_bits' must be >= 1, got {vals['packet_bits']}")
-    mode_early = merged.get("transmission_mode", base.transmission_mode)
-    streams = 1 if mode_early == "diversity" else vals["dimension"]
-    granule = modulation_by_name(vals["modulation"]).bits_per_symbol * streams
-    if vals["packet_bits"] % granule != 0:
+    values = _read_fields(ExperimentConfig, top, "")
+    if values["snr_stop"] < values["snr_start"]:
         _fail(
-            f"field 'scenario.packet_bits' must be a multiple of {granule} "
-            f"(bits per symbol x parallel streams), got {vals['packet_bits']}"
+            f"field 'snr.stop' must be >= snr.start, got {values['snr_stop']} < {values['snr_start']}"
         )
-
-    vals["nakagami_m"] = _as_number(merged.get("nakagami_m", base.nakagami_m), "scenario.nakagami_m")
-    if vals["nakagami_m"] < 0.5:
-        _fail(f"field 'scenario.nakagami_m' must be >= 0.5, got {vals['nakagami_m']}")
-    vals["nakagami_omega"] = _as_number(
-        merged.get("nakagami_omega", base.nakagami_omega), "scenario.nakagami_omega"
-    )
-    if vals["nakagami_omega"] <= 0:
-        _fail(f"field 'scenario.nakagami_omega' must be > 0, got {vals['nakagami_omega']}")
-
-    vals["rotation_angle"] = _as_number(
-        merged.get("rotation_angle", base.rotation_angle), "scenario.rotation_angle"
-    )
-    vals["path_loss_exponent"] = _as_number(
-        merged.get("path_loss_exponent", base.path_loss_exponent), "scenario.path_loss_exponent"
-    )
-    if vals["path_loss_exponent"] < 0:
-        _fail("field 'scenario.path_loss_exponent' must be >= 0")
-    vals["reference_distance"] = _as_number(
-        merged.get("reference_distance", base.reference_distance), "scenario.reference_distance"
-    )
-    if vals["reference_distance"] <= 0:
-        _fail("field 'scenario.reference_distance' must be > 0")
-
-    vals["node_count"] = _as_int(merged.get("node_count", base.node_count), "scenario.node_count")
-    if vals["node_count"] < 1:
-        _fail(f"field 'scenario.node_count' must be >= 1, got {vals['node_count']}")
-    vals["node_spacing"] = _as_number(
-        merged.get("node_spacing", base.node_spacing), "scenario.node_spacing"
-    )
-    if vals["node_spacing"] <= 0:
-        _fail("field 'scenario.node_spacing' must be > 0")
-    vals["range_radius"] = _as_number(
-        merged.get("range_radius", base.range_radius), "scenario.range_radius"
-    )
-    if vals["range_radius"] <= 0:
-        _fail("field 'scenario.range_radius' must be > 0")
-    vals["tx_power"] = _as_number(merged.get("tx_power", base.tx_power), "scenario.tx_power")
-    if vals["tx_power"] <= 0:
-        _fail("field 'scenario.tx_power' must be > 0")
-
-    per_formula = merged.get("per_formula", base.per_formula)
-    if per_formula not in ("literal", "conventional"):
-        _fail(f"field 'scenario.per_formula' must be literal or conventional, got {per_formula!r}")
-    vals["per_formula"] = per_formula
-
-    mode = merged.get("transmission_mode", base.transmission_mode)
-    if mode not in ("multiplexing", "diversity"):
-        _fail(
-            "field 'scenario.transmission_mode' must be multiplexing or diversity, "
-            f"got {mode!r}"
-        )
-    vals["transmission_mode"] = mode
-
-    for flag in ("include_interference", "identity_channel"):
-        v = merged.get(flag, getattr(base, flag))
-        if not isinstance(v, bool):
-            _fail(f"field 'scenario.{flag}' must be true or false, got {v!r}")
-        vals[flag] = v
-
-    own = merged.get("own_point_distance", base.own_point_distance)
-    if own is not None:
-        own = _as_number(own, "scenario.own_point_distance")
-        if own <= 0:
-            _fail("field 'scenario.own_point_distance' must be > 0")
-    vals["own_point_distance"] = own
-
-    nodes = merged.get("nodes", base.nodes)
-    if nodes is not None and not isinstance(nodes, tuple):
-        nodes = _parse_nodes(nodes, "scenario.nodes")
-    vals["nodes"] = nodes
-
-    known_ids = (
-        [n[0] for n in nodes] if nodes is not None else list(range(vals["node_count"]))
-    )
-    measured_node = merged.get("measured_node", base.measured_node)
-    if measured_node is not None:
-        measured_node = _as_int(measured_node, "scenario.measured_node")
-        if measured_node not in known_ids:
-            _fail(f"field 'scenario.measured_node' references unknown node {measured_node}")
-    vals["measured_node"] = measured_node
-
-    measured_pair = merged.get("measured_pair", base.measured_pair)
-    if measured_pair is not None:
-        if not isinstance(measured_pair, (list, tuple)) or len(measured_pair) != 2:
-            _fail("field 'scenario.measured_pair' must be a pair of node ids")
-        measured_pair = (
-            _as_int(measured_pair[0], "scenario.measured_pair"),
-            _as_int(measured_pair[1], "scenario.measured_pair"),
-        )
-        for nid in measured_pair:
-            if nid not in known_ids:
-                _fail(f"field 'scenario.measured_pair' references unknown node {nid}")
-        measured_pair = (min(measured_pair), max(measured_pair))
-    vals["measured_pair"] = measured_pair
-
-    return ScenarioConfig(**vals)
+    sc = _read_fields(ScenarioConfig, scenario, "scenario")
+    _check_scenario(sc)
+    return ExperimentConfig(**values, scenario=ScenarioConfig(**sc))
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
@@ -410,6 +341,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
             _fail(f"config file not found: {path}")
         except json.JSONDecodeError as e:
             _fail(f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}")
+        except (OSError, ValueError) as e:  # unreadable path, bad encoding, oversized integer
+            _fail(f"cannot read config file {path}: {e}")
         if not isinstance(raw, dict):
             _fail("config root must be a JSON object")
     return _resolve(raw, overrides)
@@ -419,21 +352,15 @@ def serialize_config(config: ExperimentConfig) -> str:
     """JSON text that reloads to an equal config (all fields explicit)."""
     sc = asdict(config.scenario)
     if sc["nodes"] is not None:
-        sc["nodes"] = [
-            {"id": n[0], "x": n[1], "y": n[2], "radius": n[3], "power": n[4]}
-            for n in config.scenario.nodes
-        ]
-    if sc["measured_pair"] is not None:
-        sc["measured_pair"] = list(sc["measured_pair"])
-    payload = {
-        "experiment": config.experiment,
-        "snr": {"start": config.snr_start, "stop": config.snr_stop, "step": config.snr_step},
-        "trials": config.trials,
-        "seed": config.seed,
-        "output": config.output,
-        "workers": config.workers,
-        "scenario": sc,
-    }
+        sc["nodes"] = [dict(zip(_NODE_KEYS, n)) for n in sc["nodes"]]
+    payload: dict = {}
+    for key, name in _FIELD_BY_KEY.items():
+        value = sc if name == "scenario" else getattr(config, name)
+        group, _, sub = key.partition(".")
+        if sub:
+            payload.setdefault(group, {})[sub] = value
+        else:
+            payload[group] = value
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -521,6 +448,11 @@ def run_experiment(config: ExperimentConfig) -> list[MetricSeries]:
         )
         points = []
         for pr in point_results:
+            if pr.stats.erasures == pr.stats.packets_sent:
+                raise RuntimeError(
+                    f"{param_name} = {param_value:g} at snr {pr.snr_db:g} dB: "
+                    f"all {pr.stats.packets_sent} trials erased, nothing to estimate"
+                )
             rates = estimate_rates(pr.stats)
             streams = uncoded_stream_params(
                 symbol_error_rate=rates["ser"].value,

@@ -311,9 +311,7 @@ def _solve_network(
         node = scenario.node_by_id(desired)
         point = node.position + np.array([scenario.reference_distance, 0.0])
         channel = _channel_draw(node, point, moments, dim, scenario, rng)
-        ident = CompositeBeamformer(
-            entries=np.eye(dim, dtype=complex), owner=desired, factor_order=()
-        )
+        ident = CompositeBeamformer(entries=np.eye(dim, dtype=complex), owner=desired)
         return _TrialNetwork(
             desired=desired,
             point_channels={desired: channel},

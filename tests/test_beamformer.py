@@ -137,7 +137,7 @@ class TestSolveCoupledDrivers:
         s_a = random_stack(self.mom, 2, rng)
         s_c = random_stack(self.mom, 2, rng)
         zero_rot = build_rotator(MomentDecomposition(0.0, 1.0), 2)
-        zero_rot = type(zero_rot)(entries=np.zeros((4, 2), dtype=complex), rotation_angle=0.0)
+        zero_rot = type(zero_rot)(entries=np.zeros((4, 2), dtype=complex))
         d_ac, d_ca = solve_coupled_drivers(s_a, s_c, zero_rot, s_c, s_a, zero_rot)
         np.testing.assert_allclose(d_ac.entries, 0.0, atol=1e-12)
         np.testing.assert_allclose(d_ca.entries, 0.0, atol=1e-12)
@@ -210,13 +210,11 @@ class TestCompose:
         d = self.driver(np.array([[1.0, 2.0], [3.0, 4.0]]))
         c = compose([d])
         np.testing.assert_allclose(c.entries, d.entries)
-        assert c.factor_order == (1,)
 
     def test_identity_factors(self):
         drivers = [self.driver(np.eye(2), target=t) for t in (1, 2, 3)]
         c = compose(drivers)
         np.testing.assert_allclose(c.entries, np.eye(2), atol=1e-15)
-        assert c.factor_order == (1, 2, 3)
 
     def test_ascending_target_order(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -226,7 +224,6 @@ class TestCompose:
         d1 = self.driver(b, target=1)
         c = compose([d2, d1])  # passed out of order on purpose
         np.testing.assert_allclose(c.entries, b @ a)
-        assert c.factor_order == (1, 2)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -247,9 +244,7 @@ class TestCompose:
 
 class TestNormalization:
     def comp(self, entries, owner=0):
-        return CompositeBeamformer(
-            entries=np.asarray(entries, dtype=complex), owner=owner, factor_order=(1,)
-        )
+        return CompositeBeamformer(entries=np.asarray(entries, dtype=complex), owner=owner)
 
     def test_two_identities(self):
         g = normalization([self.comp(np.eye(2)), self.comp(np.eye(2), owner=1)])

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
@@ -80,6 +81,60 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("runtime error:")
+
+
+NONFINITE_FIELDS = (
+    "nakagami_omega",
+    "rotation_angle",
+    "node_spacing",
+    "range_radius",
+    "path_loss_exponent",
+    "reference_distance",
+)
+BAD_INPUTS = [
+    (["--snr", "nan:1:1"], {}, "snr.start"),
+    (["--snr", "0:1:nan"], {}, "snr.step"),
+    (["--snr", "0:inf:1"], {}, "snr.stop"),
+    (["--seed", "-1"], {}, "seed"),
+    ([], {"nakagami_m": 1e308}, "scenario.nakagami_m"),
+    ([], {"nakagami_m": math.nan}, "scenario.nakagami_m"),
+    ([], {"nakagami_m": 1e8}, "scenario.nakagami_m"),
+    ([], {"measured_pair": [0, 0]}, "scenario.measured_pair"),
+    ([], {"tx_power": 10**400}, "scenario.tx_power"),
+    ([], {"nodes": [{"id": 0, "x": 0.0, "y": 0.0, "radius": -1.0}]}, "scenario.nodes[0].radius"),
+] + [
+    ([], {name: value}, f"scenario.{name}")
+    for name in NONFINITE_FIELDS
+    for value in (math.nan, math.inf)
+]
+
+
+class TestBadInputExits1:
+    @pytest.mark.parametrize(
+        "flags, scenario, field",
+        BAD_INPUTS,
+        ids=[f"{i}-{field}" for i, (_, _, field) in enumerate(BAD_INPUTS)],
+    )
+    def test_named_config_error(self, tmp_path, capsys, flags, scenario, field):
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        cfg = write_config(tmp_path, {"scenario": {"packet_bits": 32, **scenario}})
+        rc = main(["--config", cfg, "--trials", "2", "--out", str(tmp_path / "x.csv"), *flags])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error:")
+        assert f"'{field}'" in err
+
+
+class TestErasedPoint:
+    def test_all_trials_erased_is_named(self, tmp_path, capsys):
+        # a valid config whose every trial is erased: an outcome, so exit 2
+        cfg = write_config(tmp_path, {"scenario": {"packet_bits": 32, "tx_power": 1e308}})
+        rc = main(["--config", cfg, "--trials", "3", "--snr", "4:4:1",
+                   "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("runtime error:")
+        assert "custom = 0 at snr 4 dB: all 3 trials erased" in err
 
 
 class TestFlagPrecedence:

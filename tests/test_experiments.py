@@ -128,6 +128,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/beamlink.json")
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["directory", "not-utf8"])
+    def test_unreadable_file(self, tmp_path, content):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "cfg.json"
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config(str(path))
+
     def test_root_must_be_object(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2, 3]")

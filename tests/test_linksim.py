@@ -120,8 +120,7 @@ class TestTrialStats:
 
 class TestReceivedSignal:
     def ident_composite(self, owner=0, dim=2):
-        return CompositeBeamformer(entries=np.eye(dim, dtype=complex), owner=owner,
-                                   factor_order=())
+        return CompositeBeamformer(entries=np.eye(dim, dtype=complex), owner=owner)
 
     def test_identity_chain(self):
         x = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex)
