@@ -28,7 +28,7 @@ draws = 40_000
 acc = np.zeros((2 * dim, 2 * dim), dtype=complex)
 for _ in range(draws):
     s = stack(sample_channel(mom, dim, rng), sample_channel(mom, dim, rng))
-    acc += s.combined @ s.combined.conj().T
+    acc += s @ s.conj().T
 avg = acc / draws
 
 ref = expected_gram(mom, dim)

@@ -25,7 +25,7 @@ mom = derive_moments(NakagamiParams(1.0, 1.0))
 
 rot = build_rotator(mom, dim)
 print("rotation target (default half-turn phase):")
-print(np.round(rot.entries, 4))
+print(np.round(rot, 4))
 print()
 
 # one stacked channel per node: rows 1..M toward the partner's point,
@@ -33,20 +33,21 @@ print()
 s_a = stack(sample_channel(mom, dim, rng), sample_channel(mom, dim, rng))
 s_c = stack(sample_channel(mom, dim, rng), sample_channel(mom, dim, rng))
 
-d_ac, d_ca = solve_coupled_drivers(s_a, s_c, rot, s_c, s_a, rot)
-print(f"driver of node {d_ac.owner} toward pair with {d_ac.target}:")
-print(np.round(d_ac.entries, 4))
+# each node's stack is the other's cross term, and both share the rotator
+d_ac, d_ca = solve_coupled_drivers(s_a, s_c, rot)
+print("driver of node a toward its pair with c:")
+print(np.round(d_ac, 4))
 
-p_a = np.linalg.pinv(s_a.combined)
-p_c = np.linalg.pinv(s_c.combined)
-r1 = np.linalg.norm(d_ac.entries - p_a @ (rot.entries - s_c.combined @ d_ca.entries))
-r2 = np.linalg.norm(d_ca.entries - p_c @ (rot.entries - s_a.combined @ d_ac.entries))
+p_a = np.linalg.pinv(s_a)
+p_c = np.linalg.pinv(s_c)
+r1 = np.linalg.norm(d_ac - p_a @ (rot - s_c @ d_ca))
+r2 = np.linalg.norm(d_ca - p_c @ (rot - s_a @ d_ac))
 print(f"defining-equation residuals: {r1:.2e}, {r2:.2e}")
 print()
 
 comp_a = compose([d_ac])
 comp_c = compose([d_ca])
 g = normalization([comp_a, comp_c])
-print(f"normalization over both composites: {g.value:.4f}")
+print(f"normalization over both composites: {g:.4f}")
 print("a single-pair composite is just the driver itself; with several")
 print("neighbors the per-pair drivers multiply in ascending target order")

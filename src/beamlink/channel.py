@@ -19,7 +19,6 @@ from numpy.random import Generator
 __all__ = [
     "NakagamiParams",
     "MomentDecomposition",
-    "StackedChannel",
     "derive_moments",
     "sample_channel",
     "stack",
@@ -65,17 +64,6 @@ class MomentDecomposition:
         return self.squared_mean / self.total
 
 
-@dataclass(frozen=True)
-class StackedChannel:
-    """Vertical concatenation [top; bottom] of two M x M channel matrices."""
-
-    combined: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.combined.shape[1]
-
-
 def derive_moments(params: NakagamiParams) -> MomentDecomposition:
     """Reduce Nakagami-m (m, omega) to the (squared mean, variance) pair.
 
@@ -105,15 +93,15 @@ def sample_channel(moments: MomentDecomposition, dimension: int, rng: Generator)
     return math.sqrt(moments.squared_mean) + sigma * scatter
 
 
-def stack(top: np.ndarray, bottom: np.ndarray) -> StackedChannel:
-    """Stack two equal-size square channel matrices into a 2M x M matrix."""
+def stack(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """Stack two equal-size square channel matrices into one 2M x M matrix [top; bottom]."""
     top = np.asarray(top)
     bottom = np.asarray(bottom)
     if top.shape != bottom.shape or top.ndim != 2 or top.shape[0] != top.shape[1]:
         raise ValueError(
             f"expected two equal square matrices, got {top.shape} and {bottom.shape}"
         )
-    return StackedChannel(combined=np.vstack([top, bottom]))
+    return np.vstack([top, bottom])
 
 
 def expected_gram(moments: MomentDecomposition, dimension: int) -> np.ndarray:

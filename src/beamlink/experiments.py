@@ -17,7 +17,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass,
 
 import numpy as np
 
-from beamlink.linksim import LinkConfig, modulation_by_name, run_trials
+from beamlink.linksim import LinkConfig, measured_roles, modulation_by_name, run_trials
 from beamlink.channel import NakagamiParams
 from beamlink.metrics import (
     Estimate,
@@ -28,7 +28,7 @@ from beamlink.metrics import (
     packet_error_rate,
     uncoded_stream_params,
 )
-from beamlink.topology import Node, build_scenario, detect_overlaps, lens_center_distance
+from beamlink.topology import Node, build_scenario, detect_overlaps, lens_center_distance, lens_interval
 
 __all__ = [
     "ConfigError",
@@ -269,23 +269,40 @@ def _read_fields(cls, raw, where: str) -> dict:
     return values
 
 
-def _check_scenario(sc: dict) -> None:
+def _check_scenario(sc: ScenarioConfig) -> None:
     """The rules that tie scenario fields to each other."""
-    streams = 1 if sc["transmission_mode"] == "diversity" else sc["dimension"]
-    granule = modulation_by_name(sc["modulation"]).bits_per_symbol * streams
-    if sc["packet_bits"] % granule != 0:
-        _fail(
-            f"field 'scenario.packet_bits' must be a multiple of {granule} "
-            f"(bits per symbol x parallel streams), got {sc['packet_bits']}"
-        )
-    ids = [n[0] for n in sc["nodes"]] if sc["nodes"] is not None else list(range(sc["node_count"]))
+    ids = [n[0] for n in sc.nodes] if sc.nodes is not None else list(range(sc.node_count))
     if len(set(ids)) != len(ids):
         _fail(f"duplicate node ids in 'scenario.nodes': {ids}")
-    measured = {"measured_node": [sc["measured_node"]], "measured_pair": sc["measured_pair"] or []}
+    measured = {"measured_node": [sc.measured_node], "measured_pair": sc.measured_pair or []}
     for name, picked in measured.items():
         for nid in picked:
             if nid is not None and nid not in ids:
                 _fail(f"field 'scenario.{name}' references unknown node {nid}")
+
+
+def _check_sweep(config: ExperimentConfig) -> None:
+    """Check and build the link and network of every scenario the sweep
+    runs, so one that cannot run fails here rather than mid-run; a value the
+    sweep replaces is not checked."""
+    for param_name, param_value, sc in _sweep(config):
+        where = "" if param_name == "custom" else f" (with {param_name} = {param_value:g})"
+        try:
+            # the field specs leave LinkConfig only the packet/stream split to reject
+            _build_link(sc, config.snr_points())
+        except ValueError as e:
+            _fail(f"field 'scenario.packet_bits' must split evenly: {e}{where}")
+        try:
+            _check_scenario(sc)
+            scenario = _build_network(sc)
+        except ConfigError as e:
+            _fail(f"{e}{where}")
+        # the pair alone first, so the error names the field at fault
+        for name, node in (("measured_pair", None), ("measured_node", sc.measured_node)):
+            try:
+                measured_roles(scenario, sc.measured_pair, node)
+            except ValueError as e:
+                _fail(f"field 'scenario.{name}': {e}{where}")
 
 
 def _resolve(raw: dict, overrides: dict | None) -> ExperimentConfig:
@@ -322,9 +339,11 @@ def _resolve(raw: dict, overrides: dict | None) -> ExperimentConfig:
         _fail(
             f"field 'snr.stop' must be >= snr.start, got {values['snr_stop']} < {values['snr_start']}"
         )
-    sc = _read_fields(ScenarioConfig, scenario, "scenario")
-    _check_scenario(sc)
-    return ExperimentConfig(**values, scenario=ScenarioConfig(**sc))
+    config = ExperimentConfig(
+        **values, scenario=ScenarioConfig(**_read_fields(ScenarioConfig, scenario, "scenario"))
+    )
+    _check_sweep(config)
+    return config
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
@@ -388,13 +407,27 @@ def _build_nodes(sc: ScenarioConfig) -> list[Node]:
 
 def _build_network(sc: ScenarioConfig):
     nodes = _build_nodes(sc)
+    try:
+        pairs = detect_overlaps(nodes)
+    except ValueError as e:
+        _fail(f"field 'scenario.nodes' has no overlap geometry: {e}")
     offsets = None
-    if sc.own_point_distance is not None and len(nodes) > 1:
+    if sc.own_point_distance is not None:
         by_id = {n.id: n for n in nodes}
         offsets = {}
-        for i, j in detect_overlaps(nodes):
+        for i, j in pairs:
             a, c = by_id[i], by_id[j]
             d = float(np.linalg.norm(c.position - a.position))
+            # node i's point sits at own_point_distance along i->j, node j's at
+            # d - own_point_distance; both must stay inside the lens
+            lo, hi = lens_interval(a, c)
+            low, high = max(lo, d - hi), min(hi, d - lo)
+            if not low < sc.own_point_distance < high:
+                _fail(
+                    f"field 'scenario.own_point_distance' must lie in ({low:g}, {high:g}) "
+                    f"to keep both points of pair ({i}, {j}) inside its overlap, "
+                    f"got {sc.own_point_distance:g}"
+                )
             x = lens_center_distance(a, c)
             # park each pair point at the configured distance from its own node
             offsets[(i, j)] = (sc.own_point_distance - x, (d - sc.own_point_distance) - x)

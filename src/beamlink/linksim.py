@@ -12,18 +12,16 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.random import Generator
 
 from beamlink.beamformer import (
-    CompositeBeamformer,
     DegenerateNormalizationError,
     IllConditionedChannelError,
     NoUniqueSolutionError,
-    NormalizationG,
-    RotatorMatrix,
     build_rotator,
     compose,
     normalization,
@@ -37,18 +35,18 @@ from beamlink.channel import (
     stack,
 )
 from beamlink.metrics import capacity, effective_snr
-from beamlink.topology import NetworkScenario, Node, path_gain
+from beamlink.topology import NetworkScenario, Node, OverlapRegion, path_gain
 
 __all__ = [
     "ModulationScheme",
     "BPSK",
     "QPSK",
     "modulation_by_name",
-    "PacketConfig",
     "TrialStats",
     "LinkConfig",
     "PointResult",
     "DetectionError",
+    "measured_roles",
     "modulate",
     "received_signal",
     "detect",
@@ -60,6 +58,15 @@ _DETECT_RANK_THRESHOLD = 1e-10
 
 class DetectionError(RuntimeError):
     """Effective channel too singular to equalize; the trial is erased."""
+
+
+# numerical failures that erase a trial instead of ending the run
+_ERASURES = (
+    IllConditionedChannelError,
+    NoUniqueSolutionError,
+    DegenerateNormalizationError,
+    DetectionError,
+)
 
 
 @dataclass(frozen=True)
@@ -93,29 +100,6 @@ def modulation_by_name(name: str) -> ModulationScheme:
         return schemes[name.lower()]
     except KeyError:
         raise ValueError(f"unknown modulation {name!r}; expected bpsk or qpsk") from None
-
-
-@dataclass(frozen=True)
-class PacketConfig:
-    """Packet length in bits and the spatial stream count it splits over."""
-
-    length_bits: int = 2304
-    streams: int = 1
-
-    def __post_init__(self):
-        if not (isinstance(self.length_bits, int) and self.length_bits > 0):
-            raise ValueError(f"length_bits must be a positive integer, got {self.length_bits}")
-        if not (isinstance(self.streams, int) and self.streams > 0):
-            raise ValueError(f"streams must be a positive integer, got {self.streams}")
-
-    def symbols_per_stream(self, scheme: ModulationScheme) -> int:
-        group = self.streams * scheme.bits_per_symbol
-        if self.length_bits % group != 0:
-            raise ValueError(
-                f"{self.length_bits} bits do not split into {self.streams} streams "
-                f"of {scheme.bits_per_symbol}-bit symbols"
-            )
-        return self.length_bits // group
 
 
 @dataclass
@@ -185,10 +169,21 @@ class LinkConfig:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if self.mode not in ("multiplexing", "diversity"):
             raise ValueError(f"mode must be multiplexing or diversity, got {self.mode!r}")
+        if self.packet_bits < 1:
+            raise ValueError(f"packet_bits must be >= 1, got {self.packet_bits}")
+        if self.packet_bits % (self.streams * self.modulation.bits_per_symbol) != 0:
+            raise ValueError(
+                f"{self.packet_bits} bits do not split into {self.streams} streams "
+                f"of {self.modulation.bits_per_symbol}-bit symbols"
+            )
 
     @property
     def streams(self) -> int:
         return self.dimension if self.mode == "multiplexing" else 1
+
+    @property
+    def symbols_per_stream(self) -> int:
+        return self.packet_bits // (self.streams * self.modulation.bits_per_symbol)
 
 
 @dataclass
@@ -222,9 +217,9 @@ def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
 
 def received_signal(
     channels: dict[int, np.ndarray],
-    composites: dict[int, CompositeBeamformer],
+    composites: dict[int, np.ndarray],
     transmit: dict[int, np.ndarray],
-    g: NormalizationG,
+    g: float,
     noise: np.ndarray,
 ) -> np.ndarray:
     """Sum of (channel @ composite @ symbols) / g over transmitting nodes, plus noise.
@@ -232,12 +227,12 @@ def received_signal(
     Nodes are summed in ascending id order so the float accumulation is
     reproducible.
     """
-    if not g.value > 0:
-        raise DegenerateNormalizationError(f"normalization {g.value} not positive")
+    if not g > 0:
+        raise DegenerateNormalizationError(f"normalization {g} not positive")
     y = np.array(noise, dtype=complex, copy=True)
     for node_id in sorted(transmit):
-        term = channels[node_id] @ composites[node_id].entries @ transmit[node_id]
-        y += term / g.value
+        term = channels[node_id] @ composites[node_id] @ transmit[node_id]
+        y += term / g
     return y
 
 
@@ -274,8 +269,8 @@ class _TrialNetwork:
 
     desired: int
     point_channels: dict[int, np.ndarray]  # node id -> M x M channel at the point
-    composites: dict[int, CompositeBeamformer]
-    g: NormalizationG
+    composites: dict[int, np.ndarray]  # node id -> M x M composite beamformer
+    g: float
 
 
 def _channel_draw(
@@ -294,6 +289,28 @@ def _channel_draw(
     return amp * sample_channel(moments, dimension, rng)
 
 
+def measured_roles(
+    scenario: NetworkScenario, measured_pair: tuple[int, int] | None, measured_node: int | None
+) -> tuple[int, OverlapRegion | None]:
+    """The measured node and the overlap region it is measured in.
+
+    The pair defaults to the first overlap and the node to the pair's lower
+    id.  With no pair given and no overlap at all, the region is None and
+    the node defaults to the first node.  Raises ValueError when the pair
+    has no overlap region or the node is not in it.
+    """
+    if measured_pair is None and not scenario.overlaps:
+        return (measured_node if measured_node is not None else scenario.nodes[0].id), None
+    pair = measured_pair if measured_pair is not None else scenario.overlaps[0].pair
+    region = next((o for o in scenario.overlaps if o.pair == tuple(pair)), None)
+    if region is None:
+        raise ValueError(f"measured pair {pair} has no overlap region")
+    desired = measured_node if measured_node is not None else region.pair[0]
+    if desired not in region.pair:
+        raise ValueError(f"measured node {desired} is not in pair {region.pair}")
+    return desired, region
+
+
 def _solve_network(
     scenario: NetworkScenario, link: LinkConfig, rng: Generator
 ) -> _TrialNetwork:
@@ -304,31 +321,24 @@ def _solve_network(
     moments = derive_moments(link.fading) if link.fading is not None else None
     corr = moments if moments is not None else MomentDecomposition(0.0, 1.0)
     rotator = build_rotator(corr, dim, link.rotation_angle)
+    desired, region = measured_roles(scenario, link.measured_pair, link.measured_node)
 
-    if not scenario.overlaps:
+    if region is None:
         # single-link calibration: no neighbors to drive, unit normalization
-        desired = link.measured_node if link.measured_node is not None else scenario.nodes[0].id
         node = scenario.node_by_id(desired)
         point = node.position + np.array([scenario.reference_distance, 0.0])
         channel = _channel_draw(node, point, moments, dim, scenario, rng)
-        ident = CompositeBeamformer(entries=np.eye(dim, dtype=complex), owner=desired)
         return _TrialNetwork(
             desired=desired,
             point_channels={desired: channel},
-            composites={desired: ident},
-            g=NormalizationG(1.0),
+            composites={desired: np.eye(dim, dtype=complex)},
+            g=1.0,
         )
-
-    pair = link.measured_pair if link.measured_pair is not None else scenario.overlaps[0].pair
-    region = next((o for o in scenario.overlaps if o.pair == tuple(pair)), None)
-    if region is None:
-        raise ValueError(f"measured pair {pair} has no overlap region")
-    desired = link.measured_node if link.measured_node is not None else region.pair[0]
-    if desired not in region.pair:
-        raise ValueError(f"measured node {desired} is not in pair {region.pair}")
     point = region.point_for(desired)
 
-    drivers: dict[int, list] = {}
+    # the overlaps come sorted by id pair, so each node's drivers are
+    # appended in ascending order of their target, the order compose needs
+    drivers: dict[int, list[np.ndarray]] = {}
     point_channels: dict[int, np.ndarray] = {}
     for overlap in scenario.overlaps:
         i, j = overlap.pair
@@ -341,9 +351,7 @@ def _solve_network(
         j_to_pj = _channel_draw(node_j, p_j, moments, dim, scenario, rng)
         stack_i = stack(i_to_pj, i_to_pi)
         stack_j = stack(j_to_pi, j_to_pj)
-        d_ij, d_ji = solve_coupled_drivers(
-            stack_i, stack_j, rotator, stack_j, stack_i, rotator, owner_a=i, owner_c=j
-        )
+        d_ij, d_ji = solve_coupled_drivers(stack_i, stack_j, rotator)
         drivers.setdefault(i, []).append(d_ij)
         drivers.setdefault(j, []).append(d_ji)
         if overlap.pair == region.pair:
@@ -355,10 +363,8 @@ def _solve_network(
                 point_channels[j] = j_to_pj
                 point_channels[i] = i_to_pj
 
-    composites = {
-        node_id: compose(drivers[node_id]) for node_id in sorted(drivers)
-    }
-    g = normalization([composites[node_id] for node_id in sorted(composites)])
+    composites = {node_id: compose(drivers[node_id]) for node_id in sorted(drivers)}
+    g = normalization(list(composites.values()))
 
     # other nodes whose disks cover the measured point also interfere there;
     # their channels to this point were not part of any solve, draw them now
@@ -380,17 +386,21 @@ def _simulate_trial(
     scenario: NetworkScenario, link: LinkConfig, snr_db: float, rng: Generator
 ) -> tuple[TrialStats, float]:
     """One packet through one channel realization; returns counters and the
-    trial's capacity sample (NaN if erased)."""
-    scheme = link.modulation
-    packet = PacketConfig(length_bits=link.packet_bits, streams=link.streams)
-    per_stream = packet.symbols_per_stream(scheme)
-    sigma2 = 1.0 / (10.0 ** (snr_db / 10.0))
-
+    trial's capacity sample.  A numerical failure in the solve, the
+    normalization or detection erases the trial: one lost packet, NaN capacity."""
     try:
-        net = _solve_network(scenario, link, rng)
-    except (IllConditionedChannelError, NoUniqueSolutionError, DegenerateNormalizationError):
+        return _send_packet(_solve_network(scenario, link, rng), link, snr_db, rng)
+    except _ERASURES:
         return TrialStats(packets_sent=1, packet_errors=1, erasures=1), math.nan
 
+
+def _send_packet(
+    net: _TrialNetwork, link: LinkConfig, snr_db: float, rng: Generator
+) -> tuple[TrialStats, float]:
+    """Send, receive and detect one packet over a solved network."""
+    scheme = link.modulation
+    per_stream = link.symbols_per_stream
+    sigma2 = 1.0 / (10.0 ** (snr_db / 10.0))
     rep = _alternating_unit_vector(link.dimension) if link.mode == "diversity" else None
 
     bits = rng.integers(0, 2, size=link.packet_bits)
@@ -413,17 +423,13 @@ def _simulate_trial(
 
     y = received_signal(net.point_channels, net.composites, transmit, net.g, noise)
 
-    effective = net.point_channels[net.desired] @ net.composites[net.desired].entries
-    h_eff = effective / net.g.value
+    effective = net.point_channels[net.desired] @ net.composites[net.desired]
+    h_eff = effective / net.g
     if rep is not None:
         h_eff = h_eff @ rep[:, None]
 
     cap = capacity(effective_snr(1.0, effective, sigma2, net.g))
-
-    try:
-        detected = detect(y, h_eff, scheme)
-    except DetectionError:
-        return TrialStats(packets_sent=1, packet_errors=1, erasures=1), math.nan
+    detected = detect(y, h_eff, scheme)
 
     bit_errors = int(np.count_nonzero(detected != bits))
     sent_symbols = symbols.reshape(-1)
@@ -443,13 +449,13 @@ def _simulate_trial(
 def _run_chunk(
     scenario: NetworkScenario,
     link: LinkConfig,
-    snr_db: float,
+    master_seed: int,
     point_idx: int,
     start: int,
     stop: int,
-    master_seed: int,
 ) -> tuple[TrialStats, np.ndarray]:
     """Trials [start, stop) of one SNR point, each on its own spawned stream."""
+    snr_db = link.snr_db[point_idx]
     stats = TrialStats()
     caps = np.empty(stop - start, dtype=float)
     for t in range(start, stop):
@@ -470,41 +476,33 @@ def run_trials(
 ) -> list[PointResult]:
     """Monte-Carlo sweep: one PointResult per entry of link.snr_db.
 
-    Per-trial streams are derived from (master_seed, point index, trial
-    index), counters merge by integer addition, and capacity samples land
-    positionally, so the result is identical for every worker count.
+    The work is split into (SNR point, trial span) tasks, one span per
+    worker, run in this process for one worker and on one process pool
+    otherwise.  Per-trial streams are derived from (master_seed, point
+    index, trial index), counters merge by integer addition in task order,
+    and capacity samples land positionally, so the result is identical for
+    every worker count.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    results = []
-    for point_idx, snr_db in enumerate(link.snr_db):
-        if workers == 1:
-            stats, caps = _run_chunk(
-                scenario, link, snr_db, point_idx, 0, n_trials, master_seed
-            )
-        else:
-            bounds = np.linspace(0, n_trials, workers + 1, dtype=int)
-            spans = [
-                (int(bounds[w]), int(bounds[w + 1]))
-                for w in range(workers)
-                if bounds[w + 1] > bounds[w]
-            ]
-            stats = TrialStats()
-            caps = np.empty(n_trials, dtype=float)
-            with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-                futures = [
-                    pool.submit(
-                        _run_chunk, scenario, link, snr_db, point_idx, a, b, master_seed
-                    )
-                    for a, b in spans
-                ]
-                # merge in submission (trial-index) order: determinism
-                for (a, b), fut in zip(spans, futures):
-                    chunk_stats, chunk_caps = fut.result()
-                    stats = stats + chunk_stats
-                    caps[a:b] = chunk_caps
-        results.append(PointResult(snr_db=snr_db, stats=stats, capacity_samples=caps))
+    bounds = np.linspace(0, n_trials, workers + 1, dtype=int)
+    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    tasks = [(p, a, b) for p in range(len(link.snr_db)) for a, b in spans]
+    run = partial(_run_chunk, scenario, link, master_seed)
+    if workers == 1:
+        chunks = [run(*task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            chunks = list(pool.map(run, *zip(*tasks)))
+
+    results = [
+        PointResult(snr_db=snr_db, stats=TrialStats(), capacity_samples=np.empty(n_trials))
+        for snr_db in link.snr_db
+    ]
+    for (p, a, b), (chunk_stats, chunk_caps) in zip(tasks, chunks):
+        results[p].stats = results[p].stats + chunk_stats
+        results[p].capacity_samples[a:b] = chunk_caps
     return results

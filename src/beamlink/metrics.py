@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from beamlink.beamformer import NormalizationG
     from beamlink.linksim import TrialStats
 
 __all__ = [
@@ -127,7 +126,7 @@ def effective_snr(
     total_power: float,
     effective_channel: np.ndarray,
     noise_variance: float,
-    g: "NormalizationG",
+    g: float,
 ) -> float:
     """Post-beamforming SNR: power times channel norm over (normalization * noise).
 
@@ -138,10 +137,10 @@ def effective_snr(
         raise ValueError(f"total_power must be >= 0, got {total_power}")
     if not noise_variance > 0:
         raise ValueError(f"noise_variance must be > 0, got {noise_variance}")
-    if not g.value > 0:
-        raise ValueError(f"normalization must be > 0, got {g.value}")
+    if not g > 0:
+        raise ValueError(f"normalization must be > 0, got {g}")
     norm_sq = float(np.sum(np.abs(effective_channel) ** 2))
-    return total_power * norm_sq / (g.value * noise_variance)
+    return total_power * norm_sq / (g * noise_variance)
 
 
 def _clamp01(x: float) -> float:

@@ -18,6 +18,7 @@ __all__ = [
     "NetworkScenario",
     "detect_overlaps",
     "lens_center_distance",
+    "lens_interval",
     "interference_points",
     "path_gain",
     "build_scenario",
@@ -132,12 +133,15 @@ def lens_center_distance(a: Node, c: Node) -> float:
     return (d * d + a.range_radius**2 - c.range_radius**2) / (2.0 * d)
 
 
-def _clamp_into_lens(t: float, a: Node, c: Node) -> float:
-    # admissible parameters along a->c strictly inside both disks:
-    # |t| < r_a  and  |d - t| < r_c
+def lens_interval(a: Node, c: Node) -> tuple[float, float]:
+    """Open interval (lo, hi) of distances t from a, along the line a->c,
+    whose points lie strictly inside both disks: |t| < r_a and |d - t| < r_c."""
     d = float(np.linalg.norm(c.position - a.position))
-    lo = max(-a.range_radius, d - c.range_radius)
-    hi = min(a.range_radius, d + c.range_radius)
+    return max(-a.range_radius, d - c.range_radius), min(a.range_radius, d + c.range_radius)
+
+
+def _clamp_into_lens(t: float, a: Node, c: Node) -> float:
+    lo, hi = lens_interval(a, c)
     margin = 1e-9 * (hi - lo)
     return min(max(t, lo + margin), hi - margin)
 

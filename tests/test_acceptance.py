@@ -54,7 +54,7 @@ def test_criterion_1_channel_moment_fidelity():
         acc = np.zeros((2 * dim, 2 * dim), dtype=complex)
         for _ in range(draws):
             s = stack(sample_channel(mom, dim, rng), sample_channel(mom, dim, rng))
-            acc += s.combined @ s.combined.conj().T
+            acc += s @ s.conj().T
         avg = acc / draws
         ref = expected_gram(mom, dim)
         rel = float(np.max(np.abs(avg - ref) / np.abs(ref)))
@@ -95,29 +95,29 @@ def test_criterion_2_coupled_solver_residuals():
         s_a = stack(sample_channel(mom, dim, rng), sample_channel(mom, dim, rng))
         s_c = stack(sample_channel(mom, dim, rng), sample_channel(mom, dim, rng))
         try:
-            d_ac, d_ca = solve_coupled_drivers(s_a, s_c, rot, s_c, s_a, rot)
+            d_ac, d_ca = solve_coupled_drivers(s_a, s_c, rot)
         except NoUniqueSolutionError:
             continue
         solved += 1
-        p_a = np.linalg.pinv(s_a.combined)
-        p_c = np.linalg.pinv(s_c.combined)
-        t = rot.entries
-        r1 = np.linalg.norm(d_ac.entries - p_a @ (t - s_c.combined @ d_ca.entries))
-        r2 = np.linalg.norm(d_ca.entries - p_c @ (t - s_a.combined @ d_ac.entries))
+        p_a = np.linalg.pinv(s_a)
+        p_c = np.linalg.pinv(s_c)
+        t = rot
+        r1 = np.linalg.norm(d_ac - p_a @ (t - s_c @ d_ca))
+        r2 = np.linalg.norm(d_ca - p_c @ (t - s_a @ d_ac))
         worst_residual = max(worst_residual, float(r1), float(r2))
 
-        k_mat = p_a @ s_c.combined @ p_c @ s_a.combined
+        k_mat = p_a @ s_c @ p_c @ s_a
         rho = float(np.max(np.abs(np.linalg.eigvals(k_mat))))
         if rho < 0.9 and convergent < 10:
             x = np.zeros((dim, dim), dtype=complex)
             for _ in range(5000):
-                nxt = p_a @ (t - s_c.combined @ (p_c @ (t - s_a.combined @ x)))
+                nxt = p_a @ (t - s_c @ (p_c @ (t - s_a @ x)))
                 if np.linalg.norm(nxt - x) <= 1e-12:
                     x = nxt
                     break
                 x = nxt
             convergent += 1
-            worst_gap = max(worst_gap, float(np.linalg.norm(x - d_ac.entries)))
+            worst_gap = max(worst_gap, float(np.linalg.norm(x - d_ac)))
 
     elapsed = time.time() - t0
     ok = (
@@ -148,7 +148,7 @@ def test_criterion_3_left_inverse_exactness():
         mom = derive_moments(NakagamiParams(m, 1.0))
         s = stack(sample_channel(mom, dim, rng), sample_channel(mom, dim, rng))
         p = left_pseudoinverse(s)
-        worst = max(worst, float(np.linalg.norm(p @ s.combined - eye)))
+        worst = max(worst, float(np.linalg.norm(p @ s - eye)))
     _report(
         3,
         "left inverse exactness",

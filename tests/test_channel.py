@@ -125,10 +125,9 @@ class TestStack:
         a = np.arange(4.0).reshape(2, 2) + 0j
         b = 10.0 + np.arange(4.0).reshape(2, 2) + 0j
         s = stack(a, b)
-        assert s.combined.shape == (4, 2)
-        np.testing.assert_array_equal(s.combined[:2], a)
-        np.testing.assert_array_equal(s.combined[2:], b)
-        assert s.dimension == 2
+        assert s.shape == (4, 2)
+        np.testing.assert_array_equal(s[:2], a)
+        np.testing.assert_array_equal(s[2:], b)
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
@@ -160,9 +159,7 @@ class TestExpectedGram:
         acc = np.zeros((2 * dim, 2 * dim), dtype=complex)
         n = 20_000
         for _ in range(n):
-            s = stack(
-                sample_channel(mom, dim, rng), sample_channel(mom, dim, rng)
-            ).combined
+            s = stack(sample_channel(mom, dim, rng), sample_channel(mom, dim, rng))
             acc += s @ s.conj().T
         emp = acc / n
         scale = np.max(np.abs(target))

@@ -64,20 +64,11 @@ class TestExitCodes:
         assert "not found" in capsys.readouterr().err
 
     def test_runtime_error_exits_2(self, tmp_path, capsys):
-        # coincident nodes pass validation but break geometry at run time
-        cfg = write_config(
-            tmp_path,
-            {
-                "scenario": {
-                    "packet_bits": 32,
-                    "nodes": [
-                        {"id": 0, "x": 0.0, "y": 0.0, "radius": 6.0},
-                        {"id": 1, "x": 0.0, "y": 0.0, "radius": 6.0},
-                    ],
-                }
-            },
-        )
-        rc = main(["--config", cfg, "--trials", "3", "--out", str(tmp_path / "x.csv")])
+        # a valid config whose output directory does not exist fails only
+        # when the CSV is written
+        cfg = write_config(tmp_path, FAST)
+        out = tmp_path / "missing" / "x.csv"
+        rc = main(["--config", cfg, "--trials", "3", "--snr", "0:0:1", "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("runtime error:")
@@ -106,6 +97,29 @@ BAD_INPUTS = [
     ([], {name: value}, f"scenario.{name}")
     for name in NONFINITE_FIELDS
     for value in (math.nan, math.inf)
+] + [
+    # scenarios that only a sweep value or the built network rules out
+    (
+        ["--experiment", "ber_vs_dimension"],
+        {"transmission_mode": "multiplexing", "packet_bits": 6},
+        "scenario.packet_bits",
+    ),
+    (
+        ["--experiment", "capacity_vs_nodes"],
+        {"node_count": 8, "measured_node": 5},
+        "scenario.measured_node",
+    ),
+    ([], {"node_count": 3, "measured_pair": [0, 2]}, "scenario.measured_pair"),
+    ([], {"node_spacing": 20.0, "measured_pair": [0, 1]}, "scenario.measured_pair"),
+    ([], {"node_count": 3, "measured_pair": [0, 1], "measured_node": 2}, "scenario.measured_node"),
+    (
+        [],
+        {"nodes": [{"id": i, "x": 0.0, "y": 0.0, "radius": 6.0} for i in (0, 1)]},
+        "scenario.nodes",
+    ),
+    # receive points outside the overlap lens (4, 6) m of the default pair
+    ([], {"own_point_distance": 6.5}, "scenario.own_point_distance"),
+    ([], {"own_point_distance": 100.0}, "scenario.own_point_distance"),
 ]
 
 
@@ -123,6 +137,17 @@ class TestBadInputExits1:
         assert rc == 1
         assert err.startswith("config error:")
         assert f"'{field}'" in err
+
+    def test_value_the_sweep_replaces_is_not_checked(self, tmp_path, capsys):
+        # 8 bits do not split into 3 streams, but the sweep runs dimensions 2 and 4
+        cfg = write_config(
+            tmp_path,
+            {"scenario": {"dimension": 3, "transmission_mode": "multiplexing", "packet_bits": 8}},
+        )
+        rc = main(["--config", cfg, "--experiment", "ber_vs_dimension", "--trials", "2",
+                   "--snr", "0:0:1", "--out", str(tmp_path / "x.csv")])
+        capsys.readouterr()
+        assert rc == 0
 
 
 class TestErasedPoint:

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm as scipy_norm
 
-from beamlink.beamformer import CompositeBeamformer, NormalizationG
 from beamlink.channel import NakagamiParams
 from beamlink.linksim import (
     BPSK,
     QPSK,
     DetectionError,
     LinkConfig,
-    PacketConfig,
     TrialStats,
     detect,
     modulate,
@@ -84,19 +82,22 @@ class TestModulate:
             modulation_by_name("8psk")
 
 
-class TestPacketConfig:
+class TestLinkConfigPacket:
     def test_symbols_per_stream(self):
-        assert PacketConfig(2304, 2).symbols_per_stream(QPSK) == 576
+        link = LinkConfig(snr_db=(0.0,), dimension=2, modulation=QPSK, packet_bits=2304)
+        assert link.symbols_per_stream == 576
+        diversity = LinkConfig(snr_db=(0.0,), dimension=2, packet_bits=2304, mode="diversity")
+        assert diversity.symbols_per_stream == 2304
 
     def test_indivisible_rejected(self):
-        with pytest.raises(ValueError):
-            PacketConfig(2303, 2).symbols_per_stream(BPSK)
+        with pytest.raises(ValueError, match="split"):
+            LinkConfig(snr_db=(0.0,), dimension=2, packet_bits=2303)
 
     def test_bad_fields(self):
         with pytest.raises(ValueError):
-            PacketConfig(0, 1)
+            LinkConfig(snr_db=(0.0,), packet_bits=0)
         with pytest.raises(ValueError):
-            PacketConfig(2304, 0)
+            LinkConfig(snr_db=(0.0,), dimension=0)
 
 
 class TestTrialStats:
@@ -119,8 +120,8 @@ class TestTrialStats:
 
 
 class TestReceivedSignal:
-    def ident_composite(self, owner=0, dim=2):
-        return CompositeBeamformer(entries=np.eye(dim, dtype=complex), owner=owner)
+    def ident_composite(self, dim=2):
+        return np.eye(dim, dtype=complex)
 
     def test_identity_chain(self):
         x = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex)
@@ -128,7 +129,7 @@ class TestReceivedSignal:
             channels={0: np.eye(2, dtype=complex)},
             composites={0: self.ident_composite()},
             transmit={0: x},
-            g=NormalizationG(1.0),
+            g=1.0,
             noise=np.zeros((2, 2), dtype=complex),
         )
         np.testing.assert_allclose(y, x)
@@ -139,7 +140,7 @@ class TestReceivedSignal:
             channels={0: np.eye(2, dtype=complex)},
             composites={0: self.ident_composite()},
             transmit={0: np.zeros((2, 1), dtype=complex)},
-            g=NormalizationG(2.0),
+            g=2.0,
             noise=noise,
         )
         np.testing.assert_allclose(y, noise)
@@ -149,7 +150,7 @@ class TestReceivedSignal:
         h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         comp = {0: self.ident_composite()}
         chan = {0: h}
-        g = NormalizationG(1.7)
+        g = 1.7
         noise = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         x1 = rng.normal(size=(2, 3)) + 0j
         x2 = rng.normal(size=(2, 3)) + 0j
@@ -164,7 +165,7 @@ class TestReceivedSignal:
                 channels={0: np.eye(2)},
                 composites={0: self.ident_composite()},
                 transmit={0: np.zeros((2, 1))},
-                g=NormalizationG(0.0),
+                g=0.0,
                 noise=np.zeros((2, 1)),
             )
 

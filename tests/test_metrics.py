@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamlink.beamformer import NormalizationG
 from beamlink.linksim import TrialStats
 from beamlink.metrics import (
     Estimate,
@@ -54,18 +53,18 @@ class TestCapacity:
 class TestEffectiveSnr:
     def test_unit_chain(self):
         h = np.array([[1.0 + 0j]])
-        assert effective_snr(1.0, h, 1.0, NormalizationG(1.0)) == pytest.approx(1.0)
+        assert effective_snr(1.0, h, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_power_linearity(self):
         h = np.array([[1.0 + 1j], [0.5 - 0.25j]])
-        one = effective_snr(1.0, h, 0.7, NormalizationG(2.0))
-        two = effective_snr(2.0, h, 0.7, NormalizationG(2.0))
+        one = effective_snr(1.0, h, 0.7, 2.0)
+        two = effective_snr(2.0, h, 0.7, 2.0)
         assert two == pytest.approx(2.0 * one)
 
     def test_matches_entrywise_sum(self):
         rng = np.random.default_rng(5)
         h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        g = NormalizationG(3.7)
+        g = 3.7
         sigma2 = 0.42
         brute = sum(abs(h[i, j]) ** 2 for i in range(2) for j in range(2)) / (3.7 * 0.42)
         assert effective_snr(1.0, h, sigma2, g) == pytest.approx(brute, rel=1e-12)
@@ -73,11 +72,11 @@ class TestEffectiveSnr:
     def test_degenerate_inputs(self):
         h = np.eye(2)
         with pytest.raises(ValueError):
-            effective_snr(1.0, h, 0.0, NormalizationG(1.0))
+            effective_snr(1.0, h, 0.0, 1.0)
         with pytest.raises(ValueError):
-            effective_snr(1.0, h, 1.0, NormalizationG(0.0))
+            effective_snr(1.0, h, 1.0, 0.0)
         with pytest.raises(ValueError):
-            effective_snr(-1.0, h, 1.0, NormalizationG(1.0))
+            effective_snr(-1.0, h, 1.0, 1.0)
 
 
 class TestStreamError:

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from beamlink import beamformer, channel, experiments, linksim, metrics, topolog
 
 MODULES = (channel, topology, beamformer, linksim, metrics, experiments)
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
+SRC = Path(beamlink.__file__).resolve().parents[1]
 
 
 def test_all_is_union_of_module_exports():
@@ -38,3 +42,17 @@ def test_demo_imports_resolve(demo):
     assert names
     for name in names:
         assert name in beamlink.__all__ and hasattr(beamlink, name), name
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -13,6 +13,7 @@ from beamlink.topology import (
     detect_overlaps,
     interference_points,
     lens_center_distance,
+    lens_interval,
     path_gain,
 )
 
@@ -79,6 +80,11 @@ class TestInterferencePoints:
         p_a, p_c = interference_points(a, c)
         np.testing.assert_allclose(p_a, [5.0, 0.0], atol=1e-8)
         np.testing.assert_allclose(p_c, [5.0, 0.0], atol=1e-8)
+
+    def test_lens_interval(self):
+        # |t| < 6 and |10 - t| < 6 along the axis; containment ends at the small disk
+        assert lens_interval(make_node(0, 0, 0, 6), make_node(1, 10, 0, 6)) == (4.0, 6.0)
+        assert lens_interval(make_node(0, 0, 0, 20), make_node(1, 5, 0, 2)) == (3.0, 7.0)
 
     def test_asymmetric_chord_distance(self):
         # x = (d^2 + r_a^2 - r_c^2) / (2 d) = (100 + 64 - 36) / 20 = 6.4
