@@ -6,6 +6,12 @@ drivers of a pair are coupled through each other's channels and are solved
 jointly in closed form.  A node's per-neighbor drivers multiply into a
 single composite transmit matrix, and the squared Frobenius norms of all
 composites sum into the shared power normalization.
+
+left_pseudoinverse, solve_coupled_drivers, compose and normalization also
+take stacks: arrays with leading axes in front of the matrix axes, solved
+member by member (a single matrix is the no-leading-axis case).  Each
+member's result is bit-identical to solving that member alone.  A failure
+raises one SolveError whose mask marks every failing member.
 """
 from __future__ import annotations
 
@@ -16,6 +22,7 @@ import numpy as np
 from beamlink.channel import MomentDecomposition
 
 __all__ = [
+    "SolveError",
     "IllConditionedChannelError",
     "NoUniqueSolutionError",
     "DegenerateNormalizationError",
@@ -30,20 +37,37 @@ RANK_THRESHOLD = 1e-10  # relative singular-value cutoff for rank decisions
 DEGENERATE_NORM = 1e-12
 
 
-class IllConditionedChannelError(ValueError):
+class SolveError(ValueError):
+    """A solve step failed for some members of its input.
+
+    mask is a boolean array over the input's leading axes marking the
+    members that failed; for a single matrix it is a 0-d True.
+    """
+
+    def __init__(self, message: str, mask=True):
+        super().__init__(message)
+        self.mask = np.asarray(mask)
+
+
+class IllConditionedChannelError(SolveError):
     """Stacked channel too close to rank deficiency to invert."""
 
-    def __init__(self, condition: float):
+    def __init__(self, condition: float, mask=True):
         self.condition = condition
-        super().__init__(f"stacked channel ill conditioned, cond ~ {condition:.3e}")
+        super().__init__(f"stacked channel ill conditioned, cond ~ {condition:.3e}", mask)
 
 
-class NoUniqueSolutionError(ValueError):
+class NoUniqueSolutionError(SolveError):
     """The coupled driver system is singular or nearly so."""
 
 
-class DegenerateNormalizationError(ValueError):
+class DegenerateNormalizationError(SolveError):
     """All composite beamformers are numerically zero; no power scale exists."""
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each member of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def build_rotator(
@@ -73,10 +97,13 @@ def left_pseudoinverse(stacked: np.ndarray) -> np.ndarray:
     Satisfies P @ S = I to numerical tolerance on full-rank inputs.
     """
     u, sv, vh = np.linalg.svd(stacked, full_matrices=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] <= RANK_THRESHOLD:
-        cond = math.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
-        raise IllConditionedChannelError(cond)
-    return (vh.conj().T * (1.0 / sv)) @ u.conj().T
+    top = sv[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = (top == 0.0) | (sv[..., -1] / top <= RANK_THRESHOLD)
+    if bad.any():
+        cond = max(math.inf if s[-1] == 0.0 else s[0] / s[-1] for s in sv[bad])
+        raise IllConditionedChannelError(cond, bad)
+    return (_herm(vh) * (1.0 / sv)[..., None, :]) @ _herm(u)
 
 
 def solve_coupled_drivers(
@@ -96,22 +123,24 @@ def solve_coupled_drivers(
         (I - P_a S_c P_c S_a) M_ac = P_a (T - S_c P_c T)
 
     solved directly; M_ca follows by back substitution.  Returns
-    (M_ac, M_ca), each M x M.  Raises NoUniqueSolutionError when the
-    coupling matrix is singular to working precision.
+    (M_ac, M_ca), each M x M (each (..., M, M) for (..., 2M, M) stacks,
+    which share the one 2M x M rotator).  Raises NoUniqueSolutionError when
+    the coupling matrix is singular to working precision.
     """
     p_a = left_pseudoinverse(stack_a)
     p_c = left_pseudoinverse(stack_c)
-    dim = stack_a.shape[1]
+    dim = stack_a.shape[-1]
     k_mat = p_a @ stack_c @ p_c @ stack_a
     coupling = np.eye(dim, dtype=complex) - k_mat
     # judge singularity against the scale of the subtraction inputs: when
     # k_mat ~ I the difference is pure rounding noise and a relative check
     # on the tiny residue would wave it through
-    scale = max(1.0, float(np.linalg.norm(k_mat, ord=2)))
+    scale = np.maximum(1.0, np.linalg.norm(k_mat, ord=2, axis=(-2, -1)))
     sv = np.linalg.svd(coupling, compute_uv=False)
-    if sv[-1] <= RANK_THRESHOLD * scale:
+    bad = sv[..., -1] <= RANK_THRESHOLD * scale
+    if bad.any():
         raise NoUniqueSolutionError(
-            "coupling matrix singular to working precision; driver pair not unique"
+            "coupling matrix singular to working precision; driver pair not unique", bad
         )
     rhs = p_a @ (rotator - stack_c @ (p_c @ rotator))
     m_ac = np.linalg.solve(coupling, rhs)
@@ -135,13 +164,18 @@ def compose(drivers: list[np.ndarray]) -> np.ndarray:
     return product
 
 
-def normalization(composites: list[np.ndarray]) -> float:
-    """Sum of squared Frobenius norms over all participating composites."""
+def normalization(composites: list[np.ndarray]) -> float | np.ndarray:
+    """Sum of squared Frobenius norms over all participating composites.
+
+    A float for single matrices; for (..., M, M) stacks an array holding
+    one sum per member.
+    """
     if not composites:
         raise ValueError("normalization needs at least one composite")
-    total = float(sum(np.sum(np.abs(c) ** 2) for c in composites))
-    if total < DEGENERATE_NORM:
+    total = sum(np.sum(np.abs(c) ** 2, axis=(-2, -1)) for c in composites)
+    bad = total < DEGENERATE_NORM
+    if bad.any():
         raise DegenerateNormalizationError(
-            f"normalization {total:.3e} below {DEGENERATE_NORM:.0e}; cannot divide"
+            f"normalization {np.min(total):.3e} below {DEGENERATE_NORM:.0e}; cannot divide", bad
         )
     return total

@@ -78,30 +78,35 @@ def derive_moments(params: NakagamiParams) -> MomentDecomposition:
     return MomentDecomposition(squared_mean=squared_mean, variance=omega - squared_mean)
 
 
-def sample_channel(moments: MomentDecomposition, dimension: int, rng: Generator) -> np.ndarray:
-    """Draw one M x M channel matrix with i.i.d. mean-plus-scatter entries.
+def sample_channel(
+    moments: MomentDecomposition, dimension: int, rng: Generator, draws: tuple[int, ...] = ()
+) -> np.ndarray:
+    """Draw one M x M channel matrix, or a (*draws, M, M) stack of them,
+    with i.i.d. mean-plus-scatter entries.
 
-    Each entry is sqrt(squared_mean) + CN(0, variance).  Real and imaginary
-    scatter parts are drawn in a fixed order so equal seeds give
-    bit-identical matrices.
+    Each entry is sqrt(squared_mean) + CN(0, variance).  Each matrix takes
+    its real scatter parts and then its imaginary ones from the stream, one
+    matrix after the other, so a stack equals that many single draws in a
+    row and equal seeds give bit-identical matrices.
     """
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
-    shape = (dimension, dimension)
     sigma = math.sqrt(moments.variance / 2.0)
-    scatter = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    normals = rng.standard_normal((*draws, 2, dimension, dimension))
+    scatter = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
     return math.sqrt(moments.squared_mean) + sigma * scatter
 
 
 def stack(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    """Stack two equal-size square channel matrices into one 2M x M matrix [top; bottom]."""
+    """Stack two equal-size square channel matrices into one 2M x M matrix
+    [top; bottom]; (..., M, M) stacks are stacked member by member."""
     top = np.asarray(top)
     bottom = np.asarray(bottom)
-    if top.shape != bottom.shape or top.ndim != 2 or top.shape[0] != top.shape[1]:
+    if top.shape != bottom.shape or top.ndim < 2 or top.shape[-1] != top.shape[-2]:
         raise ValueError(
             f"expected two equal square matrices, got {top.shape} and {bottom.shape}"
         )
-    return np.vstack([top, bottom])
+    return np.concatenate([top, bottom], axis=-2)
 
 
 def expected_gram(moments: MomentDecomposition, dimension: int) -> np.ndarray:

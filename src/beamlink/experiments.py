@@ -61,6 +61,9 @@ DIMENSION_SWEEP = (2, 4)
 
 
 _BOUND_CHECKS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+# largest magnitude of a length or coordinate (m): distances between nodes
+# laid out at such lengths stay far from overflow when squared
+MAX_LENGTH = 1e150
 
 
 def _spec(
@@ -88,9 +91,9 @@ class _NodeEntry:
     """Shape of one entry of ScenarioConfig.nodes, stored as a tuple in this order."""
 
     id: int = _spec(kind=int)
-    x: float = _spec()
-    y: float = _spec()
-    radius: float = _spec(gt=0.0)
+    x: float = _spec(ge=-MAX_LENGTH, le=MAX_LENGTH)
+    y: float = _spec(ge=-MAX_LENGTH, le=MAX_LENGTH)
+    radius: float = _spec(gt=0.0, le=MAX_LENGTH)
     power: float = _spec(1.0, gt=0.0)
 
 
@@ -106,16 +109,16 @@ class ScenarioConfig:
     nakagami_omega: float = _spec(1.0, gt=0.0)
     rotation_angle: float = _spec(math.pi)
     path_loss_exponent: float = _spec(3.0, ge=0.0)
-    reference_distance: float = _spec(1.0, gt=0.0)
+    reference_distance: float = _spec(1.0, gt=0.0, le=MAX_LENGTH)
     node_count: int = _spec(2, int, ge=1)
-    node_spacing: float = _spec(10.0, gt=0.0)
-    range_radius: float = _spec(6.0, gt=0.0)
+    node_spacing: float = _spec(10.0, gt=0.0, le=MAX_LENGTH)
+    range_radius: float = _spec(6.0, gt=0.0, le=MAX_LENGTH)
     tx_power: float = _spec(1.0, gt=0.0)
     per_formula: str = _spec("conventional", str, choices=("conventional", "literal"))
     transmission_mode: str = _spec("multiplexing", str, choices=("multiplexing", "diversity"))
     include_interference: bool = _spec(True, bool)
     identity_channel: bool = _spec(False, bool)
-    own_point_distance: float | None = _spec(None, gt=0.0)
+    own_point_distance: float | None = _spec(None, gt=0.0, le=MAX_LENGTH)
     nodes: tuple[tuple[int, float, float, float, float], ...] | None = _spec(None, _NodeEntry)
     measured_node: int | None = _spec(None, int)
     measured_pair: tuple[int, int] | None = _spec(None, tuple)

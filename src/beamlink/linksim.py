@@ -7,6 +7,13 @@ covering node contributing interference.  Trials are independent: trial t
 of SNR-sweep point p uses the random stream spawned from
 (master_seed, spawn_key=(p, t)), so results are bit-identical for any
 worker count or execution order.
+
+A task (one SNR point, one span of trials) runs in three steps: each trial
+draws all of its channels from its own stream; every pair is solved for
+all of the task's trials as one stack; then each trial sends its packet
+from its own stream.  What does not depend on the draws (moments, rotator,
+which channels to draw and their path amplitudes) is worked out once per
+task.
 """
 from __future__ import annotations
 
@@ -19,9 +26,7 @@ import numpy as np
 from numpy.random import Generator
 
 from beamlink.beamformer import (
-    DegenerateNormalizationError,
-    IllConditionedChannelError,
-    NoUniqueSolutionError,
+    SolveError,
     build_rotator,
     compose,
     normalization,
@@ -60,13 +65,9 @@ class DetectionError(RuntimeError):
     """Effective channel too singular to equalize; the trial is erased."""
 
 
-# numerical failures that erase a trial instead of ending the run
-_ERASURES = (
-    IllConditionedChannelError,
-    NoUniqueSolutionError,
-    DegenerateNormalizationError,
-    DetectionError,
-)
+# numerical failures that erase a trial instead of ending the run: a
+# SolveError erases the members its mask marks, a DetectionError its trial
+_ERASURES = (SolveError, DetectionError)
 
 
 @dataclass(frozen=True)
@@ -245,10 +246,12 @@ def detect(y: np.ndarray, h_eff: np.ndarray, scheme: ModulationScheme) -> np.nda
     precision.
     """
     h = np.atleast_2d(np.asarray(h_eff, dtype=complex))
-    sv = np.linalg.svd(h, compute_uv=False)
+    u, sv, vh = np.linalg.svd(h, full_matrices=False)
     if sv[0] == 0.0 or sv[-1] / sv[0] <= _DETECT_RANK_THRESHOLD:
         raise DetectionError("effective channel singular; cannot equalize")
-    equalized = np.linalg.pinv(h) @ np.atleast_2d(y)
+    # numpy.linalg.pinv's own formula, on the SVD the rank check used
+    pinv = vh.conj().T @ ((1.0 / sv)[:, None] * u.conj().T)
+    equalized = pinv @ np.atleast_2d(y)
     points = _POINTS[scheme.kind]
     sliced = np.argmin(np.abs(equalized[..., None] - points), axis=-1)
     # rows are streams; row-major flattening matches the transmit reshape
@@ -264,29 +267,35 @@ def _alternating_unit_vector(dimension: int) -> np.ndarray:
 
 
 @dataclass
-class _TrialNetwork:
-    """One trial's solved network at the measured point."""
+class _TaskPlan:
+    """What every trial of a task shares; nothing here depends on the draws.
 
+    A trial draws one channel per entry of amplitudes.  Overlap k of pairs
+    solves draws 4k .. 4k+3; point_draws maps each node heard at the
+    measured receive point to the draw of its channel there.
+    """
+
+    dimension: int
+    moments: MomentDecomposition | None
+    rotator: np.ndarray
     desired: int
-    point_channels: dict[int, np.ndarray]  # node id -> M x M channel at the point
-    composites: dict[int, np.ndarray]  # node id -> M x M composite beamformer
-    g: float
+    pairs: list[tuple[int, int]]
+    point_draws: dict[int, int]
+    amplitudes: np.ndarray  # (draws, 1, 1): sqrt(path gain * tx power)
+
+    def draw(self, rng: Generator) -> np.ndarray:
+        """One trial's channels, (draws, M, M), from one call on its stream."""
+        if self.moments is None:
+            return self.amplitudes * np.eye(self.dimension, dtype=complex)
+        return self.amplitudes * sample_channel(
+            self.moments, self.dimension, rng, (len(self.amplitudes),)
+        )
 
 
-def _channel_draw(
-    node: Node,
-    point: np.ndarray,
-    moments: MomentDecomposition | None,
-    dimension: int,
-    scenario: NetworkScenario,
-    rng: Generator,
-) -> np.ndarray:
+def _amplitude(node: Node, point: np.ndarray, scenario: NetworkScenario) -> float:
     dist = float(np.linalg.norm(point - node.position))
     gain = 1.0 if dist == 0.0 else path_gain(dist, scenario)
-    amp = math.sqrt(gain * node.tx_power)
-    if moments is None:
-        return amp * np.eye(dimension, dtype=complex)
-    return amp * sample_channel(moments, dimension, rng)
+    return math.sqrt(gain * node.tx_power)
 
 
 def measured_roles(
@@ -311,139 +320,173 @@ def measured_roles(
     return desired, region
 
 
-def _solve_network(
-    scenario: NetworkScenario, link: LinkConfig, rng: Generator
-) -> _TrialNetwork:
-    """Draw all pair channels in a fixed order, solve every pair's drivers,
-    compose per-node beamformers, and collect the channels seen at the
-    measured receive point."""
-    dim = link.dimension
+def _plan(scenario: NetworkScenario, link: LinkConfig) -> _TaskPlan:
+    """Fix the draw order: per overlap (sorted by id pair) the four pair
+    channels, then the measured point's other interferers by ascending id."""
     moments = derive_moments(link.fading) if link.fading is not None else None
     corr = moments if moments is not None else MomentDecomposition(0.0, 1.0)
-    rotator = build_rotator(corr, dim, link.rotation_angle)
+    rotator = build_rotator(corr, link.dimension, link.rotation_angle)
     desired, region = measured_roles(scenario, link.measured_pair, link.measured_node)
 
     if region is None:
         # single-link calibration: no neighbors to drive, unit normalization
         node = scenario.node_by_id(desired)
-        point = node.position + np.array([scenario.reference_distance, 0.0])
-        channel = _channel_draw(node, point, moments, dim, scenario, rng)
-        return _TrialNetwork(
-            desired=desired,
-            point_channels={desired: channel},
-            composites={desired: np.eye(dim, dtype=complex)},
-            g=1.0,
-        )
-    point = region.point_for(desired)
+        draws = [(node, node.position + np.array([scenario.reference_distance, 0.0]))]
+        pairs, point_draws = [], {desired: 0}
+    else:
+        point = region.point_for(desired)
+        pairs = [overlap.pair for overlap in scenario.overlaps]
+        draws, point_draws = [], {}
+        for overlap in scenario.overlaps:
+            i, j = overlap.pair
+            node_i, node_j = scenario.node_by_id(i), scenario.node_by_id(j)
+            p_i, p_j = overlap.point_a, overlap.point_b
+            if overlap.pair == region.pair:
+                # keep the realizations the solver sees at the measured point
+                k = len(draws)
+                point_draws = {i: k + 1, j: k + 2} if desired == i else {i: k, j: k + 3}
+            # stack order: channel to the neighbor's point on top, own point below
+            draws += [(node_i, p_j), (node_i, p_i), (node_j, p_i), (node_j, p_j)]
+        # other nodes whose disks cover the measured point also interfere
+        # there; their channels to this point are not part of any solve
+        paired = {node_id for overlap in scenario.overlaps for node_id in overlap.pair}
+        for node in sorted(scenario.nodes, key=lambda n: n.id):
+            if node.id in point_draws or node.id not in paired:
+                continue
+            if float(np.linalg.norm(point - node.position)) < node.range_radius:
+                point_draws[node.id] = len(draws)
+                draws.append((node, point))
 
-    # the overlaps come sorted by id pair, so each node's drivers are
-    # appended in ascending order of their target, the order compose needs
-    drivers: dict[int, list[np.ndarray]] = {}
-    point_channels: dict[int, np.ndarray] = {}
-    for overlap in scenario.overlaps:
-        i, j = overlap.pair
-        node_i, node_j = scenario.node_by_id(i), scenario.node_by_id(j)
-        p_i, p_j = overlap.point_a, overlap.point_b
-        # stack order: channel to the neighbor's point on top, own point below
-        i_to_pj = _channel_draw(node_i, p_j, moments, dim, scenario, rng)
-        i_to_pi = _channel_draw(node_i, p_i, moments, dim, scenario, rng)
-        j_to_pi = _channel_draw(node_j, p_i, moments, dim, scenario, rng)
-        j_to_pj = _channel_draw(node_j, p_j, moments, dim, scenario, rng)
-        stack_i = stack(i_to_pj, i_to_pi)
-        stack_j = stack(j_to_pi, j_to_pj)
-        d_ij, d_ji = solve_coupled_drivers(stack_i, stack_j, rotator)
-        drivers.setdefault(i, []).append(d_ij)
-        drivers.setdefault(j, []).append(d_ji)
-        if overlap.pair == region.pair:
-            # keep the realizations the solver saw at the measured point
-            if desired == i:
-                point_channels[i] = i_to_pi
-                point_channels[j] = j_to_pi
-            else:
-                point_channels[j] = j_to_pj
-                point_channels[i] = i_to_pj
-
-    composites = {node_id: compose(drivers[node_id]) for node_id in sorted(drivers)}
-    g = normalization(list(composites.values()))
-
-    # other nodes whose disks cover the measured point also interfere there;
-    # their channels to this point were not part of any solve, draw them now
-    for node in sorted(scenario.nodes, key=lambda n: n.id):
-        if node.id in point_channels or node.id not in drivers:
-            continue
-        dist = float(np.linalg.norm(point - node.position))
-        if dist < node.range_radius:
-            point_channels[node.id] = _channel_draw(
-                node, point, moments, dim, scenario, rng
-            )
-
-    return _TrialNetwork(
-        desired=desired, point_channels=point_channels, composites=composites, g=g
+    amplitudes = np.array([_amplitude(node, p, scenario) for node, p in draws])
+    return _TaskPlan(
+        dimension=link.dimension,
+        moments=moments,
+        rotator=rotator,
+        desired=desired,
+        pairs=pairs,
+        point_draws=point_draws,
+        amplitudes=amplitudes[:, None, None],
     )
 
 
-def _simulate_trial(
-    scenario: NetworkScenario, link: LinkConfig, snr_db: float, rng: Generator
-) -> tuple[TrialStats, float]:
-    """One packet through one channel realization; returns counters and the
-    trial's capacity sample.  A numerical failure in the solve, the
-    normalization or detection erases the trial: one lost packet, NaN capacity."""
-    try:
-        return _send_packet(_solve_network(scenario, link, rng), link, snr_db, rng)
-    except _ERASURES:
-        return TrialStats(packets_sent=1, packet_errors=1, erasures=1), math.nan
+def _solve_network(
+    plan: _TaskPlan, channels: np.ndarray
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """Solve every pair's drivers for a (trials, draws, M, M) stack of
+    channels, compose per-node beamformers and normalize; returns each
+    node's (trials, M, M) composites and the (trials,) normalizations."""
+    trials, dim = len(channels), plan.dimension
+    if not plan.pairs:
+        # single link: identity composite, unit normalization
+        eye = np.eye(dim, dtype=complex)
+        return {plan.desired: np.broadcast_to(eye, (trials, dim, dim))}, np.ones(trials)
+    # the pairs come sorted by id, so each node's drivers are appended in
+    # ascending order of their target, the order compose needs
+    drivers: dict[int, list[np.ndarray]] = {}
+    for k, (i, j) in enumerate(plan.pairs):
+        i_to_pj, i_to_pi, j_to_pi, j_to_pj = (channels[:, 4 * k + n] for n in range(4))
+        d_ij, d_ji = solve_coupled_drivers(
+            stack(i_to_pj, i_to_pi), stack(j_to_pi, j_to_pj), plan.rotator
+        )
+        drivers.setdefault(i, []).append(d_ij)
+        drivers.setdefault(j, []).append(d_ji)
+    composites = {node_id: compose(drivers[node_id]) for node_id in sorted(drivers)}
+    return composites, normalization(list(composites.values()))
 
 
 def _send_packet(
-    net: _TrialNetwork, link: LinkConfig, snr_db: float, rng: Generator
+    link: LinkConfig,
+    snr_db: float,
+    rng: Generator,
+    desired: int,
+    channels: dict[int, np.ndarray],
+    composites: dict[int, np.ndarray],
+    g: float,
 ) -> tuple[TrialStats, float]:
-    """Send, receive and detect one packet over a solved network."""
+    """Send, receive and detect one packet over one trial's solved network.
+
+    channels holds every node heard at the measured point, desired included.
+    The bits of all transmitters come from one draw, the desired node's
+    first and the others by ascending id, then the noise: the stream order
+    of drawing them one transmitter at a time.
+    """
     scheme = link.modulation
     per_stream = link.symbols_per_stream
     sigma2 = 1.0 / (10.0 ** (snr_db / 10.0))
     rep = _alternating_unit_vector(link.dimension) if link.mode == "diversity" else None
 
-    bits = rng.integers(0, 2, size=link.packet_bits)
-    symbols = modulate(bits, scheme).reshape(link.streams, per_stream)
-    x_desired = rep[:, None] * symbols if rep is not None else symbols
-
-    transmit = {net.desired: x_desired}
+    senders = [desired]
     if link.include_interference:
-        for node_id in sorted(net.point_channels):
-            if node_id == net.desired:
-                continue
-            other_bits = rng.integers(0, 2, size=link.packet_bits)
-            other_sym = modulate(other_bits, scheme).reshape(link.streams, per_stream)
-            transmit[node_id] = rep[:, None] * other_sym if rep is not None else other_sym
+        senders += [node_id for node_id in sorted(channels) if node_id != desired]
+    bits = rng.integers(0, 2, size=(len(senders), link.packet_bits))
+    symbols = modulate(bits.reshape(-1), scheme).reshape(len(senders), link.streams, per_stream)
+    x = rep[:, None] * symbols if rep is not None else symbols
+    transmit = dict(zip(senders, x))
 
-    noise = (
-        rng.standard_normal((link.dimension, per_stream))
-        + 1j * rng.standard_normal((link.dimension, per_stream))
-    ) * math.sqrt(sigma2 / 2.0)
+    normals = rng.standard_normal((2, link.dimension, per_stream))
+    noise = (normals[0] + 1j * normals[1]) * math.sqrt(sigma2 / 2.0)
 
-    y = received_signal(net.point_channels, net.composites, transmit, net.g, noise)
+    y = received_signal(channels, composites, transmit, g, noise)
 
-    effective = net.point_channels[net.desired] @ net.composites[net.desired]
-    h_eff = effective / net.g
+    effective = channels[desired] @ composites[desired]
+    h_eff = effective / g
     if rep is not None:
         h_eff = h_eff @ rep[:, None]
 
-    cap = capacity(effective_snr(1.0, effective, sigma2, net.g))
+    cap = capacity(effective_snr(1.0, effective, sigma2, g))
     detected = detect(y, h_eff, scheme)
 
-    bit_errors = int(np.count_nonzero(detected != bits))
-    sent_symbols = symbols.reshape(-1)
-    sliced_symbols = modulate(detected, scheme)
-    symbol_errors = int(np.count_nonzero(sliced_symbols != sent_symbols))
+    # a symbol is wrong exactly when one of its bits is
+    wrong = detected != bits[0]
     stats = TrialStats(
         bits_sent=link.packet_bits,
-        bit_errors=bit_errors,
-        symbols_sent=sent_symbols.size,
-        symbol_errors=symbol_errors,
+        bit_errors=int(np.count_nonzero(wrong)),
+        symbols_sent=symbols[0].size,
+        symbol_errors=int(np.count_nonzero(wrong.reshape(-1, scheme.bits_per_symbol).any(axis=1))),
         packets_sent=1,
-        packet_errors=1 if bit_errors else 0,
+        packet_errors=1 if wrong.any() else 0,
     )
     return stats, cap
+
+
+_ERASED = (TrialStats(packets_sent=1, packet_errors=1, erasures=1), math.nan)
+# at most this many trials are solved as one stack: bounds a task's memory,
+# not its results
+_BATCH_TRIALS = 256
+
+
+def _run_batch(
+    plan: _TaskPlan, link: LinkConfig, snr_db: float, rngs: list[Generator]
+) -> list[tuple[TrialStats, float]]:
+    """Each trial's counters and capacity sample: every trial draws its
+    channels from its own stream, every pair is solved for all the trials
+    as one stack, then every trial sends its packet from its own stream.
+
+    A numerical failure in the solve, the normalization or detection erases
+    its trial: one lost packet, NaN capacity.  A failing stacked solve
+    erases the trials its mask marks and runs again on the rest, so each
+    trial is erased by the first step that fails for it.
+    """
+    channels = np.stack([plan.draw(rng) for rng in rngs])
+    alive = np.arange(len(rngs))
+    while True:
+        try:
+            composites, g = _solve_network(plan, channels[alive])
+            break
+        except SolveError as exc:
+            alive = alive[~exc.mask]
+
+    outcomes = [_ERASED] * len(rngs)
+    for row, k in enumerate(alive.tolist()):
+        point_channels = {node_id: channels[k, d] for node_id, d in plan.point_draws.items()}
+        trial_composites = {node_id: composites[node_id][row] for node_id in point_channels}
+        try:
+            outcomes[k] = _send_packet(
+                link, snr_db, rngs[k], plan.desired, point_channels, trial_composites, g[row]
+            )
+        except _ERASURES:
+            continue  # the trial stays erased
+    return outcomes
 
 
 def _run_chunk(
@@ -456,15 +499,16 @@ def _run_chunk(
 ) -> tuple[TrialStats, np.ndarray]:
     """Trials [start, stop) of one SNR point, each on its own spawned stream."""
     snr_db = link.snr_db[point_idx]
-    stats = TrialStats()
-    caps = np.empty(stop - start, dtype=float)
-    for t in range(start, stop):
-        seq = np.random.SeedSequence(master_seed, spawn_key=(point_idx, t))
-        rng = np.random.default_rng(seq)
-        trial_stats, cap = _simulate_trial(scenario, link, snr_db, rng)
-        stats = stats + trial_stats
-        caps[t - start] = cap
-    return stats, caps
+    plan = _plan(scenario, link)
+    outcomes = []
+    for first in range(start, stop, _BATCH_TRIALS):
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(point_idx, t)))
+            for t in range(first, min(first + _BATCH_TRIALS, stop))
+        ]
+        outcomes += _run_batch(plan, link, snr_db, rngs)
+    stats = sum((trial_stats for trial_stats, _ in outcomes), TrialStats())
+    return stats, np.array([cap for _, cap in outcomes], dtype=float)
 
 
 def run_trials(

@@ -223,3 +223,75 @@ class TestNormalization:
         g1 = normalization([self.comp(mat)])
         g2 = normalization([self.comp(q @ mat)])
         assert g1 == pytest.approx(g2, rel=1e-10)
+
+
+class TestStackedInputs:
+    """A (K, 2M, M) stack is solved member by member, bit for bit."""
+
+    K = 16
+
+    def stacks(self, dim, seed):
+        mom = derive_moments(NakagamiParams(m=1.0, omega=1.0))
+        rng = np.random.default_rng(seed)
+        s_a = np.stack([random_stack(mom, dim, rng) for _ in range(self.K)])
+        s_c = np.stack([random_stack(mom, dim, rng) for _ in range(self.K)])
+        return s_a, s_c, build_rotator(mom, dim)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_left_pseudoinverse_equals_members(self, dim):
+        s_a, _, _ = self.stacks(dim, 21)
+        stacked = left_pseudoinverse(s_a)
+        assert stacked.shape == (self.K, dim, 2 * dim)
+        for member, s in zip(stacked, s_a):
+            np.testing.assert_array_equal(member, left_pseudoinverse(s))
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_solve_coupled_drivers_equals_members(self, dim):
+        s_a, s_c, rot = self.stacks(dim, 22)
+        d_ac, d_ca = solve_coupled_drivers(s_a, s_c, rot)
+        assert d_ac.shape == d_ca.shape == (self.K, dim, dim)
+        for k in range(self.K):
+            one_ac, one_ca = solve_coupled_drivers(s_a[k], s_c[k], rot)
+            np.testing.assert_array_equal(d_ac[k], one_ac)
+            np.testing.assert_array_equal(d_ca[k], one_ca)
+
+    def test_compose_and_normalization_equal_members(self):
+        d_ac, d_ca = solve_coupled_drivers(*self.stacks(2, 23))
+        composites = [compose([d_ac, d_ca]), d_ca]
+        g = normalization(composites)
+        assert g.shape == (self.K,)
+        for k in range(self.K):
+            np.testing.assert_array_equal(composites[0][k], d_ac[k] @ d_ca[k])
+            assert g[k] == normalization([c[k] for c in composites])
+
+    def test_ill_conditioned_member_is_flagged(self):
+        s_a, _, _ = self.stacks(2, 24)
+        col = np.array([[1.0], [2.0]], dtype=complex)
+        s_a[5] = stack(np.hstack([col, col]), np.hstack([col, col]))
+        with pytest.raises(IllConditionedChannelError) as exc:
+            left_pseudoinverse(s_a)
+        assert np.flatnonzero(exc.value.mask).tolist() == [5]
+        assert exc.value.condition > 1e9
+
+    def test_singular_coupling_member_is_flagged(self):
+        s_a, s_c, rot = self.stacks(2, 25)
+        eye_stack = stack(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
+        s_a[3] = s_c[3] = eye_stack
+        with pytest.raises(NoUniqueSolutionError) as exc:
+            solve_coupled_drivers(s_a, s_c, rot)
+        assert np.flatnonzero(exc.value.mask).tolist() == [3]
+
+    def test_degenerate_normalization_member_is_flagged(self):
+        rng = np.random.default_rng(26)
+        comps = rng.normal(size=(2, self.K, 2, 2)) + 0j
+        comps[:, 9] = 0.0
+        with pytest.raises(DegenerateNormalizationError) as exc:
+            normalization(list(comps))
+        assert np.flatnonzero(exc.value.mask).tolist() == [9]
+
+    def test_single_matrix_mask_is_0d(self):
+        col = np.array([[1.0], [2.0]], dtype=complex)
+        mat = np.hstack([col, col])
+        with pytest.raises(IllConditionedChannelError) as exc:
+            left_pseudoinverse(stack(mat, mat))
+        assert exc.value.mask.shape == () and bool(exc.value.mask)

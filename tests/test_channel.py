@@ -114,6 +114,17 @@ class TestSampleChannel:
         assert scatter == pytest.approx(mom.variance, rel=2e-2)
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, rel=1e-2)
 
+    def test_stacked_draw_equals_single_draws(self):
+        # one call for a (3, 5) stack takes the stream exactly as 15 single
+        # draws in a row, and leaves it at the same place
+        mom = derive_moments(NakagamiParams(m=1.0, omega=1.0))
+        one_call, in_turn = np.random.default_rng(8), np.random.default_rng(8)
+        stacked = sample_channel(mom, 2, one_call, (3, 5))
+        assert stacked.shape == (3, 5, 2, 2)
+        singles = np.stack([sample_channel(mom, 2, in_turn) for _ in range(15)])
+        np.testing.assert_array_equal(stacked.reshape(15, 2, 2), singles)
+        assert one_call.standard_normal() == in_turn.standard_normal()
+
     def test_hardened_channel_nearly_constant(self):
         mom = derive_moments(NakagamiParams(m=1e6, omega=1.0))
         h = sample_channel(mom, 2, np.random.default_rng(5))
@@ -128,6 +139,14 @@ class TestStack:
         assert s.shape == (4, 2)
         np.testing.assert_array_equal(s[:2], a)
         np.testing.assert_array_equal(s[2:], b)
+
+    def test_stacks_member_by_member(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(2, 4, 3, 3))
+        s = stack(a, b)
+        assert s.shape == (4, 6, 3)
+        for k in range(4):
+            np.testing.assert_array_equal(s[k], stack(a[k], b[k]))
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):

@@ -120,6 +120,13 @@ BAD_INPUTS = [
     # receive points outside the overlap lens (4, 6) m of the default pair
     ([], {"own_point_distance": 6.5}, "scenario.own_point_distance"),
     ([], {"own_point_distance": 100.0}, "scenario.own_point_distance"),
+] + [
+    # finite lengths whose squares would overflow
+    ([], {name: 1e300}, f"scenario.{name}")
+    for name in ("node_spacing", "range_radius", "reference_distance", "own_point_distance")
+] + [
+    ([], {"nodes": [{"id": 0, "x": 0.0, "y": 0.0, "radius": 6.0, key: value}]}, f"scenario.nodes[0].{key}")
+    for key, value in (("x", 1e300), ("y", -1e300), ("radius", 1e300))
 ]
 
 

@@ -1,7 +1,10 @@
 """Golden CSV digests: every named experiment at a small seeded budget.
 
 Each entry of EXPERIMENTS runs at trials 3, seed 7 and its default snr grid,
-and the sha256 of the CSV it writes is pinned.  A refactor must leave these
+and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins two runs
+that the trials-3 digests never reach: one that erases a trial inside a
+batch of 100 (capacity_vs_nodes with nakagami_m 1e6 erases exactly one
+trial, at 8 nodes) and a 20-trial link sweep.  A refactor must leave these
 bytes unchanged; moving a digest on purpose needs a CHANGES.md entry that
 says why the output changed.
 """
@@ -21,6 +24,22 @@ GOLDEN_SHA256 = {
     "custom": "6e5f20112678e124a6b7531441b4a9a43b95d2a132d2ddf5a58562e48ad1bab5",
 }
 
+LARGER_RUNS = {
+    "capacity_vs_nodes-m1e6-trials100-seed3": (
+        {"experiment": "capacity_vs_nodes", "trials": 100, "seed": 3, "scenario": {"nakagami_m": 1e6}},
+        "c1e2b8e4a047ca35b54cb48738f81b075b67595f8218f5cea9dae32c3b4b2844",
+    ),
+    "ber_vs_dimension-trials20-seed7": (
+        {"experiment": "ber_vs_dimension", "trials": 20, "seed": 7},
+        "2537cbdc6d44b14f1f49cf2e18944169718b2476dfe3d19bbbc8e47644f9c7f8",
+    ),
+}
+
+
+def _digest(overrides, path):
+    emit_csv(run_experiment(load_config(overrides=overrides)), str(path))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 def test_every_experiment_is_pinned():
     assert set(GOLDEN_SHA256) == set(EXPERIMENTS)
@@ -28,7 +47,11 @@ def test_every_experiment_is_pinned():
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_csv_digest(tmp_path, name):
-    cfg = load_config(overrides={"experiment": name, "trials": 3, "seed": 7})
-    path = tmp_path / f"{name}.csv"
-    emit_csv(run_experiment(cfg), str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
+    overrides = {"experiment": name, "trials": 3, "seed": 7}
+    assert _digest(overrides, tmp_path / f"{name}.csv") == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", LARGER_RUNS)
+def test_larger_run_digest(tmp_path, name):
+    overrides, digest = LARGER_RUNS[name]
+    assert _digest(overrides, tmp_path / f"{name}.csv") == digest

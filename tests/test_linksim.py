@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm as scipy_norm
 
+from beamlink import linksim
 from beamlink.channel import NakagamiParams
 from beamlink.linksim import (
     BPSK,
@@ -202,6 +203,20 @@ class TestDetect:
         y = h @ x
         np.testing.assert_array_equal(detect(y, h, BPSK), bits)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 1), (4, 1)])
+    def test_equalizer_matches_numpy_pinv(self, shape):
+        # detect equalizes with pinv's formula on its one SVD; the reference
+        # is numpy.linalg.pinv itself, sliced the same way
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        points = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / math.sqrt(2.0)
+        table = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+        for _ in range(200):
+            h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            y = rng.normal(size=(shape[0], 16)) + 1j * rng.normal(size=(shape[0], 16))
+            equalized = np.linalg.pinv(h) @ y
+            index = np.argmin(np.abs(equalized[..., None] - points), axis=-1)
+            np.testing.assert_array_equal(detect(y, h, QPSK), table[index.reshape(-1)].reshape(-1))
+
 
 class TestRunTrials:
     def test_determinism_same_seed(self):
@@ -227,6 +242,32 @@ class TestRunTrials:
         for a, b in zip(serial, parallel):
             assert a.stats == b.stats
             np.testing.assert_array_equal(a.capacity_samples, b.capacity_samples)
+
+    def test_worker_count_invariance_with_erasures(self):
+        # 8 nodes with nearly deterministic channels: seed 15 erases trials
+        # 15, 29 and 33 at 5 dB, two of them in the last of three spans
+        nodes = [Node(id=i, position=np.array([10.0 * i, 0.0]), range_radius=6.0) for i in range(8)]
+        sc = build_scenario(nodes)
+        link = LinkConfig(snr_db=(5.0, 9.0), packet_bits=32, fading=NakagamiParams(m=1e6, omega=1.0))
+        serial = run_trials(sc, link, n_trials=37, master_seed=15, workers=1)
+        parallel = run_trials(sc, link, n_trials=37, master_seed=15, workers=3)
+        assert np.flatnonzero(np.isnan(serial[0].capacity_samples)).tolist() == [15, 29, 33]
+        for a, b in zip(serial, parallel):
+            assert (a.snr_db, a.stats) == (b.snr_db, b.stats)
+            np.testing.assert_array_equal(a.capacity_samples, b.capacity_samples)
+
+    def test_batch_size_invariance(self, monkeypatch):
+        # the stacked solve is bit-identical member by member, so how a
+        # task's trials are split into batches cannot change any result
+        sc = build_scenario(
+            [Node(id=i, position=np.array([10.0 * i, 0.0]), range_radius=6.0) for i in range(4)]
+        )
+        link = LinkConfig(snr_db=(5.0,), packet_bits=32, fading=NakagamiParams(m=1e6, omega=1.0))
+        whole = run_trials(sc, link, n_trials=40, master_seed=2)
+        monkeypatch.setattr(linksim, "_BATCH_TRIALS", 1)
+        split = run_trials(sc, link, n_trials=40, master_seed=2)
+        assert whole[0].stats == split[0].stats
+        np.testing.assert_array_equal(whole[0].capacity_samples, split[0].capacity_samples)
 
     def test_high_snr_error_free(self):
         sc = single_node_scenario()

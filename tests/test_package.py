@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import beamlink
@@ -15,6 +18,7 @@ from beamlink import beamformer, channel, experiments, linksim, metrics, topolog
 MODULES = (channel, topology, beamformer, linksim, metrics, experiments)
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
 SRC = Path(beamlink.__file__).resolve().parents[1]
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_all_is_union_of_module_exports():
@@ -56,3 +60,50 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _benchmark_tracer() -> types.ModuleType:
+    # executed from its source text: importing it would write bytecode next
+    # to the benchmark
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def _boundaries(tracer) -> list[tuple[str, str, str]]:
+    """(namespace module, name, layer) of every name the benchmark wraps."""
+    return [
+        (module_name, attr, layer)
+        for group in (tracer.PARENT_BOUNDARIES, tracer.TRIAL_BOUNDARIES)
+        for module_name, names in group.items()
+        for attr, layer in names
+    ]
+
+
+def test_benchmark_boundaries_exist():
+    # the benchmark's tracer wraps these names where they are looked up;
+    # a rename or a moved call would silently empty its per-layer numbers
+    tracer = _benchmark_tracer()
+    for module_name, attr, _ in _boundaries(tracer):
+        module = importlib.import_module(f"beamlink.{module_name}")
+        assert callable(getattr(module, attr, None)), f"beamlink.{module_name}.{attr}"
+    for caller in tracer.LINALG_CALLERS:
+        assert importlib.import_module(f"beamlink.{caller}").np is np
+
+
+def test_benchmark_boundaries_are_called_through_their_namespace():
+    tracer_module = _benchmark_tracer()
+    config = experiments.load_config(
+        overrides={"experiment": "capacity_vs_nodes", "trials": 2, "seed": 1,
+                   "scenario": {"packet_bits": 32}}
+    )
+    tracer = tracer_module.Tracer()
+    tracer.install(in_trial=True)
+    try:
+        experiments.run_experiment(config)
+    finally:
+        tracer.uninstall()
+    seen = {span[0] for span in tracer.spans}
+    for _, attr, layer in _boundaries(tracer_module):
+        assert f"{layer}.{attr}" in seen
+    assert tracer.counts[("beamformer", "svd")] > 0
