@@ -26,6 +26,7 @@ import numpy as np
 from numpy.random import Generator
 
 from beamlink.beamformer import (
+    DegenerateNormalizationError,
     SolveError,
     build_rotator,
     compose,
@@ -251,7 +252,14 @@ def detect(y: np.ndarray, h_eff: np.ndarray, scheme: ModulationScheme) -> np.nda
         raise DetectionError("effective channel singular; cannot equalize")
     # numpy.linalg.pinv's own formula, on the SVD the rank check used
     pinv = vh.conj().T @ ((1.0 / sv)[:, None] * u.conj().T)
-    equalized = pinv @ np.atleast_2d(y)
+    # a numpy contraction summed antenna by antenna, not pinv @ y: with one
+    # stream that product takes BLAS's row-vector path, which OpenBLAS
+    # splits over threads that keep spinning after it, doubling the CPU a
+    # trial costs and starving the other workers of a pool
+    y2 = np.atleast_2d(y)
+    equalized = pinv[:, :1] * y2[0]
+    for m in range(1, len(y2)):
+        equalized += pinv[:, m : m + 1] * y2[m]
     points = _POINTS[scheme.kind]
     sliced = np.argmin(np.abs(equalized[..., None] - points), axis=-1)
     # rows are streams; row-major flattening matches the transmit reshape
@@ -282,6 +290,7 @@ class _TaskPlan:
     pairs: list[tuple[int, int]]
     point_draws: dict[int, int]
     amplitudes: np.ndarray  # (draws, 1, 1): sqrt(path gain * tx power)
+    repetition: np.ndarray | None  # (M,) in diversity mode, None for multiplexing
 
     def draw(self, rng: Generator) -> np.ndarray:
         """One trial's channels, (draws, M, M), from one call on its stream."""
@@ -366,6 +375,7 @@ def _plan(scenario: NetworkScenario, link: LinkConfig) -> _TaskPlan:
         pairs=pairs,
         point_draws=point_draws,
         amplitudes=amplitudes[:, None, None],
+        repetition=_alternating_unit_vector(link.dimension) if link.mode == "diversity" else None,
     )
 
 
@@ -398,7 +408,7 @@ def _send_packet(
     link: LinkConfig,
     snr_db: float,
     rng: Generator,
-    desired: int,
+    plan: _TaskPlan,
     channels: dict[int, np.ndarray],
     composites: dict[int, np.ndarray],
     g: float,
@@ -413,7 +423,7 @@ def _send_packet(
     scheme = link.modulation
     per_stream = link.symbols_per_stream
     sigma2 = 1.0 / (10.0 ** (snr_db / 10.0))
-    rep = _alternating_unit_vector(link.dimension) if link.mode == "diversity" else None
+    desired, rep = plan.desired, plan.repetition
 
     senders = [desired]
     if link.include_interference:
@@ -482,7 +492,7 @@ def _run_batch(
         trial_composites = {node_id: composites[node_id][row] for node_id in point_channels}
         try:
             outcomes[k] = _send_packet(
-                link, snr_db, rngs[k], plan.desired, point_channels, trial_composites, g[row]
+                link, snr_db, rngs[k], plan, point_channels, trial_composites, g[row]
             )
         except _ERASURES:
             continue  # the trial stays erased

@@ -282,6 +282,25 @@ class TestRunExperiment:
         assert series[0].param_name == "custom"
         assert series[0].param_value == 0.0
 
+    def test_diversity_sweep_worker_count_invariance(self, tmp_path):
+        # ber_vs_dimension's diversity link at full packet length, the path
+        # that detects with one stream over 2304-symbol blocks
+        def csv_bytes(workers):
+            cfg = load_config(overrides={
+                "experiment": "ber_vs_dimension",
+                "trials": 5,
+                "seed": 21,
+                "workers": workers,
+                "snr": {"start": 0.0, "stop": 6.0, "step": 6.0},
+            })
+            assert cfg.scenario.transmission_mode == "diversity"
+            assert cfg.scenario.packet_bits == 2304
+            path = tmp_path / f"w{workers}.csv"
+            emit_csv(run_experiment(cfg), str(path))
+            return path.read_bytes()
+
+        assert csv_bytes(1) == csv_bytes(2)
+
 
 def toy_series() -> list[MetricSeries]:
     est = lambda v: Estimate(value=v, ci_low=v / 2, ci_high=min(1.0, 2 * v + 1e-6))

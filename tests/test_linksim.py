@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import norm as scipy_norm
 
 from beamlink import linksim
+from beamlink.beamformer import DegenerateNormalizationError
 from beamlink.channel import NakagamiParams
 from beamlink.linksim import (
     BPSK,
@@ -161,7 +162,7 @@ class TestReceivedSignal:
         np.testing.assert_allclose(y12, y1 + y2 - noise, atol=1e-12)
 
     def test_degenerate_normalization(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DegenerateNormalizationError):
             received_signal(
                 channels={0: np.eye(2)},
                 composites={0: self.ident_composite()},
@@ -216,6 +217,22 @@ class TestDetect:
             equalized = np.linalg.pinv(h) @ y
             index = np.argmin(np.abs(equalized[..., None] - points), axis=-1)
             np.testing.assert_array_equal(detect(y, h, QPSK), table[index.reshape(-1)].reshape(-1))
+
+    @pytest.mark.parametrize("shape", [(2, 1), (4, 1), (2, 2), (4, 4)])
+    def test_packet_length_blocks_match_numpy_pinv(self, shape):
+        # a full 2304-column packet block, the size at which pinv @ y goes
+        # to a threaded BLAS path; detect must slice the same bits as it
+        rng = np.random.default_rng(100 + shape[0] * 10 + shape[1])
+        for scheme in (BPSK, QPSK):
+            points = linksim._POINTS[scheme.kind]
+            table = linksim._BIT_TABLES[scheme.kind]
+            for _ in range(5):
+                h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                y = rng.normal(size=(shape[0], 2304)) + 1j * rng.normal(size=(shape[0], 2304))
+                equalized = np.linalg.pinv(h) @ y
+                index = np.argmin(np.abs(equalized[..., None] - points), axis=-1)
+                want = table[index.reshape(-1)].reshape(-1)
+                np.testing.assert_array_equal(detect(y, h, scheme), want)
 
 
 class TestRunTrials:
