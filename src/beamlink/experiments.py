@@ -64,6 +64,8 @@ _BOUND_CHECKS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 # largest magnitude of a length or coordinate (m): distances between nodes
 # laid out at such lengths stay far from overflow when squared
 MAX_LENGTH = 1e150
+# most points an snr grid may hold: every point runs the full trial budget
+MAX_SNR_POINTS = 10_000
 
 
 def _spec(
@@ -139,8 +141,14 @@ class ExperimentConfig:
     scenario: ScenarioConfig = ScenarioConfig()
 
     def snr_points(self) -> tuple[float, ...]:
-        count = int(math.floor((self.snr_stop - self.snr_start) / self.snr_step + 1e-9)) + 1
+        count = _snr_count(self.snr_start, self.snr_stop, self.snr_step)
         return tuple(self.snr_start + k * self.snr_step for k in range(count))
+
+
+def _snr_count(start: float, stop: float, step: float) -> float:
+    """Points of the grid start, start + step, ... up to stop; inf on overflow."""
+    steps = (stop - start) / step + 1e-9
+    return math.floor(steps) + 1 if math.isfinite(steps) else math.inf
 
 
 # experiment-specific defaults, applied only where the config is silent
@@ -288,11 +296,12 @@ def _check_sweep(config: ExperimentConfig) -> None:
     """Check and build the link and network of every scenario the sweep
     runs, so one that cannot run fails here rather than mid-run; a value the
     sweep replaces is not checked."""
+    snr_points = config.snr_points()
     for param_name, param_value, sc in _sweep(config):
         where = "" if param_name == "custom" else f" (with {param_name} = {param_value:g})"
         try:
             # the field specs leave LinkConfig only the packet/stream split to reject
-            _build_link(sc, config.snr_points())
+            _build_link(sc, snr_points)
         except ValueError as e:
             _fail(f"field 'scenario.packet_bits' must split evenly: {e}{where}")
         try:
@@ -342,6 +351,9 @@ def _resolve(raw: dict, overrides: dict | None) -> ExperimentConfig:
         _fail(
             f"field 'snr.stop' must be >= snr.start, got {values['snr_stop']} < {values['snr_start']}"
         )
+    count = _snr_count(values["snr_start"], values["snr_stop"], values["snr_step"])
+    if count > MAX_SNR_POINTS:
+        _fail(f"field 'snr.step' must give at most {MAX_SNR_POINTS} snr points, got {count}")
     config = ExperimentConfig(
         **values, scenario=ScenarioConfig(**_read_fields(ScenarioConfig, scenario, "scenario"))
     )
@@ -482,6 +494,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricSeries]:
         point_results = run_trials(
             scenario, link, config.trials, config.seed, workers=config.workers
         )
+        exponents = uncoded_stream_params(sc.packet_bits, link.modulation.bits_per_symbol, link.streams)
         points = []
         for pr in point_results:
             if pr.stats.erasures == pr.stats.packets_sent:
@@ -490,35 +503,19 @@ def run_experiment(config: ExperimentConfig) -> list[MetricSeries]:
                     f"all {pr.stats.packets_sent} trials erased, nothing to estimate"
                 )
             rates = estimate_rates(pr.stats)
-            streams = uncoded_stream_params(
-                symbol_error_rate=rates["ser"].value,
-                packet_bits=sc.packet_bits,
-                bits_per_symbol=link.modulation.bits_per_symbol,
-                streams=link.streams,
-                min_distance=link.modulation.min_distance,
-            )
-            model = packet_error_rate(streams, sc.per_formula)
+            ser = rates["ser"]
             # bracket the analytic value by evaluating at the SER interval ends
-            ends = [
-                packet_error_rate(
-                    uncoded_stream_params(
-                        symbol_error_rate=s,
-                        packet_bits=sc.packet_bits,
-                        bits_per_symbol=link.modulation.bits_per_symbol,
-                        streams=link.streams,
-                        min_distance=link.modulation.min_distance,
-                    ),
-                    sc.per_formula,
-                )
-                for s in (rates["ser"].ci_low, rates["ser"].ci_high)
-            ]
+            model, *ends = (
+                packet_error_rate(s, exponents, sc.per_formula, link.modulation.min_distance)
+                for s in (ser.value, ser.ci_low, ser.ci_high)
+            )
             per_model = Estimate(value=model, ci_low=min(*ends, model), ci_high=max(*ends, model))
             points.append(
                 MetricPoint(
                     snr_db=pr.snr_db,
                     capacity=mean_confidence(pr.capacity_samples),
                     ber=rates["ber"],
-                    ser=rates["ser"],
+                    ser=ser,
                     per=rates["per"],
                     per_model=per_model,
                 )

@@ -18,6 +18,7 @@ task.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -26,6 +27,7 @@ import numpy as np
 from numpy.random import Generator
 
 from beamlink.beamformer import (
+    RANK_THRESHOLD,
     DegenerateNormalizationError,
     SolveError,
     build_rotator,
@@ -58,9 +60,6 @@ __all__ = [
     "detect",
     "run_trials",
 ]
-
-_DETECT_RANK_THRESHOLD = 1e-10
-
 
 class DetectionError(RuntimeError):
     """Effective channel too singular to equalize; the trial is erased."""
@@ -248,7 +247,7 @@ def detect(y: np.ndarray, h_eff: np.ndarray, scheme: ModulationScheme) -> np.nda
     """
     h = np.atleast_2d(np.asarray(h_eff, dtype=complex))
     u, sv, vh = np.linalg.svd(h, full_matrices=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] <= _DETECT_RANK_THRESHOLD:
+    if sv[0] == 0.0 or sv[-1] / sv[0] <= RANK_THRESHOLD:
         raise DetectionError("effective channel singular; cannot equalize")
     # numpy.linalg.pinv's own formula, on the SVD the rank check used
     pinv = vh.conj().T @ ((1.0 / sv)[:, None] * u.conj().T)
@@ -549,7 +548,8 @@ def run_trials(
     if workers == 1:
         chunks = [run(*task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        # the pool starts all its processes at once, so never more than the CPUs
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks), os.cpu_count() or 1)) as pool:
             chunks = list(pool.map(run, *zip(*tasks)))
 
     results = [

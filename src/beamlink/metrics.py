@@ -1,17 +1,18 @@
 """Capacity, analytic packet-error models, and Monte-Carlo rate estimates.
 
-The analytic per-stream error and packet-error formulas exist in two modes.
+The analytic packet error rate takes a symbol error rate and each stream's
+exponent, its count of independent error opportunities (for an uncoded
+packet, its symbol count: uncoded_stream_params).  Of its two modes,
 `literal` evaluates the source forms exactly as printed, which degenerate at
 the error-free limit (stream error tends to 1 as the symbol error rate
 tends to 0, and the packet error rate tends to 1 when all stream errors
 vanish); outputs are clamped to [0, 1] and the mode exists for fidelity
-only.  `conventional` is the standard independent-error composition used by
-all experiments and checks.
+only.  `conventional`, the default, is the independent-error composition.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -22,12 +23,10 @@ if TYPE_CHECKING:
 __all__ = [
     "Z95",
     "Estimate",
-    "StreamErrorParams",
     "MetricPoint",
     "MetricSeries",
     "capacity",
     "effective_snr",
-    "stream_error",
     "packet_error_rate",
     "uncoded_stream_params",
     "wilson_interval",
@@ -51,40 +50,6 @@ class Estimate:
             raise ValueError(
                 f"interval ({self.ci_low}, {self.ci_high}) does not bracket {self.value}"
             )
-
-
-@dataclass(frozen=True)
-class StreamErrorParams:
-    """Per-stream inputs of the analytic packet-error model.
-
-    exponent = bits * code_rate / length is the number of independent error
-    opportunities the stream contributes; for an uncoded stream it reduces
-    to the per-stream symbol count (length = bits per symbol, code_rate 1).
-    """
-
-    min_distance: float
-    bits: int
-    code_rate: float
-    length: int
-    symbol_error_rate: float
-
-    def __post_init__(self):
-        if not self.min_distance > 0:
-            raise ValueError(f"min_distance must be > 0, got {self.min_distance}")
-        if not (isinstance(self.bits, int) and self.bits > 0):
-            raise ValueError(f"bits must be a positive integer, got {self.bits}")
-        if not (isinstance(self.length, int) and self.length > 0):
-            raise ValueError(f"length must be a positive integer, got {self.length}")
-        if not (0.0 < self.code_rate <= 1.0):
-            raise ValueError(f"code_rate must be in (0, 1], got {self.code_rate}")
-        if not (0.0 <= self.symbol_error_rate <= 1.0):
-            raise ValueError(
-                f"symbol_error_rate must be in [0, 1], got {self.symbol_error_rate}"
-            )
-
-    @property
-    def exponent(self) -> float:
-        return self.bits * self.code_rate / self.length
 
 
 @dataclass
@@ -147,67 +112,50 @@ def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def stream_error(params: StreamErrorParams, mode: str = "conventional") -> float:
-    """Per-stream error probability.
-
-    literal: 1 - SER / min_distance exactly as printed (degenerate: gives 1
-    at SER = 0), clamped to [0, 1].  conventional: the symbol error rate
-    itself.
-    """
-    if mode == "literal":
-        return _clamp01(1.0 - params.symbol_error_rate / params.min_distance)
-    if mode == "conventional":
-        return params.symbol_error_rate
-    raise ValueError(f"mode must be 'literal' or 'conventional', got {mode!r}")
-
-
-def packet_error_rate(streams: list[StreamErrorParams], mode: str = "conventional") -> float:
+def packet_error_rate(
+    symbol_error_rate: float,
+    exponents: list[int],
+    mode: str = "conventional",
+    min_distance: float = 2.0,
+) -> float:
     """Analytic packet error rate composed over streams.
 
-    conventional: 1 - prod (1 - p_e)^exponent, the independent-error form.
-    literal: 1 - prod {1 - (1 - p_e)^exponent} as printed, degenerate at
-    p_e = 0 (evaluates to 1).  Both clamped to [0, 1].
+    Each stream fails independently with per-stream error p_e and counts
+    exponents[k] error opportunities (its symbol count when uncoded).
+    conventional: p_e is the symbol error rate and PER = 1 - prod
+    (1 - p_e)^exponent, the independent-error form.  literal: p_e =
+    1 - SER / min_distance (degenerate: 1 at SER = 0) and PER =
+    1 - prod {1 - (1 - p_e)^exponent} (degenerate: 1 at p_e = 0), both as
+    printed.  p_e and the PER are clamped to [0, 1].
     """
-    if not streams:
-        raise ValueError("need at least one stream")
-    for s in streams:
-        if not s.exponent > 0:
-            raise ValueError(f"stream exponent must be > 0, got {s.exponent}")
-    if mode not in ("literal", "conventional"):
+    if not exponents or not min(exponents) > 0:
+        raise ValueError(f"need at least one stream, each of exponent > 0, got {exponents}")
+    if not 0.0 <= symbol_error_rate <= 1.0:
+        raise ValueError(f"symbol_error_rate must be in [0, 1], got {symbol_error_rate}")
+    if not min_distance > 0:
+        raise ValueError(f"min_distance must be > 0, got {min_distance}")
+    if mode == "literal":
+        p_e = _clamp01(1.0 - symbol_error_rate / min_distance)
+    elif mode == "conventional":
+        p_e = symbol_error_rate
+    else:
         raise ValueError(f"mode must be 'literal' or 'conventional', got {mode!r}")
     prod = 1.0
-    for s in streams:
-        p_e = stream_error(s, mode)
-        survive = (1.0 - p_e) ** s.exponent
+    for e in exponents:
+        survive = (1.0 - p_e) ** e
         prod *= (1.0 - survive) if mode == "literal" else survive
     return _clamp01(1.0 - prod)
 
 
-def uncoded_stream_params(
-    symbol_error_rate: float,
-    packet_bits: int = 2304,
-    bits_per_symbol: int = 1,
-    streams: int = 1,
-    min_distance: float = 2.0,
-) -> list[StreamErrorParams]:
-    """StreamErrorParams for an uncoded packet split evenly over streams.
-
-    Each stream's exponent comes out as its symbol count:
-    (packet_bits / streams) / bits_per_symbol.
-    """
+def uncoded_stream_params(packet_bits: int, bits_per_symbol: int = 1, streams: int = 1) -> list[int]:
+    """Each stream's exponent for an uncoded packet split evenly over streams:
+    its symbol count (packet_bits / streams) / bits_per_symbol."""
     if packet_bits % (streams * bits_per_symbol) != 0:
         raise ValueError(
             f"{packet_bits} bits do not split over {streams} streams of "
             f"{bits_per_symbol}-bit symbols"
         )
-    per_stream = StreamErrorParams(
-        min_distance=min_distance,
-        bits=packet_bits // streams,
-        code_rate=1.0,
-        length=bits_per_symbol,
-        symbol_error_rate=symbol_error_rate,
-    )
-    return [per_stream] * streams
+    return [packet_bits // (streams * bits_per_symbol)] * streams
 
 
 def wilson_interval(errors: int, total: int, z: float = Z95) -> tuple[float, float]:

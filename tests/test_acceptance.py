@@ -270,18 +270,9 @@ def test_criterion_8_analytic_per_agreement():
     model = point.per_model.value
     rel_gap = abs(model - counted) / counted
     # the as-printed form must stay a probability even at its degeneracies
+    exponents = uncoded_stream_params(2304, bits_per_symbol=1, streams=2)
     literal_vals = [
-        packet_error_rate(
-            uncoded_stream_params(
-                symbol_error_rate=ser,
-                packet_bits=2304,
-                bits_per_symbol=1,
-                streams=2,
-                min_distance=2.0,
-            ),
-            "literal",
-        )
-        for ser in (0.0, 1e-4, 0.5, 1.0)
+        packet_error_rate(ser, exponents, "literal", min_distance=2.0) for ser in (0.0, 1e-4, 0.5, 1.0)
     ]
     clamped = all(0.0 <= v <= 1.0 for v in literal_vals)
     documented = "clamp" in packet_error_rate.__doc__.lower()

@@ -127,6 +127,9 @@ BAD_INPUTS = [
 ] + [
     ([], {"nodes": [{"id": 0, "x": 0.0, "y": 0.0, "radius": 6.0, key: value}]}, f"scenario.nodes[0].{key}")
     for key, value in (("x", 1e300), ("y", -1e300), ("radius", 1e300))
+] + [
+    # a grid whose point count overflows a float
+    (["--snr", "0:1e300:1e-300"], {}, "snr.step"),
 ]
 
 

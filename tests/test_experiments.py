@@ -9,6 +9,7 @@ import pytest
 from beamlink.experiments import (
     DIMENSION_SWEEP,
     EXPERIMENTS,
+    MAX_SNR_POINTS,
     ConfigError,
     ExperimentConfig,
     ScenarioConfig,
@@ -110,6 +111,7 @@ class TestLoadConfig:
             ({"scenario": {"transmission_mode": "beam"}}, "transmission_mode"),
             ({"scenario": {"per_formula": "magic"}}, "per_formula"),
             ({"scenario": {"packet_bits": 3}}, "packet_bits"),
+            ({"snr": {"start": 0.0, "stop": 1e4, "step": 1e-4}}, "snr.step"),
         ],
     )
     def test_bad_values_are_named(self, tmp_path, raw, fragment):
@@ -226,6 +228,14 @@ class TestSnrPoints:
         assert len(pts) == 4
         assert pts[-1] == pytest.approx(1.5)
 
+    def test_point_cap(self):
+        fast = {"scenario": {"packet_bits": 32}}
+        stop = MAX_SNR_POINTS - 1.0
+        cfg = load_config(overrides={**fast, "snr": {"start": 0.0, "stop": stop, "step": 1.0}})
+        assert len(cfg.snr_points()) == MAX_SNR_POINTS
+        with pytest.raises(ConfigError, match="'snr.step'"):
+            load_config(overrides={**fast, "snr": {"start": 0.0, "stop": stop + 1.0, "step": 1.0}})
+
 
 class TestRunExperiment:
     def test_deterministic_repeat(self):
@@ -254,27 +264,19 @@ class TestRunExperiment:
         cfg = fast_config(scenario={**FAST_SCENARIO, "per_formula": "conventional"})
         series = run_experiment(cfg)
         pt = series[0].points[0]
-        streams = uncoded_stream_params(
-            symbol_error_rate=pt.ser.value,
-            packet_bits=32,
-            bits_per_symbol=1,
-            streams=2,
-            min_distance=2.0,
-        )
+        exponents = uncoded_stream_params(32, bits_per_symbol=1, streams=2)
         assert pt.per_model is not None
-        assert pt.per_model.value == pytest.approx(packet_error_rate(streams, "conventional"))
+        assert pt.per_model.value == pytest.approx(
+            packet_error_rate(pt.ser.value, exponents, "conventional", min_distance=2.0)
+        )
 
     def test_per_model_literal_mode(self):
         cfg = fast_config(scenario={**FAST_SCENARIO, "per_formula": "literal"})
         pt = run_experiment(cfg)[0].points[0]
-        streams = uncoded_stream_params(
-            symbol_error_rate=pt.ser.value,
-            packet_bits=32,
-            bits_per_symbol=1,
-            streams=2,
-            min_distance=2.0,
+        exponents = uncoded_stream_params(32, bits_per_symbol=1, streams=2)
+        assert pt.per_model.value == pytest.approx(
+            packet_error_rate(pt.ser.value, exponents, "literal", min_distance=2.0)
         )
-        assert pt.per_model.value == pytest.approx(packet_error_rate(streams, "literal"))
 
     def test_custom_single_series(self):
         cfg = fast_config()

@@ -1,12 +1,14 @@
 """Golden CSV digests: every named experiment at a small seeded budget.
 
 Each entry of EXPERIMENTS runs at trials 3, seed 7 and its default snr grid,
-and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins two runs
+and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins three runs
 that the trials-3 digests never reach: one that erases a trial inside a
 batch of 100 (capacity_vs_nodes with nakagami_m 1e6 erases exactly one
-trial, at 8 nodes) and a 20-trial link sweep.  A refactor must leave these
-bytes unchanged; moving a digest on purpose needs a CHANGES.md entry that
-says why the output changed.
+trial, at 8 nodes), a 20-trial link sweep, and a multiplexing link sweep
+(2 and 4 streams of 8-bit packets) under per_formula "literal", whose
+per_model values (6e-10 to 0.09) are not clamped.  A refactor must leave
+these bytes unchanged; moving a digest on purpose needs a CHANGES.md entry
+that says why the output changed.
 """
 from __future__ import annotations
 
@@ -32,6 +34,15 @@ LARGER_RUNS = {
     "ber_vs_dimension-trials20-seed7": (
         {"experiment": "ber_vs_dimension", "trials": 20, "seed": 7},
         "2537cbdc6d44b14f1f49cf2e18944169718b2476dfe3d19bbbc8e47644f9c7f8",
+    ),
+    "ber_vs_dimension-multiplexing-bits8-literal-trials30-seed2": (
+        {
+            "experiment": "ber_vs_dimension",
+            "trials": 30,
+            "seed": 2,
+            "scenario": {"transmission_mode": "multiplexing", "packet_bits": 8, "per_formula": "literal"},
+        },
+        "c3cc7e7bd7fde4e24cc18daf311766c4cd3e687d35e72878a455d8721e7fff69",
     ),
 }
 

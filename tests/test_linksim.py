@@ -286,6 +286,35 @@ class TestRunTrials:
         assert whole[0].stats == split[0].stats
         np.testing.assert_array_equal(whole[0].capacity_samples, split[0].capacity_samples)
 
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # a pool starts all its processes at once, so 64 workers on 2 CPUs
+        # open 2; the stand-in pool runs the tasks here and starts none
+        opened = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(linksim, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(linksim.os, "cpu_count", lambda: 2)
+        sc = two_node_scenario()
+        link = LinkConfig(snr_db=(3.0, 9.0), packet_bits=96)
+        serial = run_trials(sc, link, n_trials=13, master_seed=7, workers=1)
+        capped = run_trials(sc, link, n_trials=13, master_seed=7, workers=64)
+        assert opened == [2]
+        for a, b in zip(serial, capped):
+            assert a.stats == b.stats
+            assert a.capacity_samples.tobytes() == b.capacity_samples.tobytes()
+
     def test_high_snr_error_free(self):
         sc = single_node_scenario()
         link = calibration_config([200.0], packet_bits=2304)

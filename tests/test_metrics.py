@@ -8,22 +8,14 @@ from hypothesis import strategies as st
 from beamlink.linksim import TrialStats
 from beamlink.metrics import (
     Estimate,
-    StreamErrorParams,
     capacity,
     effective_snr,
     estimate_rates,
     mean_confidence,
     packet_error_rate,
-    stream_error,
     uncoded_stream_params,
     wilson_interval,
 )
-
-
-def params(ser, d_min=2.0, bits=2304, rate=1.0, length=1):
-    return StreamErrorParams(
-        min_distance=d_min, bits=bits, code_rate=rate, length=length, symbol_error_rate=ser
-    )
 
 
 class TestCapacity:
@@ -80,94 +72,92 @@ class TestEffectiveSnr:
 
 
 class TestStreamError:
+    """The per-stream error step, seen through one stream of exponent 1:
+    there the packet error rate is p_e (conventional) or 1 - p_e (literal)."""
+
     def test_literal_zero_ser_degenerates_to_one(self):
-        # printed formula gives 1 at the error-free limit; clamp documents it
-        assert stream_error(params(0.0), "literal") == 1.0
+        # printed formula gives stream error 1 at the error-free limit
+        # (clamp documents it), so 1 - p_e reads 0
+        assert packet_error_rate(0.0, [1], "literal") == 0.0
 
     def test_literal_ser_equal_to_distance(self):
-        # SER equal to min_distance makes the printed form vanish exactly
-        assert stream_error(params(0.5, d_min=0.5), "literal") == 0.0
+        # SER equal to min_distance makes the printed form vanish exactly,
+        # so 1 - p_e reads 1
+        assert packet_error_rate(0.5, [1], "literal", min_distance=0.5) == 1.0
 
     def test_conventional_passthrough(self):
-        assert stream_error(params(0.01), "conventional") == 0.01
+        assert packet_error_rate(0.01, [1], "conventional") == pytest.approx(0.01, rel=1e-12)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            stream_error(params(0.1), "bogus")
+            packet_error_rate(0.1, [1], "bogus")
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            params(-0.1)
+            packet_error_rate(-0.1, [1])
         with pytest.raises(ValueError):
-            params(0.1, d_min=0.0)
+            packet_error_rate(1.1, [1])
         with pytest.raises(ValueError):
-            params(0.1, rate=0.0)
+            packet_error_rate(0.1, [1], min_distance=0.0)
         with pytest.raises(ValueError):
-            params(0.1, bits=0)
+            packet_error_rate(0.1, [0])
+        with pytest.raises(ValueError):
+            packet_error_rate(0.1, [2304, -1])
 
 
 class TestPacketErrorRate:
     def test_conventional_zero_error(self):
-        assert packet_error_rate([params(0.0)], "conventional") == 0.0
+        assert packet_error_rate(0.0, [2304], "conventional") == 0.0
 
     def test_literal_zero_stream_error_degenerates_to_one(self):
         # SER = min_distance gives literal stream error 0, at which the
         # printed packet formula collapses to 1
-        assert packet_error_rate([params(0.5, d_min=0.5)], "literal") == 1.0
+        assert packet_error_rate(0.5, [2304], "literal", min_distance=0.5) == 1.0
 
     def test_literal_zero_ser_chains_both_degeneracies(self):
         # SER = 0 gives literal stream error 1, whose survival term is 0, so
         # the printed packet formula returns 0; the two corruptions cancel
-        assert packet_error_rate([params(0.0)], "literal") == 0.0
+        assert packet_error_rate(0.0, [2304], "literal") == 0.0
 
     def test_conventional_reference_value(self):
         # 1 - (1 - 1e-4)^2304, evaluated independently
-        per = packet_error_rate([params(1e-4)], "conventional")
+        per = packet_error_rate(1e-4, [2304], "conventional")
         assert per == pytest.approx(0.20579329730735163, rel=1e-12)
 
     def test_empty_stream_list(self):
         with pytest.raises(ValueError):
-            packet_error_rate([], "conventional")
+            packet_error_rate(0.1, [], "conventional")
 
     def test_monotone_in_ser_and_exponent(self):
-        base = packet_error_rate([params(1e-3)], "conventional")
-        assert packet_error_rate([params(2e-3)], "conventional") > base
-        longer = packet_error_rate([params(1e-3, bits=4608)], "conventional")
+        base = packet_error_rate(1e-3, [2304], "conventional")
+        assert packet_error_rate(2e-3, [2304], "conventional") > base
+        longer = packet_error_rate(1e-3, [4608], "conventional")
         assert longer > base
 
     def test_multi_stream_composition(self):
-        single = packet_error_rate([params(1e-3)], "conventional")
+        single = packet_error_rate(1e-3, [2304], "conventional")
         # two streams of half the bits see the same total symbol count
-        split = packet_error_rate(
-            uncoded_stream_params(1e-3, packet_bits=2304, streams=2), "conventional"
-        )
+        split = packet_error_rate(1e-3, uncoded_stream_params(2304, streams=2), "conventional")
         assert split == pytest.approx(single, rel=1e-12)
 
     @given(
         ser=st.floats(min_value=0.0, max_value=1.0),
-        bits=st.integers(min_value=1, max_value=10000),
-        rate=st.floats(min_value=1e-3, max_value=1.0),
-        length=st.integers(min_value=1, max_value=64),
+        exponents=st.lists(st.integers(min_value=1, max_value=10000), min_size=1, max_size=4),
+        d_min=st.floats(min_value=1e-3, max_value=4.0),
         mode=st.sampled_from(["literal", "conventional"]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_output_in_unit_interval(self, ser, bits, rate, length, mode):
-        p = StreamErrorParams(
-            min_distance=2.0, bits=bits, code_rate=rate, length=length, symbol_error_rate=ser
-        )
-        assert 0.0 <= stream_error(p, mode) <= 1.0
-        assert 0.0 <= packet_error_rate([p, p], mode) <= 1.0
+    def test_output_in_unit_interval(self, ser, exponents, d_min, mode):
+        assert 0.0 <= packet_error_rate(ser, exponents, mode, d_min) <= 1.0
 
 
 class TestUncodedStreamParams:
     def test_exponent_is_symbol_count(self):
-        streams = uncoded_stream_params(0.01, packet_bits=2304, bits_per_symbol=2, streams=2)
-        assert len(streams) == 2
-        assert streams[0].exponent == pytest.approx(576.0)
+        assert uncoded_stream_params(2304, bits_per_symbol=2, streams=2) == [576, 576]
 
     def test_rejects_nondivisible(self):
         with pytest.raises(ValueError):
-            uncoded_stream_params(0.01, packet_bits=2303, bits_per_symbol=2)
+            uncoded_stream_params(2303, bits_per_symbol=2)
 
 
 class TestWilson:
