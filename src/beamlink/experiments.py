@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import operator
+import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
@@ -351,6 +352,12 @@ def _resolve(raw: dict, overrides: dict | None) -> ExperimentConfig:
         _fail(
             f"field 'snr.stop' must be >= snr.start, got {values['snr_stop']} < {values['snr_start']}"
         )
+    # the CSV is written after every trial has run, so its path is checked now
+    output = values["output"]
+    if os.path.isdir(output):
+        _fail(f"field 'output' must name a file, got the directory {output!r}")
+    if not os.path.isdir(os.path.dirname(output) or os.curdir):
+        _fail(f"field 'output' must be in an existing directory, got {output!r}")
     count = _snr_count(values["snr_start"], values["snr_stop"], values["snr_step"])
     if count > MAX_SNR_POINTS:
         _fail(f"field 'snr.step' must give at most {MAX_SNR_POINTS} snr points, got {count}")

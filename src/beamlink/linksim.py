@@ -8,12 +8,15 @@ of SNR-sweep point p uses the random stream spawned from
 (master_seed, spawn_key=(p, t)), so results are bit-identical for any
 worker count or execution order.
 
-A task (one SNR point, one span of trials) runs in three steps: each trial
+A task (one SNR point, one span of trials) runs in four steps: each trial
 draws all of its channels from its own stream; every pair is solved for
-all of the task's trials as one stack; then each trial sends its packet
-from its own stream.  What does not depend on the draws (moments, rotator,
-which channels to draw and their path amplitudes) is worked out once per
-task.
+all of the task's trials as one stack; the link algebra at the measured
+point (each heard node's channel @ composite, the desired node's
+pseudoinverse and its rank check) is one more stack; then each trial draws
+its bits and noise from its own stream, forms the received block,
+equalizes it and slices each symbol by sign.  What does not depend on the
+draws (moments, rotator, which channels to draw and their path amplitudes)
+is worked out once per task.
 """
 from __future__ import annotations
 
@@ -57,6 +60,7 @@ __all__ = [
     "measured_roles",
     "modulate",
     "received_signal",
+    "equalizers",
     "detect",
     "run_trials",
 ]
@@ -88,10 +92,6 @@ QPSK = ModulationScheme(kind="qpsk", bits_per_symbol=2)
 _POINTS = {
     "bpsk": np.array([1.0, -1.0], dtype=complex),
     "qpsk": np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j], dtype=complex) / math.sqrt(2.0),
-}
-_BIT_TABLES = {
-    "bpsk": np.array([[0], [1]], dtype=np.int64),
-    "qpsk": np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int64),
 }
 
 
@@ -217,40 +217,65 @@ def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
 
 
 def received_signal(
-    channels: dict[int, np.ndarray],
-    composites: dict[int, np.ndarray],
+    effective: dict[int, np.ndarray],
     transmit: dict[int, np.ndarray],
     g: float,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """Sum of (channel @ composite @ symbols) / g over transmitting nodes, plus noise.
+    """Sum of (effective @ symbols) / g over transmitting nodes, plus noise.
 
-    Nodes are summed in ascending id order so the float accumulation is
-    reproducible.
+    effective maps each node to its channel @ composite at the receive
+    point.  Nodes are summed in ascending id order so the float
+    accumulation is reproducible.
     """
     if not g > 0:
         raise DegenerateNormalizationError(f"normalization {g} not positive")
-    y = np.array(noise, dtype=complex, copy=True)
-    for node_id in sorted(transmit):
-        term = channels[node_id] @ composites[node_id] @ transmit[node_id]
-        y += term / g
+    first, *rest = sorted(transmit)
+    y = noise + effective[first] @ transmit[first] / g
+    for node_id in rest:
+        y += effective[node_id] @ transmit[node_id] / g
     return y
 
 
-def detect(y: np.ndarray, h_eff: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
-    """Zero-forcing equalization then minimum-distance slicing to bits.
+def equalizers(
+    effective: np.ndarray, g: np.ndarray, repetition: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-forcing equalizers of the desired node for a stack of trials.
 
-    h_eff is the effective channel (normalization already divided in).  A
-    tall single-column h_eff reduces the pseudoinverse to maximum-ratio
-    combining.  Raises DetectionError when h_eff is singular to working
-    precision.
+    effective is the (trials, M, M) stack of its channel @ composite and g
+    the (trials,) normalizations.  The effective channel h_eff is
+    effective / g, taken through the repetition vector in diversity mode;
+    a single column reduces the pseudoinverse to maximum-ratio combining.
+    One SVD of the stack gives both the rank check and the pseudoinverses,
+    by numpy.linalg.pinv's own formula.  Returns the (trials, streams, M)
+    pseudoinverses and a (trials,) mask of the members whose h_eff is of
+    full rank; a masked-out member's pseudoinverse is zero.
     """
-    h = np.atleast_2d(np.asarray(h_eff, dtype=complex))
-    u, sv, vh = np.linalg.svd(h, full_matrices=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] <= RANK_THRESHOLD:
+    h_eff = effective / g[:, None, None]
+    if repetition is not None:
+        h_eff = h_eff @ repetition[:, None]
+    u, sv, vh = np.linalg.svd(h_eff, full_matrices=False)
+    top = sv[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = ~((top == 0.0) | (sv[:, -1] / top <= RANK_THRESHOLD))
+    inverse = np.divide(1.0, sv, out=np.zeros_like(sv), where=ok[:, None])
+    pinv = vh.conj().swapaxes(1, 2) @ (inverse[:, :, None] * u.conj().swapaxes(1, 2))
+    return pinv, ok
+
+
+def detect(y: np.ndarray, pinv: np.ndarray | None, scheme: ModulationScheme) -> np.ndarray:
+    """Zero-forcing equalization, then sign decisions to 0/1 bits.
+
+    pinv is the (streams, M) pseudoinverse of the effective channel, one
+    member of what equalizers returns, or None for an effective channel
+    singular to working precision, which raises DetectionError.  BPSK
+    decides bit = Re e < 0 and QPSK the bits (Im e < 0, Re e < 0).  For
+    these Gray-mapped constellations that is the minimum-distance
+    decision, and it stays exact where |Im e| / |Re e| is so large that
+    the distances to the points tie in floating point.
+    """
+    if pinv is None:
         raise DetectionError("effective channel singular; cannot equalize")
-    # numpy.linalg.pinv's own formula, on the SVD the rank check used
-    pinv = vh.conj().T @ ((1.0 / sv)[:, None] * u.conj().T)
     # a numpy contraction summed antenna by antenna, not pinv @ y: with one
     # stream that product takes BLAS's row-vector path, which OpenBLAS
     # splits over threads that keep spinning after it, doubling the CPU a
@@ -259,10 +284,13 @@ def detect(y: np.ndarray, h_eff: np.ndarray, scheme: ModulationScheme) -> np.nda
     equalized = pinv[:, :1] * y2[0]
     for m in range(1, len(y2)):
         equalized += pinv[:, m : m + 1] * y2[m]
-    points = _POINTS[scheme.kind]
-    sliced = np.argmin(np.abs(equalized[..., None] - points), axis=-1)
     # rows are streams; row-major flattening matches the transmit reshape
-    return _BIT_TABLES[scheme.kind][sliced.reshape(-1)].reshape(-1)
+    if scheme.kind == "bpsk":
+        return (equalized.real < 0.0).view(np.uint8).reshape(-1)
+    bits = np.empty(equalized.shape + (2,), dtype=bool)
+    np.less(equalized.imag, 0.0, out=bits[..., 0])
+    np.less(equalized.real, 0.0, out=bits[..., 1])
+    return bits.view(np.uint8).reshape(-1)
 
 
 def _alternating_unit_vector(dimension: int) -> np.ndarray:
@@ -408,13 +436,15 @@ def _send_packet(
     snr_db: float,
     rng: Generator,
     plan: _TaskPlan,
-    channels: dict[int, np.ndarray],
-    composites: dict[int, np.ndarray],
+    effective: dict[int, np.ndarray],
     g: float,
+    pinv: np.ndarray | None,
 ) -> tuple[TrialStats, float]:
     """Send, receive and detect one packet over one trial's solved network.
 
-    channels holds every node heard at the measured point, desired included.
+    effective holds the channel @ composite of every node heard at the
+    measured point, desired included; pinv is the desired node's equalizer,
+    None when its effective channel is singular.
     The bits of all transmitters come from one draw, the desired node's
     first and the others by ascending id, then the noise: the stream order
     of drawing them one transmitter at a time.
@@ -426,24 +456,22 @@ def _send_packet(
 
     senders = [desired]
     if link.include_interference:
-        senders += [node_id for node_id in sorted(channels) if node_id != desired]
+        senders += [node_id for node_id in sorted(effective) if node_id != desired]
     bits = rng.integers(0, 2, size=(len(senders), link.packet_bits))
     symbols = modulate(bits.reshape(-1), scheme).reshape(len(senders), link.streams, per_stream)
     x = rep[:, None] * symbols if rep is not None else symbols
     transmit = dict(zip(senders, x))
 
     normals = rng.standard_normal((2, link.dimension, per_stream))
-    noise = (normals[0] + 1j * normals[1]) * math.sqrt(sigma2 / 2.0)
+    # written in place, bit for bit (normals[0] + 1j * normals[1]) * scale
+    scale = math.sqrt(sigma2 / 2.0)
+    noise = np.empty(normals.shape[1:], dtype=complex)
+    np.multiply(normals[0], scale, out=noise.real)
+    np.multiply(normals[1], scale, out=noise.imag)
 
-    y = received_signal(channels, composites, transmit, g, noise)
-
-    effective = channels[desired] @ composites[desired]
-    h_eff = effective / g
-    if rep is not None:
-        h_eff = h_eff @ rep[:, None]
-
-    cap = capacity(effective_snr(1.0, effective, sigma2, g))
-    detected = detect(y, h_eff, scheme)
+    y = received_signal(effective, transmit, g, noise)
+    cap = capacity(effective_snr(1.0, effective[desired], sigma2, g))
+    detected = detect(y, pinv, scheme)
 
     # a symbol is wrong exactly when one of its bits is
     wrong = detected != bits[0]
@@ -469,7 +497,10 @@ def _run_batch(
 ) -> list[tuple[TrialStats, float]]:
     """Each trial's counters and capacity sample: every trial draws its
     channels from its own stream, every pair is solved for all the trials
-    as one stack, then every trial sends its packet from its own stream.
+    as one stack, the link algebra at the measured point (each heard
+    node's channel @ composite, the desired node's equalizer and its rank
+    check) is one stack too, then every trial sends its packet from its
+    own stream.
 
     A numerical failure in the solve, the normalization or detection erases
     its trial: one lost packet, NaN capacity.  A failing stacked solve
@@ -485,13 +516,17 @@ def _run_batch(
         except SolveError as exc:
             alive = alive[~exc.mask]
 
+    effective = {
+        node_id: channels[alive, d] @ composites[node_id] for node_id, d in plan.point_draws.items()
+    }
+    pinv, ok = equalizers(effective[plan.desired], g, plan.repetition)
+
     outcomes = [_ERASED] * len(rngs)
     for row, k in enumerate(alive.tolist()):
-        point_channels = {node_id: channels[k, d] for node_id, d in plan.point_draws.items()}
-        trial_composites = {node_id: composites[node_id][row] for node_id in point_channels}
+        trial_effective = {node_id: stacked[row] for node_id, stacked in effective.items()}
         try:
             outcomes[k] = _send_packet(
-                link, snr_db, rngs[k], plan, point_channels, trial_composites, g[row]
+                link, snr_db, rngs[k], plan, trial_effective, g[row], pinv[row] if ok[row] else None
             )
         except _ERASURES:
             continue  # the trial stays erased

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from beamlink import cli
 from beamlink.cli import _parse_snr, build_parser, main
 from beamlink.experiments import ConfigError
 
@@ -63,11 +64,14 @@ class TestExitCodes:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
-    def test_runtime_error_exits_2(self, tmp_path, capsys):
-        # a valid config whose output directory does not exist fails only
-        # when the CSV is written
+    def test_runtime_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # an I/O failure when the CSV is written, after a valid config ran
+        def disk_full(series, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "emit_csv", disk_full)
         cfg = write_config(tmp_path, FAST)
-        out = tmp_path / "missing" / "x.csv"
+        out = tmp_path / "x.csv"
         rc = main(["--config", cfg, "--trials", "3", "--snr", "0:0:1", "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 2
@@ -130,6 +134,11 @@ BAD_INPUTS = [
 ] + [
     # a grid whose point count overflows a float
     (["--snr", "0:1e300:1e-300"], {}, "snr.step"),
+] + [
+    # an output the CSV could not be written to, found before any trial runs
+    (["--out", ""], {}, "output"),
+    (["--out", "/nonexistent/dir/x.csv"], {}, "output"),
+    (["--out", "."], {}, "output"),
 ]
 
 
@@ -147,6 +156,7 @@ class TestBadInputExits1:
         assert rc == 1
         assert err.startswith("config error:")
         assert f"'{field}'" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_value_the_sweep_replaces_is_not_checked(self, tmp_path, capsys):
         # 8 bits do not split into 3 streams, but the sweep runs dimensions 2 and 4

@@ -1,12 +1,14 @@
 """Golden CSV digests: every named experiment at a small seeded budget.
 
 Each entry of EXPERIMENTS runs at trials 3, seed 7 and its default snr grid,
-and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins three runs
+and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins four runs
 that the trials-3 digests never reach: one that erases a trial inside a
 batch of 100 (capacity_vs_nodes with nakagami_m 1e6 erases exactly one
-trial, at 8 nodes), a 20-trial link sweep, and a multiplexing link sweep
-(2 and 4 streams of 8-bit packets) under per_formula "literal", whose
-per_model values (6e-10 to 0.09) are not clamped.  A refactor must leave
+trial, at 8 nodes, and equalizes values up to ~1e13 whose sign, not their
+distance to the constellation, decides the bit), a 20-trial link sweep, a
+20-trial QPSK link sweep, and a multiplexing link sweep (2 and 4 streams
+of 8-bit packets) under per_formula "literal", whose per_model values
+(6e-10 to 0.09) are not clamped.  A refactor must leave
 these bytes unchanged; moving a digest on purpose needs a CHANGES.md entry
 that says why the output changed.
 """
@@ -29,7 +31,7 @@ GOLDEN_SHA256 = {
 LARGER_RUNS = {
     "capacity_vs_nodes-m1e6-trials100-seed3": (
         {"experiment": "capacity_vs_nodes", "trials": 100, "seed": 3, "scenario": {"nakagami_m": 1e6}},
-        "c1e2b8e4a047ca35b54cb48738f81b075b67595f8218f5cea9dae32c3b4b2844",
+        "4a55e1e773821971ca5bf3e29771ce89e48d8fbe1168a4b42283be9bf8700060",
     ),
     "ber_vs_dimension-trials20-seed7": (
         {"experiment": "ber_vs_dimension", "trials": 20, "seed": 7},
@@ -43,6 +45,10 @@ LARGER_RUNS = {
             "scenario": {"transmission_mode": "multiplexing", "packet_bits": 8, "per_formula": "literal"},
         },
         "c3cc7e7bd7fde4e24cc18daf311766c4cd3e687d35e72878a455d8721e7fff69",
+    ),
+    "ber_vs_dimension-qpsk-trials20-seed4": (
+        {"experiment": "ber_vs_dimension", "trials": 20, "seed": 4, "scenario": {"modulation": "qpsk"}},
+        "86ded672d127427382b2f2de9892cce0c142702d5ff98d1c2a4abe2eb2546a59",
     ),
 }
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from beamlink.linksim import (
     LinkConfig,
     TrialStats,
     detect,
+    equalizers,
     modulate,
     modulation_by_name,
     received_signal,
@@ -37,6 +39,19 @@ def two_node_scenario(spacing=10.0, radius=6.0, eta=3.0):
 def single_node_scenario():
     nodes = [Node(id=0, position=np.array([0.0, 0.0]), range_radius=6.0)]
     return build_scenario(nodes)
+
+
+def pinv_of(h):
+    """detect's equalizer for one effective channel h; None when singular."""
+    pinv, ok = equalizers(np.asarray(h, dtype=complex)[None], np.ones(1), None)
+    return pinv[0] if ok[0] else None
+
+
+def argmin_bits(equalized, scheme):
+    """Reference minimum-distance slicer: nearest point, then its bits."""
+    tables = {"bpsk": np.array([[0], [1]]), "qpsk": np.array([[0, 0], [0, 1], [1, 0], [1, 1]])}
+    index = np.argmin(np.abs(equalized[..., None] - linksim._POINTS[scheme.kind]), axis=-1)
+    return tables[scheme.kind][index.reshape(-1)].reshape(-1)
 
 
 def calibration_config(snr_db, packet_bits=2304):
@@ -122,14 +137,10 @@ class TestTrialStats:
 
 
 class TestReceivedSignal:
-    def ident_composite(self, dim=2):
-        return np.eye(dim, dtype=complex)
-
     def test_identity_chain(self):
         x = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex)
         y = received_signal(
-            channels={0: np.eye(2, dtype=complex)},
-            composites={0: self.ident_composite()},
+            effective={0: np.eye(2, dtype=complex)},
             transmit={0: x},
             g=1.0,
             noise=np.zeros((2, 2), dtype=complex),
@@ -139,8 +150,7 @@ class TestReceivedSignal:
     def test_noise_only(self):
         noise = np.array([[0.3 + 0.1j], [0.2 - 0.4j]])
         y = received_signal(
-            channels={0: np.eye(2, dtype=complex)},
-            composites={0: self.ident_composite()},
+            effective={0: np.eye(2, dtype=complex)},
             transmit={0: np.zeros((2, 1), dtype=complex)},
             g=2.0,
             noise=noise,
@@ -150,22 +160,31 @@ class TestReceivedSignal:
     def test_superposition(self):
         rng = np.random.default_rng(0)
         h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        comp = {0: self.ident_composite()}
-        chan = {0: h}
+        eff = {0: h}
         g = 1.7
         noise = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         x1 = rng.normal(size=(2, 3)) + 0j
         x2 = rng.normal(size=(2, 3)) + 0j
-        y12 = received_signal(chan, comp, {0: x1 + x2}, g, noise)
-        y1 = received_signal(chan, comp, {0: x1}, g, noise)
-        y2 = received_signal(chan, comp, {0: x2}, g, noise)
+        y12 = received_signal(eff, {0: x1 + x2}, g, noise)
+        y1 = received_signal(eff, {0: x1}, g, noise)
+        y2 = received_signal(eff, {0: x2}, g, noise)
         np.testing.assert_allclose(y12, y1 + y2 - noise, atol=1e-12)
+
+    def test_noise_block_not_mutated(self):
+        # the sum starts from noise + first term, never from the caller's block
+        rng = np.random.default_rng(4)
+        noise = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+        before = noise.copy()
+        x = rng.normal(size=(2, 5)) + 0j
+        y = received_signal({0: np.eye(2, dtype=complex), 1: np.eye(2, dtype=complex)},
+                            {0: x, 1: x}, 1.0, noise)
+        np.testing.assert_array_equal(noise, before)
+        np.testing.assert_array_equal(y, before + x + x)
 
     def test_degenerate_normalization(self):
         with pytest.raises(DegenerateNormalizationError):
             received_signal(
-                channels={0: np.eye(2)},
-                composites={0: self.ident_composite()},
+                effective={0: np.eye(2)},
                 transmit={0: np.zeros((2, 1))},
                 g=0.0,
                 noise=np.zeros((2, 1)),
@@ -180,21 +199,31 @@ class TestDetect:
             x = modulate(bits, scheme).reshape(2, -1)
             h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             y = h @ x
-            np.testing.assert_array_equal(detect(y, h, scheme), bits)
+            np.testing.assert_array_equal(detect(y, pinv_of(h), scheme), bits)
 
     def test_bpsk_negative_halfplane(self):
-        got = detect(np.array([[-0.3 + 0j]]), np.array([[1.0 + 0j]]), BPSK)
+        got = detect(np.array([[-0.3 + 0j]]), pinv_of([[1.0 + 0j]]), BPSK)
         np.testing.assert_array_equal(got, [1])
 
     def test_on_constellation_point(self):
         s = (1 - 1j) / math.sqrt(2.0)  # bits (1, 0)
-        got = detect(np.array([[s]]), np.array([[1.0 + 0j]]), QPSK)
+        got = detect(np.array([[s]]), pinv_of([[1.0 + 0j]]), QPSK)
         np.testing.assert_array_equal(got, [1, 0])
+
+    def test_bpsk_sign_decides_where_distances_tie(self):
+        # |e - 1| and |e + 1| are both 1e9 in floating point; Re e < 0 decides
+        got = detect(np.array([[-0.3 + 1e9j]]), pinv_of([[1.0 + 0j]]), BPSK)
+        np.testing.assert_array_equal(got, [1])
+
+    def test_qpsk_sign_decides_where_distances_tie(self):
+        # all four distances are 1e9 in floating point; Im e < 0 and Re e < 0 decide
+        got = detect(np.array([[-0.3 - 1e9j]]), pinv_of([[1.0 + 0j]]), QPSK)
+        np.testing.assert_array_equal(got, [1, 1])
 
     def test_singular_channel_raises(self):
         h = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
         with pytest.raises(DetectionError):
-            detect(np.zeros((2, 4), dtype=complex), h, BPSK)
+            detect(np.zeros((2, 4), dtype=complex), pinv_of(h), BPSK)
 
     def test_column_channel_is_mrc(self):
         rng = np.random.default_rng(2)
@@ -202,7 +231,7 @@ class TestDetect:
         bits = rng.integers(0, 2, size=32)
         x = modulate(bits, BPSK)[None, :]
         y = h @ x
-        np.testing.assert_array_equal(detect(y, h, BPSK), bits)
+        np.testing.assert_array_equal(detect(y, pinv_of(h), BPSK), bits)
 
     @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 1), (4, 1)])
     def test_equalizer_matches_numpy_pinv(self, shape):
@@ -216,7 +245,8 @@ class TestDetect:
             y = rng.normal(size=(shape[0], 16)) + 1j * rng.normal(size=(shape[0], 16))
             equalized = np.linalg.pinv(h) @ y
             index = np.argmin(np.abs(equalized[..., None] - points), axis=-1)
-            np.testing.assert_array_equal(detect(y, h, QPSK), table[index.reshape(-1)].reshape(-1))
+            want = table[index.reshape(-1)].reshape(-1)
+            np.testing.assert_array_equal(detect(y, pinv_of(h), QPSK), want)
 
     @pytest.mark.parametrize("shape", [(2, 1), (4, 1), (2, 2), (4, 4)])
     def test_packet_length_blocks_match_numpy_pinv(self, shape):
@@ -224,15 +254,52 @@ class TestDetect:
         # to a threaded BLAS path; detect must slice the same bits as it
         rng = np.random.default_rng(100 + shape[0] * 10 + shape[1])
         for scheme in (BPSK, QPSK):
-            points = linksim._POINTS[scheme.kind]
-            table = linksim._BIT_TABLES[scheme.kind]
             for _ in range(5):
                 h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
                 y = rng.normal(size=(shape[0], 2304)) + 1j * rng.normal(size=(shape[0], 2304))
-                equalized = np.linalg.pinv(h) @ y
-                index = np.argmin(np.abs(equalized[..., None] - points), axis=-1)
-                want = table[index.reshape(-1)].reshape(-1)
-                np.testing.assert_array_equal(detect(y, h, scheme), want)
+                want = argmin_bits(np.linalg.pinv(h) @ y, scheme)
+                np.testing.assert_array_equal(detect(y, pinv_of(h), scheme), want)
+
+
+class TestEqualizers:
+    @pytest.mark.parametrize("shape", [(2, 1), (4, 1), (2, 2), (4, 4)])
+    def test_stack_matches_numpy_pinv_bit_for_bit(self, shape):
+        rng = np.random.default_rng(200 + shape[0] * 10 + shape[1])
+        h = rng.normal(size=(64, *shape)) + 1j * rng.normal(size=(64, *shape))
+        pinv, ok = equalizers(h, np.ones(64), None)
+        assert ok.all()
+        assert pinv.shape == (64, shape[1], shape[0])
+        for member, got in zip(h, pinv):
+            assert got.tobytes() == np.linalg.pinv(member).tobytes()
+
+    @pytest.mark.parametrize("dimension", [2, 4])
+    def test_normalization_and_repetition(self, dimension):
+        # h_eff = (effective / g) @ repetition, one column in diversity mode
+        rng = np.random.default_rng(dimension)
+        shape = (16, dimension, dimension)
+        effective = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        g = rng.uniform(0.5, 5.0, size=16)
+        rep = linksim._alternating_unit_vector(dimension)
+        for repetition in (None, rep):
+            pinv, ok = equalizers(effective, g, repetition)
+            assert ok.all()
+            for eff, g_t, got in zip(effective, g, pinv):
+                h_eff = eff / g_t if repetition is None else (eff / g_t) @ repetition[:, None]
+                assert got.tobytes() == np.linalg.pinv(h_eff).tobytes()
+
+    def test_mask_marks_zero_and_rank_one_members(self):
+        rng = np.random.default_rng(3)
+        full = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        u = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
+        rank_one = u @ u.conj().T
+        stack = np.stack([full[0], np.zeros((2, 2), dtype=complex), rank_one, full[1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pinv, ok = equalizers(stack, np.ones(4), None)
+        assert ok.tolist() == [True, False, False, True]
+        assert not pinv[~ok].any()
+        for k in (0, 3):
+            assert pinv[k].tobytes() == np.linalg.pinv(stack[k]).tobytes()
 
 
 class TestRunTrials:
@@ -285,6 +352,29 @@ class TestRunTrials:
         split = run_trials(sc, link, n_trials=40, master_seed=2)
         assert whole[0].stats == split[0].stats
         np.testing.assert_array_equal(whole[0].capacity_samples, split[0].capacity_samples)
+
+    def test_singular_trial_erased_alone_in_its_batch(self, monkeypatch):
+        # trial 3's channel is zeroed, so its h_eff is singular: it alone is
+        # erased, and every other trial reads as in a batch without it
+        sc = single_node_scenario()
+        link = LinkConfig(snr_db=(5.0,), dimension=2, packet_bits=64)
+        plan = linksim._plan(sc, link)
+
+        def streams(trials):
+            return [np.random.default_rng(np.random.SeedSequence(9, spawn_key=(0, t))) for t in trials]
+
+        rngs = streams(range(6))
+        draw = linksim._TaskPlan.draw
+        monkeypatch.setattr(
+            linksim._TaskPlan, "draw", lambda p, rng: draw(p, rng) * (0.0 if rng is rngs[3] else 1.0)
+        )
+        batched = linksim._run_batch(plan, link, 5.0, rngs)
+        without = linksim._run_batch(plan, link, 5.0, streams([0, 1, 2, 4, 5]))
+        erased_stats, erased_cap = batched.pop(3)
+        assert erased_stats == TrialStats(packets_sent=1, packet_errors=1, erasures=1)
+        assert math.isnan(erased_cap)
+        assert batched == without
+        assert not any(stats.erasures for stats, _ in without)
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
         # a pool starts all its processes at once, so 64 workers on 2 CPUs
