@@ -27,6 +27,7 @@ __all__ = [
     "NoUniqueSolutionError",
     "DegenerateNormalizationError",
     "build_rotator",
+    "rank_deficient",
     "left_pseudoinverse",
     "solve_coupled_drivers",
     "compose",
@@ -89,17 +90,23 @@ def build_rotator(
     return corr[:, :dimension] * phase
 
 
+def rank_deficient(sv: np.ndarray) -> np.ndarray:
+    """Mask of the members whose singular values (last axis, descending)
+    are all zero or whose smallest-to-largest ratio is <= RANK_THRESHOLD."""
+    top = sv[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (top == 0.0) | (sv[..., -1] / top <= RANK_THRESHOLD)
+
+
 def left_pseudoinverse(stacked: np.ndarray) -> np.ndarray:
     """Moore-Penrose left inverse of the tall 2M x M stacked channel.
 
-    Computed from the SVD; the smallest-to-largest singular value ratio must
-    exceed RANK_THRESHOLD, otherwise the channel is declared ill conditioned.
+    Computed from the SVD; a rank_deficient channel is declared ill
+    conditioned.
     Satisfies P @ S = I to numerical tolerance on full-rank inputs.
     """
     u, sv, vh = np.linalg.svd(stacked, full_matrices=False)
-    top = sv[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bad = (top == 0.0) | (sv[..., -1] / top <= RANK_THRESHOLD)
+    bad = rank_deficient(sv)
     if bad.any():
         cond = max(math.inf if s[-1] == 0.0 else s[0] / s[-1] for s in sv[bad])
         raise IllConditionedChannelError(cond, bad)

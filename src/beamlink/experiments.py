@@ -67,6 +67,9 @@ _BOUND_CHECKS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 MAX_LENGTH = 1e150
 # most points an snr grid may hold: every point runs the full trial budget
 MAX_SNR_POINTS = 10_000
+# largest magnitude of an snr (dB): 10 ** (snr / 10) stays far from
+# overflow and underflow
+MAX_SNR_DB = 1000.0
 
 
 def _spec(
@@ -132,8 +135,8 @@ class ExperimentConfig:
     """A fully resolved run: experiment, sweep, budget, seed, output."""
 
     experiment: str = _spec("custom", str, choices=EXPERIMENTS)
-    snr_start: float = _spec(0.0, key="snr.start")
-    snr_stop: float = _spec(10.0, key="snr.stop")
+    snr_start: float = _spec(0.0, ge=-MAX_SNR_DB, le=MAX_SNR_DB, key="snr.start")
+    snr_stop: float = _spec(10.0, ge=-MAX_SNR_DB, le=MAX_SNR_DB, key="snr.stop")
     snr_step: float = _spec(2.0, gt=0.0, key="snr.step")
     trials: int = _spec(200, int, ge=1)
     seed: int = _spec(12345, int, ge=0)

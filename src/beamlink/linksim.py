@@ -8,15 +8,16 @@ of SNR-sweep point p uses the random stream spawned from
 (master_seed, spawn_key=(p, t)), so results are bit-identical for any
 worker count or execution order.
 
-A task (one SNR point, one span of trials) runs in four steps: each trial
-draws all of its channels from its own stream; every pair is solved for
-all of the task's trials as one stack; the link algebra at the measured
-point (each heard node's channel @ composite, the desired node's
-pseudoinverse and its rank check) is one more stack; then each trial draws
-its bits and noise from its own stream, forms the received block,
-equalizes it and slices each symbol by sign.  What does not depend on the
-draws (moments, rotator, which channels to draw and their path amplitudes)
-is worked out once per task.
+What does not depend on the draws (moments, rotator, which channels to
+draw and their path amplitudes) is worked out once per run.  A task (one
+SNR point, one span of trials) then runs in three steps: each trial draws
+all of its channels from its own stream; every pair is solved for all of
+the task's trials as one stack, and the link algebra at the measured point
+(each heard node's channel @ composite and the desired node's
+pseudoinverse) is one more; then each trial draws its bits and noise from
+its own stream, forms the received block, equalizes it and slices each
+symbol by sign.  A singular solve, normalization or equalizer erases the
+trials its SolveError marks, and the stacked steps run again on the rest.
 """
 from __future__ import annotations
 
@@ -30,12 +31,12 @@ import numpy as np
 from numpy.random import Generator
 
 from beamlink.beamformer import (
-    RANK_THRESHOLD,
     DegenerateNormalizationError,
     SolveError,
     build_rotator,
     compose,
     normalization,
+    rank_deficient,
     solve_coupled_drivers,
 )
 from beamlink.channel import (
@@ -65,13 +66,8 @@ __all__ = [
     "run_trials",
 ]
 
-class DetectionError(RuntimeError):
-    """Effective channel too singular to equalize; the trial is erased."""
-
-
-# numerical failures that erase a trial instead of ending the run: a
-# SolveError erases the members its mask marks, a DetectionError its trial
-_ERASURES = (SolveError, DetectionError)
+class DetectionError(SolveError):
+    """Effective channel too singular to equalize; mask marks those members."""
 
 
 @dataclass(frozen=True)
@@ -237,45 +233,38 @@ def received_signal(
     return y
 
 
-def equalizers(
-    effective: np.ndarray, g: np.ndarray, repetition: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
+def equalizers(effective: np.ndarray, g: np.ndarray, repetition: np.ndarray | None) -> np.ndarray:
     """Zero-forcing equalizers of the desired node for a stack of trials.
 
     effective is the (trials, M, M) stack of its channel @ composite and g
     the (trials,) normalizations.  The effective channel h_eff is
     effective / g, taken through the repetition vector in diversity mode;
     a single column reduces the pseudoinverse to maximum-ratio combining.
-    One SVD of the stack gives both the rank check and the pseudoinverses,
-    by numpy.linalg.pinv's own formula.  Returns the (trials, streams, M)
-    pseudoinverses and a (trials,) mask of the members whose h_eff is of
-    full rank; a masked-out member's pseudoinverse is zero.
+    One SVD of the stack gives both the rank check and the (trials,
+    streams, M) pseudoinverses, by numpy.linalg.pinv's own formula.
+    Raises DetectionError whose mask marks the members whose h_eff is rank
+    deficient.
     """
     h_eff = effective / g[:, None, None]
     if repetition is not None:
         h_eff = h_eff @ repetition[:, None]
     u, sv, vh = np.linalg.svd(h_eff, full_matrices=False)
-    top = sv[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = ~((top == 0.0) | (sv[:, -1] / top <= RANK_THRESHOLD))
-    inverse = np.divide(1.0, sv, out=np.zeros_like(sv), where=ok[:, None])
-    pinv = vh.conj().swapaxes(1, 2) @ (inverse[:, :, None] * u.conj().swapaxes(1, 2))
-    return pinv, ok
+    bad = rank_deficient(sv)
+    if bad.any():
+        raise DetectionError("effective channel singular; cannot equalize", bad)
+    return vh.conj().swapaxes(1, 2) @ ((1.0 / sv)[:, :, None] * u.conj().swapaxes(1, 2))
 
 
-def detect(y: np.ndarray, pinv: np.ndarray | None, scheme: ModulationScheme) -> np.ndarray:
+def detect(y: np.ndarray, pinv: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
     """Zero-forcing equalization, then sign decisions to 0/1 bits.
 
     pinv is the (streams, M) pseudoinverse of the effective channel, one
-    member of what equalizers returns, or None for an effective channel
-    singular to working precision, which raises DetectionError.  BPSK
-    decides bit = Re e < 0 and QPSK the bits (Im e < 0, Re e < 0).  For
-    these Gray-mapped constellations that is the minimum-distance
-    decision, and it stays exact where |Im e| / |Re e| is so large that
-    the distances to the points tie in floating point.
+    member of what equalizers returns.  BPSK decides bit = Re e < 0 and
+    QPSK the bits (Im e < 0, Re e < 0).  For these Gray-mapped
+    constellations that is the minimum-distance decision, and it stays
+    exact where |Im e| / |Re e| is so large that the distances to the
+    points tie in floating point.
     """
-    if pinv is None:
-        raise DetectionError("effective channel singular; cannot equalize")
     # a numpy contraction summed antenna by antenna, not pinv @ y: with one
     # stream that product takes BLAS's row-vector path, which OpenBLAS
     # splits over threads that keep spinning after it, doubling the CPU a
@@ -438,13 +427,13 @@ def _send_packet(
     plan: _TaskPlan,
     effective: dict[int, np.ndarray],
     g: float,
-    pinv: np.ndarray | None,
-) -> tuple[TrialStats, float]:
-    """Send, receive and detect one packet over one trial's solved network.
+    pinv: np.ndarray,
+) -> tuple[int, int, float]:
+    """Send, receive and detect one packet over one trial's solved network;
+    returns its bit errors, symbol errors and capacity sample.
 
     effective holds the channel @ composite of every node heard at the
-    measured point, desired included; pinv is the desired node's equalizer,
-    None when its effective channel is singular.
+    measured point, desired included; pinv is the desired node's equalizer.
     The bits of all transmitters come from one draw, the desired node's
     first and the others by ascending id, then the noise: the stream order
     of drawing them one transmitter at a time.
@@ -475,84 +464,72 @@ def _send_packet(
 
     # a symbol is wrong exactly when one of its bits is
     wrong = detected != bits[0]
-    stats = TrialStats(
-        bits_sent=link.packet_bits,
-        bit_errors=int(np.count_nonzero(wrong)),
-        symbols_sent=symbols[0].size,
-        symbol_errors=int(np.count_nonzero(wrong.reshape(-1, scheme.bits_per_symbol).any(axis=1))),
-        packets_sent=1,
-        packet_errors=1 if wrong.any() else 0,
-    )
-    return stats, cap
+    bit_errors = int(np.count_nonzero(wrong))
+    symbol_errors = int(np.count_nonzero(wrong.reshape(-1, scheme.bits_per_symbol).any(axis=1)))
+    return bit_errors, symbol_errors, cap
 
 
-_ERASED = (TrialStats(packets_sent=1, packet_errors=1, erasures=1), math.nan)
 # at most this many trials are solved as one stack: bounds a task's memory,
 # not its results
 _BATCH_TRIALS = 256
 
 
-def _run_batch(
-    plan: _TaskPlan, link: LinkConfig, snr_db: float, rngs: list[Generator]
-) -> list[tuple[TrialStats, float]]:
-    """Each trial's counters and capacity sample: every trial draws its
-    channels from its own stream, every pair is solved for all the trials
-    as one stack, the link algebra at the measured point (each heard
-    node's channel @ composite, the desired node's equalizer and its rank
-    check) is one stack too, then every trial sends its packet from its
-    own stream.
+def _run_task(
+    plan: _TaskPlan, link: LinkConfig, master_seed: int, point_idx: int, start: int, stop: int
+) -> tuple[TrialStats, np.ndarray]:
+    """Counters and capacity samples of trials [start, stop) of one SNR point.
 
-    A numerical failure in the solve, the normalization or detection erases
-    its trial: one lost packet, NaN capacity.  A failing stacked solve
-    erases the trials its mask marks and runs again on the rest, so each
-    trial is erased by the first step that fails for it.
+    Every trial draws its channels from its own spawned stream, every pair
+    is solved for all the trials as one stack, the link algebra at the
+    measured point (each heard node's channel @ composite and the desired
+    node's equalizer) is one stack too, then every trial sends its packet
+    from its own stream.
+
+    A numerical failure in the solve, the normalization or the equalizer
+    erases its trials: one lost packet each, NaN capacity.  The failing
+    step's SolveError marks them; the stacked steps run again on the rest,
+    which gives every other trial the result it would get alone.
     """
+    snr_db = link.snr_db[point_idx]
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(point_idx, t)))
+        for t in range(start, stop)
+    ]
     channels = np.stack([plan.draw(rng) for rng in rngs])
     alive = np.arange(len(rngs))
     while True:
         try:
             composites, g = _solve_network(plan, channels[alive])
+            effective = {
+                node_id: channels[alive, d] @ composites[node_id]
+                for node_id, d in plan.point_draws.items()
+            }
+            pinv = equalizers(effective[plan.desired], g, plan.repetition)
             break
         except SolveError as exc:
             alive = alive[~exc.mask]
 
-    effective = {
-        node_id: channels[alive, d] @ composites[node_id] for node_id, d in plan.point_draws.items()
-    }
-    pinv, ok = equalizers(effective[plan.desired], g, plan.repetition)
-
-    outcomes = [_ERASED] * len(rngs)
+    caps = np.full(len(rngs), math.nan)
+    bit_errors = symbol_errors = packet_errors = 0
     for row, k in enumerate(alive.tolist()):
         trial_effective = {node_id: stacked[row] for node_id, stacked in effective.items()}
-        try:
-            outcomes[k] = _send_packet(
-                link, snr_db, rngs[k], plan, trial_effective, g[row], pinv[row] if ok[row] else None
-            )
-        except _ERASURES:
-            continue  # the trial stays erased
-    return outcomes
-
-
-def _run_chunk(
-    scenario: NetworkScenario,
-    link: LinkConfig,
-    master_seed: int,
-    point_idx: int,
-    start: int,
-    stop: int,
-) -> tuple[TrialStats, np.ndarray]:
-    """Trials [start, stop) of one SNR point, each on its own spawned stream."""
-    snr_db = link.snr_db[point_idx]
-    plan = _plan(scenario, link)
-    outcomes = []
-    for first in range(start, stop, _BATCH_TRIALS):
-        rngs = [
-            np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(point_idx, t)))
-            for t in range(first, min(first + _BATCH_TRIALS, stop))
-        ]
-        outcomes += _run_batch(plan, link, snr_db, rngs)
-    stats = sum((trial_stats for trial_stats, _ in outcomes), TrialStats())
-    return stats, np.array([cap for _, cap in outcomes], dtype=float)
+        wrong_bits, wrong_symbols, caps[k] = _send_packet(
+            link, snr_db, rngs[k], plan, trial_effective, g[row], pinv[row]
+        )
+        bit_errors += wrong_bits
+        symbol_errors += wrong_symbols
+        packet_errors += wrong_bits > 0
+    erased = len(rngs) - len(alive)
+    stats = TrialStats(
+        bits_sent=len(alive) * link.packet_bits,
+        bit_errors=bit_errors,
+        symbols_sent=len(alive) * link.packet_bits // link.modulation.bits_per_symbol,
+        symbol_errors=symbol_errors,
+        packets_sent=len(rngs),
+        packet_errors=packet_errors + erased,
+        erasures=erased,
+    )
+    return stats, caps
 
 
 def run_trials(
@@ -564,22 +541,24 @@ def run_trials(
 ) -> list[PointResult]:
     """Monte-Carlo sweep: one PointResult per entry of link.snr_db.
 
-    The work is split into (SNR point, trial span) tasks, one span per
-    worker, run in this process for one worker and on one process pool
-    otherwise.  Per-trial streams are derived from (master_seed, point
-    index, trial index), counters merge by integer addition in task order,
-    and capacity samples land positionally, so the result is identical for
-    every worker count.
+    The draw plan is built once.  Each SNR point's trials are split into
+    spans of at most _BATCH_TRIALS, at least one per worker, and each
+    (SNR point, span) task runs in this process for one worker and on one
+    process pool otherwise.  Per-trial streams are derived from
+    (master_seed, point index, trial index), counters merge by integer
+    addition in task order, and capacity samples land positionally, so the
+    result is identical for every worker count.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    bounds = np.linspace(0, n_trials, workers + 1, dtype=int)
+    spans_per_point = max(workers, -(-n_trials // _BATCH_TRIALS))
+    bounds = np.linspace(0, n_trials, spans_per_point + 1, dtype=int)
     spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     tasks = [(p, a, b) for p in range(len(link.snr_db)) for a, b in spans]
-    run = partial(_run_chunk, scenario, link, master_seed)
+    run = partial(_run_task, _plan(scenario, link), link, master_seed)
     if workers == 1:
         chunks = [run(*task) for task in tasks]
     else:

@@ -65,7 +65,7 @@ class MetricPoint:
     ber: Estimate
     ser: Estimate
     per: Estimate
-    per_model: Estimate | None = None
+    per_model: Estimate
 
 
 @dataclass

@@ -133,12 +133,16 @@ BAD_INPUTS = [
     for key, value in (("x", 1e300), ("y", -1e300), ("radius", 1e300))
 ] + [
     # a grid whose point count overflows a float
-    (["--snr", "0:1e300:1e-300"], {}, "snr.step"),
+    (["--snr=-1000:1000:1e-306"], {}, "snr.step"),
 ] + [
     # an output the CSV could not be written to, found before any trial runs
     (["--out", ""], {}, "output"),
     (["--out", "/nonexistent/dir/x.csv"], {}, "output"),
     (["--out", "."], {}, "output"),
+] + [
+    # snrs whose linear power would overflow or underflow at run time
+    (["--snr=4000:4000:1"], {}, "snr.start"),
+    (["--snr=-4000:-4000:1"], {}, "snr.start"),
 ]
 
 

@@ -111,7 +111,7 @@ class TestLoadConfig:
             ({"scenario": {"transmission_mode": "beam"}}, "transmission_mode"),
             ({"scenario": {"per_formula": "magic"}}, "per_formula"),
             ({"scenario": {"packet_bits": 3}}, "packet_bits"),
-            ({"snr": {"start": 0.0, "stop": 1e4, "step": 1e-4}}, "snr.step"),
+            ({"snr": {"start": 0.0, "stop": 1000.0, "step": 1e-4}}, "snr.step"),
         ],
     )
     def test_bad_values_are_named(self, tmp_path, raw, fragment):
@@ -230,11 +230,12 @@ class TestSnrPoints:
 
     def test_point_cap(self):
         fast = {"scenario": {"packet_bits": 32}}
-        stop = MAX_SNR_POINTS - 1.0
-        cfg = load_config(overrides={**fast, "snr": {"start": 0.0, "stop": stop, "step": 1.0}})
+        step = 0.0625
+        stop = (MAX_SNR_POINTS - 1) * step
+        cfg = load_config(overrides={**fast, "snr": {"start": 0.0, "stop": stop, "step": step}})
         assert len(cfg.snr_points()) == MAX_SNR_POINTS
         with pytest.raises(ConfigError, match="'snr.step'"):
-            load_config(overrides={**fast, "snr": {"start": 0.0, "stop": stop + 1.0, "step": 1.0}})
+            load_config(overrides={**fast, "snr": {"start": 0.0, "stop": stop + step, "step": step}})
 
 
 class TestRunExperiment:

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import norm as scipy_norm
 
 from beamlink import linksim
-from beamlink.beamformer import DegenerateNormalizationError
+from beamlink.beamformer import DegenerateNormalizationError, SolveError
 from beamlink.channel import NakagamiParams
 from beamlink.linksim import (
     BPSK,
@@ -42,9 +42,8 @@ def single_node_scenario():
 
 
 def pinv_of(h):
-    """detect's equalizer for one effective channel h; None when singular."""
-    pinv, ok = equalizers(np.asarray(h, dtype=complex)[None], np.ones(1), None)
-    return pinv[0] if ok[0] else None
+    """detect's equalizer for one effective channel h."""
+    return equalizers(np.asarray(h, dtype=complex)[None], np.ones(1), None)[0]
 
 
 def argmin_bits(equalized, scheme):
@@ -223,7 +222,7 @@ class TestDetect:
     def test_singular_channel_raises(self):
         h = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
         with pytest.raises(DetectionError):
-            detect(np.zeros((2, 4), dtype=complex), pinv_of(h), BPSK)
+            pinv_of(h)
 
     def test_column_channel_is_mrc(self):
         rng = np.random.default_rng(2)
@@ -266,8 +265,7 @@ class TestEqualizers:
     def test_stack_matches_numpy_pinv_bit_for_bit(self, shape):
         rng = np.random.default_rng(200 + shape[0] * 10 + shape[1])
         h = rng.normal(size=(64, *shape)) + 1j * rng.normal(size=(64, *shape))
-        pinv, ok = equalizers(h, np.ones(64), None)
-        assert ok.all()
+        pinv = equalizers(h, np.ones(64), None)
         assert pinv.shape == (64, shape[1], shape[0])
         for member, got in zip(h, pinv):
             assert got.tobytes() == np.linalg.pinv(member).tobytes()
@@ -281,8 +279,7 @@ class TestEqualizers:
         g = rng.uniform(0.5, 5.0, size=16)
         rep = linksim._alternating_unit_vector(dimension)
         for repetition in (None, rep):
-            pinv, ok = equalizers(effective, g, repetition)
-            assert ok.all()
+            pinv = equalizers(effective, g, repetition)
             for eff, g_t, got in zip(effective, g, pinv):
                 h_eff = eff / g_t if repetition is None else (eff / g_t) @ repetition[:, None]
                 assert got.tobytes() == np.linalg.pinv(h_eff).tobytes()
@@ -295,11 +292,10 @@ class TestEqualizers:
         stack = np.stack([full[0], np.zeros((2, 2), dtype=complex), rank_one, full[1]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pinv, ok = equalizers(stack, np.ones(4), None)
-        assert ok.tolist() == [True, False, False, True]
-        assert not pinv[~ok].any()
-        for k in (0, 3):
-            assert pinv[k].tobytes() == np.linalg.pinv(stack[k]).tobytes()
+            with pytest.raises(DetectionError) as exc:
+                equalizers(stack, np.ones(4), None)
+        assert isinstance(exc.value, SolveError)
+        assert exc.value.mask.tolist() == [False, True, True, False]
 
 
 class TestRunTrials:
@@ -355,26 +351,49 @@ class TestRunTrials:
 
     def test_singular_trial_erased_alone_in_its_batch(self, monkeypatch):
         # trial 3's channel is zeroed, so its h_eff is singular: it alone is
-        # erased, and every other trial reads as in a batch without it
+        # erased, and every other trial reads as in a task without it
         sc = single_node_scenario()
         link = LinkConfig(snr_db=(5.0,), dimension=2, packet_bits=64)
         plan = linksim._plan(sc, link)
-
-        def streams(trials):
-            return [np.random.default_rng(np.random.SeedSequence(9, spawn_key=(0, t))) for t in trials]
-
-        rngs = streams(range(6))
         draw = linksim._TaskPlan.draw
-        monkeypatch.setattr(
-            linksim._TaskPlan, "draw", lambda p, rng: draw(p, rng) * (0.0 if rng is rngs[3] else 1.0)
-        )
-        batched = linksim._run_batch(plan, link, 5.0, rngs)
-        without = linksim._run_batch(plan, link, 5.0, streams([0, 1, 2, 4, 5]))
-        erased_stats, erased_cap = batched.pop(3)
-        assert erased_stats == TrialStats(packets_sent=1, packet_errors=1, erasures=1)
-        assert math.isnan(erased_cap)
-        assert batched == without
-        assert not any(stats.erasures for stats, _ in without)
+
+        def zero_trial_3(p, rng):
+            return draw(p, rng) * (0.0 if rng.bit_generator.seed_seq.spawn_key == (0, 3) else 1.0)
+
+        monkeypatch.setattr(linksim._TaskPlan, "draw", zero_trial_3)
+        stats, caps = linksim._run_task(plan, link, 9, 0, 0, 6)
+        head_stats, head_caps = linksim._run_task(plan, link, 9, 0, 0, 3)
+        tail_stats, tail_caps = linksim._run_task(plan, link, 9, 0, 4, 6)
+        assert head_stats.erasures == tail_stats.erasures == 0
+        erased = TrialStats(packets_sent=1, packet_errors=1, erasures=1)
+        assert stats == head_stats + erased + tail_stats
+        assert caps.tobytes() == np.concatenate([head_caps, [math.nan], tail_caps]).tobytes()
+
+    def test_plan_built_once_per_call(self, monkeypatch):
+        calls = []
+        plan = linksim._plan
+
+        def counted(*args):
+            calls.append(args)
+            return plan(*args)
+
+        monkeypatch.setattr(linksim, "_plan", counted)
+        run_trials(two_node_scenario(), LinkConfig(snr_db=(3.0, 9.0), packet_bits=32), 4, 1)
+        assert len(calls) == 1
+
+    def test_tasks_hold_at_most_a_batch(self, monkeypatch):
+        spans = []
+        task = linksim._run_task
+
+        def recorded(plan, link, master_seed, point_idx, start, stop):
+            spans.append((start, stop))
+            return task(plan, link, master_seed, point_idx, start, stop)
+
+        monkeypatch.setattr(linksim, "_run_task", recorded)
+        run_trials(single_node_scenario(), calibration_config([0.0], 32), 600, 1, workers=1)
+        assert len(spans) > 1
+        assert max(b - a for a, b in spans) <= linksim._BATCH_TRIALS
+        assert sum(b - a for a, b in spans) == 600
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
         # a pool starts all its processes at once, so 64 workers on 2 CPUs

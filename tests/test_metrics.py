@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from beamlink.linksim import TrialStats
 from beamlink.metrics import (
     Estimate,
+    MetricPoint,
     capacity,
     effective_snr,
     estimate_rates,
@@ -212,6 +213,13 @@ class TestEstimateRates:
     def test_zero_denominator(self):
         with pytest.raises(ValueError):
             estimate_rates(TrialStats())
+
+
+class TestMetricPoint:
+    def test_per_model_is_required(self):
+        est = Estimate(value=0.1, ci_low=0.0, ci_high=0.2)
+        with pytest.raises(TypeError, match="per_model"):
+            MetricPoint(snr_db=0.0, capacity=est, ber=est, ser=est, per=est)
 
 
 class TestMeanConfidence:

@@ -52,7 +52,7 @@ def test_demo_imports_resolve(demo):
 def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
