@@ -14,6 +14,7 @@ import math
 import operator
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -29,7 +30,14 @@ from beamlink.metrics import (
     packet_error_rate,
     uncoded_stream_params,
 )
-from beamlink.topology import Node, build_scenario, detect_overlaps, lens_center_distance, lens_interval
+from beamlink.topology import (
+    NetworkScenario,
+    Node,
+    build_scenario,
+    detect_overlaps,
+    lens_center_distance,
+    lens_interval,
+)
 
 __all__ = [
     "ConfigError",
@@ -296,16 +304,19 @@ def _check_scenario(sc: ScenarioConfig) -> None:
                 _fail(f"field 'scenario.{name}' references unknown node {nid}")
 
 
-def _check_sweep(config: ExperimentConfig) -> None:
-    """Check and build the link and network of every scenario the sweep
-    runs, so one that cannot run fails here rather than mid-run; a value the
-    sweep replaces is not checked."""
+def _runs(
+    config: ExperimentConfig,
+) -> Iterator[tuple[str, float, ScenarioConfig, NetworkScenario, LinkConfig]]:
+    """Build and check the network and link of each scenario the sweep runs,
+    one sweep value at a time; load_config walks them all, so one that
+    cannot run fails there rather than mid-run.  A value the sweep replaces
+    is not checked."""
     snr_points = config.snr_points()
     for param_name, param_value, sc in _sweep(config):
         where = "" if param_name == "custom" else f" (with {param_name} = {param_value:g})"
         try:
             # the field specs leave LinkConfig only the packet/stream split to reject
-            _build_link(sc, snr_points)
+            link = _build_link(sc, snr_points)
         except ValueError as e:
             _fail(f"field 'scenario.packet_bits' must split evenly: {e}{where}")
         try:
@@ -319,6 +330,7 @@ def _check_sweep(config: ExperimentConfig) -> None:
                 measured_roles(scenario, sc.measured_pair, node)
             except ValueError as e:
                 _fail(f"field 'scenario.{name}': {e}{where}")
+        yield param_name, param_value, sc, scenario, link
 
 
 def _resolve(raw: dict, overrides: dict | None) -> ExperimentConfig:
@@ -341,8 +353,8 @@ def _resolve(raw: dict, overrides: dict | None) -> ExperimentConfig:
             _fail("field 'scenario' must be an object")
         scenario.update(part)
     top.pop("scenario", None)
-    snr = top.pop("snr", None)
-    if snr is not None:
+    if "snr" in top:
+        snr = top.pop("snr")
         if not isinstance(snr, dict):
             _fail(f"field 'snr' must be an object with {sorted(_SNR_KEYS)}")
         _check_keys(snr, _SNR_KEYS, "snr")
@@ -367,7 +379,8 @@ def _resolve(raw: dict, overrides: dict | None) -> ExperimentConfig:
     config = ExperimentConfig(
         **values, scenario=ScenarioConfig(**_read_fields(ScenarioConfig, scenario, "scenario"))
     )
-    _check_sweep(config)
+    for _ in _runs(config):
+        pass
     return config
 
 
@@ -498,9 +511,7 @@ def _sweep(config: ExperimentConfig) -> list[tuple[str, float, ScenarioConfig]]:
 def run_experiment(config: ExperimentConfig) -> list[MetricSeries]:
     """Run the configured experiment's sweep; one MetricSeries per value."""
     out = []
-    for param_name, param_value, sc in _sweep(config):
-        scenario = _build_network(sc)
-        link = _build_link(sc, config.snr_points())
+    for param_name, param_value, sc, scenario, link in _runs(config):
         point_results = run_trials(
             scenario, link, config.trials, config.seed, workers=config.workers
         )

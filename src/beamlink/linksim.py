@@ -9,15 +9,16 @@ of SNR-sweep point p uses the random stream spawned from
 worker count or execution order.
 
 What does not depend on the draws (moments, rotator, which channels to
-draw and their path amplitudes) is worked out once per run.  A task (one
-SNR point, one span of trials) then runs in three steps: each trial draws
-all of its channels from its own stream; every pair is solved for all of
-the task's trials as one stack, and the link algebra at the measured point
-(each heard node's channel @ composite and the desired node's
-pseudoinverse) is one more; then each trial draws its bits and noise from
-its own stream, forms the received block, equalizes it and slices each
-symbol by sign.  A singular solve, normalization or equalizer erases the
-trials its SolveError marks, and the stacked steps run again on the rest.
+draw and their path amplitudes, which nodes send at the measured point) is
+worked out once per run.  A task (one SNR point, one span of trials) then
+runs in three steps: each trial draws all of its channels from its own
+stream; every pair is solved for all of the task's trials as one stack,
+and the link algebra at the measured point (each sender's channel @
+composite and the desired node's pseudoinverse) is one more; then each
+trial draws its bits and noise from its own stream, forms the received
+block, equalizes it and slices each symbol by sign.  A singular solve,
+normalization or equalizer erases the trials its SolveError marks, and the
+stacked steps run again on the rest.
 """
 from __future__ import annotations
 
@@ -144,8 +145,9 @@ class LinkConfig:
     antenna; 'diversity' repeats a single stream over all antennas through
     an alternating-sign unit-norm vector and combines the receive antennas
     before slicing.  include_interference=False keeps the full beamformer
-    chain (and its normalization) but drops the other nodes' terms at the
-    receiver, the idealized no-interference test condition.
+    chain, its normalization and every channel draw, but the draw plan
+    lists the desired node as the only sender at the receive point: the
+    idealized no-interference test condition.
     """
 
     snr_db: tuple[float, ...]
@@ -295,8 +297,12 @@ class _TaskPlan:
     """What every trial of a task shares; nothing here depends on the draws.
 
     A trial draws one channel per entry of amplitudes.  Overlap k of pairs
-    solves draws 4k .. 4k+3; point_draws maps each node heard at the
-    measured receive point to the draw of its channel there.
+    solves draws 4k .. 4k+3.  senders lists (node id, draw of its channel at
+    the measured receive point) for each node that transmits there: the
+    desired node first, then, when the link includes interference, every
+    other node heard there by ascending id.  A heard node that does not
+    send still has its channel drawn, so the per-trial streams do not
+    depend on include_interference.
     """
 
     dimension: int
@@ -304,7 +310,7 @@ class _TaskPlan:
     rotator: np.ndarray
     desired: int
     pairs: list[tuple[int, int]]
-    point_draws: dict[int, int]
+    senders: list[tuple[int, int]]
     amplitudes: np.ndarray  # (draws, 1, 1): sqrt(path gain * tx power)
     repetition: np.ndarray | None  # (M,) in diversity mode, None for multiplexing
 
@@ -357,11 +363,11 @@ def _plan(scenario: NetworkScenario, link: LinkConfig) -> _TaskPlan:
         # single-link calibration: no neighbors to drive, unit normalization
         node = scenario.node_by_id(desired)
         draws = [(node, node.position + np.array([scenario.reference_distance, 0.0]))]
-        pairs, point_draws = [], {desired: 0}
+        pairs, heard = [], {desired: 0}
     else:
         point = region.point_for(desired)
         pairs = [overlap.pair for overlap in scenario.overlaps]
-        draws, point_draws = [], {}
+        draws, heard = [], {}
         for overlap in scenario.overlaps:
             i, j = overlap.pair
             node_i, node_j = scenario.node_by_id(i), scenario.node_by_id(j)
@@ -369,18 +375,21 @@ def _plan(scenario: NetworkScenario, link: LinkConfig) -> _TaskPlan:
             if overlap.pair == region.pair:
                 # keep the realizations the solver sees at the measured point
                 k = len(draws)
-                point_draws = {i: k + 1, j: k + 2} if desired == i else {i: k, j: k + 3}
+                heard = {i: k + 1, j: k + 2} if desired == i else {i: k, j: k + 3}
             # stack order: channel to the neighbor's point on top, own point below
             draws += [(node_i, p_j), (node_i, p_i), (node_j, p_i), (node_j, p_j)]
         # other nodes whose disks cover the measured point also interfere
         # there; their channels to this point are not part of any solve
         paired = {node_id for overlap in scenario.overlaps for node_id in overlap.pair}
         for node in sorted(scenario.nodes, key=lambda n: n.id):
-            if node.id in point_draws or node.id not in paired:
+            if node.id in heard or node.id not in paired:
                 continue
             if float(np.linalg.norm(point - node.position)) < node.range_radius:
-                point_draws[node.id] = len(draws)
+                heard[node.id] = len(draws)
                 draws.append((node, point))
+    senders = [(desired, heard.pop(desired))]
+    if link.include_interference:
+        senders += sorted(heard.items())
 
     amplitudes = np.array([_amplitude(node, p, scenario) for node, p in draws])
     return _TaskPlan(
@@ -389,7 +398,7 @@ def _plan(scenario: NetworkScenario, link: LinkConfig) -> _TaskPlan:
         rotator=rotator,
         desired=desired,
         pairs=pairs,
-        point_draws=point_draws,
+        senders=senders,
         amplitudes=amplitudes[:, None, None],
         repetition=_alternating_unit_vector(link.dimension) if link.mode == "diversity" else None,
     )
@@ -420,55 +429,6 @@ def _solve_network(
     return composites, normalization(list(composites.values()))
 
 
-def _send_packet(
-    link: LinkConfig,
-    snr_db: float,
-    rng: Generator,
-    plan: _TaskPlan,
-    effective: dict[int, np.ndarray],
-    g: float,
-    pinv: np.ndarray,
-) -> tuple[int, int, float]:
-    """Send, receive and detect one packet over one trial's solved network;
-    returns its bit errors, symbol errors and capacity sample.
-
-    effective holds the channel @ composite of every node heard at the
-    measured point, desired included; pinv is the desired node's equalizer.
-    The bits of all transmitters come from one draw, the desired node's
-    first and the others by ascending id, then the noise: the stream order
-    of drawing them one transmitter at a time.
-    """
-    scheme = link.modulation
-    per_stream = link.symbols_per_stream
-    sigma2 = 1.0 / (10.0 ** (snr_db / 10.0))
-    desired, rep = plan.desired, plan.repetition
-
-    senders = [desired]
-    if link.include_interference:
-        senders += [node_id for node_id in sorted(effective) if node_id != desired]
-    bits = rng.integers(0, 2, size=(len(senders), link.packet_bits))
-    symbols = modulate(bits.reshape(-1), scheme).reshape(len(senders), link.streams, per_stream)
-    x = rep[:, None] * symbols if rep is not None else symbols
-    transmit = dict(zip(senders, x))
-
-    normals = rng.standard_normal((2, link.dimension, per_stream))
-    # written in place, bit for bit (normals[0] + 1j * normals[1]) * scale
-    scale = math.sqrt(sigma2 / 2.0)
-    noise = np.empty(normals.shape[1:], dtype=complex)
-    np.multiply(normals[0], scale, out=noise.real)
-    np.multiply(normals[1], scale, out=noise.imag)
-
-    y = received_signal(effective, transmit, g, noise)
-    cap = capacity(effective_snr(1.0, effective[desired], sigma2, g))
-    detected = detect(y, pinv, scheme)
-
-    # a symbol is wrong exactly when one of its bits is
-    wrong = detected != bits[0]
-    bit_errors = int(np.count_nonzero(wrong))
-    symbol_errors = int(np.count_nonzero(wrong.reshape(-1, scheme.bits_per_symbol).any(axis=1)))
-    return bit_errors, symbol_errors, cap
-
-
 # at most this many trials are solved as one stack: bounds a task's memory,
 # not its results
 _BATCH_TRIALS = 256
@@ -481,16 +441,17 @@ def _run_task(
 
     Every trial draws its channels from its own spawned stream, every pair
     is solved for all the trials as one stack, the link algebra at the
-    measured point (each heard node's channel @ composite and the desired
+    measured point (each sender's channel @ composite and the desired
     node's equalizer) is one stack too, then every trial sends its packet
-    from its own stream.
+    from its own stream: the bits of all senders from one draw, in sender
+    order, then the noise, which is the stream order of drawing them one
+    sender at a time.
 
     A numerical failure in the solve, the normalization or the equalizer
     erases its trials: one lost packet each, NaN capacity.  The failing
     step's SolveError marks them; the stacked steps run again on the rest,
     which gives every other trial the result it would get alone.
     """
-    snr_db = link.snr_db[point_idx]
     rngs = [
         np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(point_idx, t)))
         for t in range(start, stop)
@@ -500,30 +461,42 @@ def _run_task(
     while True:
         try:
             composites, g = _solve_network(plan, channels[alive])
-            effective = {
-                node_id: channels[alive, d] @ composites[node_id]
-                for node_id, d in plan.point_draws.items()
-            }
-            pinv = equalizers(effective[plan.desired], g, plan.repetition)
+            effective = [channels[alive, d] @ composites[node_id] for node_id, d in plan.senders]
+            pinv = equalizers(effective[0], g, plan.repetition)
             break
         except SolveError as exc:
             alive = alive[~exc.mask]
 
+    scheme, rep, per_stream = link.modulation, plan.repetition, link.symbols_per_stream
+    sigma2 = 1.0 / (10.0 ** (link.snr_db[point_idx] / 10.0))
+    scale = math.sqrt(sigma2 / 2.0)
+    ids = [node_id for node_id, _ in plan.senders]
+    shape = (len(ids), link.streams, per_stream)
     caps = np.full(len(rngs), math.nan)
     bit_errors = symbol_errors = packet_errors = 0
     for row, k in enumerate(alive.tolist()):
-        trial_effective = {node_id: stacked[row] for node_id, stacked in effective.items()}
-        wrong_bits, wrong_symbols, caps[k] = _send_packet(
-            link, snr_db, rngs[k], plan, trial_effective, g[row], pinv[row]
-        )
+        bits = rngs[k].integers(0, 2, size=(len(ids), link.packet_bits))
+        symbols = modulate(bits.reshape(-1), scheme).reshape(shape)
+        x = rep[:, None] * symbols if rep is not None else symbols
+        normals = rngs[k].standard_normal((2, link.dimension, per_stream))
+        # written in place, bit for bit (normals[0] + 1j * normals[1]) * scale
+        noise = np.empty(normals.shape[1:], dtype=complex)
+        np.multiply(normals[0], scale, out=noise.real)
+        np.multiply(normals[1], scale, out=noise.imag)
+        h = [stacked[row] for stacked in effective]
+        y = received_signal(dict(zip(ids, h)), dict(zip(ids, x)), g[row], noise)
+        caps[k] = capacity(effective_snr(1.0, h[0], sigma2, g[row]))
+        # a symbol is wrong exactly when one of its bits is
+        wrong = detect(y, pinv[row], scheme) != bits[0]
+        wrong_bits = int(np.count_nonzero(wrong))
         bit_errors += wrong_bits
-        symbol_errors += wrong_symbols
+        symbol_errors += int(np.count_nonzero(wrong.reshape(-1, scheme.bits_per_symbol).any(axis=1)))
         packet_errors += wrong_bits > 0
     erased = len(rngs) - len(alive)
     stats = TrialStats(
         bits_sent=len(alive) * link.packet_bits,
         bit_errors=bit_errors,
-        symbols_sent=len(alive) * link.packet_bits // link.modulation.bits_per_symbol,
+        symbols_sent=len(alive) * link.packet_bits // scheme.bits_per_symbol,
         symbol_errors=symbol_errors,
         packets_sent=len(rngs),
         packet_errors=packet_errors + erased,

@@ -112,6 +112,7 @@ class TestLoadConfig:
             ({"scenario": {"per_formula": "magic"}}, "per_formula"),
             ({"scenario": {"packet_bits": 3}}, "packet_bits"),
             ({"snr": {"start": 0.0, "stop": 1000.0, "step": 1e-4}}, "snr.step"),
+            ({"experiment": "capacity_vs_nodes", "snr": None}, "snr"),
         ],
     )
     def test_bad_values_are_named(self, tmp_path, raw, fragment):

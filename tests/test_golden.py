@@ -1,14 +1,16 @@
 """Golden CSV digests: every named experiment at a small seeded budget.
 
 Each entry of EXPERIMENTS runs at trials 3, seed 7 and its default snr grid,
-and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins four runs
+and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins six runs
 that the trials-3 digests never reach: one that erases a trial inside a
 batch of 100 (capacity_vs_nodes with nakagami_m 1e6 erases exactly one
 trial, at 8 nodes, and equalizes values up to ~1e13 whose sign, not their
 distance to the constellation, decides the bit), a 20-trial link sweep, a
-20-trial QPSK link sweep, and a multiplexing link sweep (2 and 4 streams
+20-trial QPSK link sweep, a multiplexing link sweep (2 and 4 streams
 of 8-bit packets) under per_formula "literal", whose per_model values
-(6e-10 to 0.09) are not clamped.  A refactor must leave
+(6e-10 to 0.09) are not clamped, and a 3-node chain, with and without
+interference, where a node outside the measured pair is heard at its
+receive point.  A refactor must leave
 these bytes unchanged; moving a digest on purpose needs a CHANGES.md entry
 that says why the output changed.
 """
@@ -27,6 +29,10 @@ GOLDEN_SHA256 = {
     "ber_vs_dimension": "adcc78ca2c50b8c181a97e8822debf823539f643fb3b9353c2679241f8f5faff",
     "custom": "6e5f20112678e124a6b7531441b4a9a43b95d2a132d2ddf5a58562e48ad1bab5",
 }
+
+# nodes 0, 1, 2 on a 5 m chain with 12 m disks: node 2 covers the receive
+# point of the measured pair (0, 1) without being in it
+_CHAIN3 = {"node_count": 3, "node_spacing": 5.0, "range_radius": 12.0}
 
 LARGER_RUNS = {
     "capacity_vs_nodes-m1e6-trials100-seed3": (
@@ -49,6 +55,19 @@ LARGER_RUNS = {
     "ber_vs_dimension-qpsk-trials20-seed4": (
         {"experiment": "ber_vs_dimension", "trials": 20, "seed": 4, "scenario": {"modulation": "qpsk"}},
         "86ded672d127427382b2f2de9892cce0c142702d5ff98d1c2a4abe2eb2546a59",
+    ),
+    "custom-chain3-interference-trials20-seed5": (
+        {"trials": 20, "seed": 5, "snr": {"start": 20.0}, "scenario": _CHAIN3},
+        "249466c91af1e407b04187332e948abed30cbc4aa8435709db64f344282a686a",
+    ),
+    "custom-chain3-no-interference-trials20-seed5": (
+        {
+            "trials": 20,
+            "seed": 5,
+            "snr": {"start": 20.0},
+            "scenario": {**_CHAIN3, "include_interference": False},
+        },
+        "5f1a1eada1bc794757505dd4d5ceeebfe8375056e00d2ffdd457c85045a56476",
     ),
 }
 

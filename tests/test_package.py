@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +104,11 @@ def test_benchmark_boundaries_are_called_through_their_namespace():
         experiments.run_experiment(config)
     finally:
         tracer.uninstall()
-    seen = {span[0] for span in tracer.spans}
+    seen = Counter(span[0] for span in tracer.spans)
     for _, attr, layer in _boundaries(tracer_module):
         assert f"{layer}.{attr}" in seen
+    # 3 node counts x 2 trials, none erased at seed 1: one packet each
+    for name in ("linksim.modulate", "linksim.received_signal", "linksim.detect",
+                 "metrics.capacity", "metrics.effective_snr"):
+        assert seen[name] == 6, name
     assert tracer.counts[("beamformer", "svd")] > 0
