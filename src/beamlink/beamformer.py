@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 RANK_THRESHOLD = 1e-10  # relative singular-value cutoff for rank decisions
-DEGENERATE_NORM = 1e-12
 
 
 class SolveError(ValueError):
@@ -175,14 +174,18 @@ def normalization(composites: list[np.ndarray]) -> float | np.ndarray:
     """Sum of squared Frobenius norms over all participating composites.
 
     A float for single matrices; for (..., M, M) stacks an array holding
-    one sum per member.
+    one sum per member.  Only a sum that is not positive or not finite is
+    degenerate: g scales as 1 / tx_power, so any fixed floor would erase
+    every trial of a valid high-power scenario.
     """
     if not composites:
         raise ValueError("normalization needs at least one composite")
     total = sum(np.sum(np.abs(c) ** 2, axis=(-2, -1)) for c in composites)
-    bad = total < DEGENERATE_NORM
+    bad = ~((total > 0.0) & np.isfinite(total))
     if bad.any():
         raise DegenerateNormalizationError(
-            f"normalization {np.min(total):.3e} below {DEGENERATE_NORM:.0e}; cannot divide", bad
+            f"normalization {np.asarray(total)[bad][0]:.3e} not positive and finite; "
+            "cannot divide",
+            bad,
         )
     return total

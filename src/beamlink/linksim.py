@@ -14,11 +14,12 @@ worked out once per run.  A task (one SNR point, one span of trials) then
 runs in three steps: each trial draws all of its channels from its own
 stream; every pair is solved for all of the task's trials as one stack,
 and the link algebra at the measured point (each sender's channel @
-composite and the desired node's pseudoinverse) is one more; then each
-trial draws its bits and noise from its own stream, forms the received
-block, equalizes it and slices each symbol by sign.  A singular solve,
-normalization or equalizer erases the trials its SolveError marks, and the
-stacked steps run again on the rest.
+composite, through the repetition vector in diversity mode, and the
+desired node's pseudoinverse) is one more; then each trial draws its bits
+and noise from its own stream into buffers the task reuses, forms the
+received block row by row without BLAS, equalizes it and slices each
+symbol by sign.  A singular solve, normalization or equalizer erases the
+trials its SolveError marks, and the stacked steps run again on the rest.
 """
 from __future__ import annotations
 
@@ -220,18 +221,27 @@ def received_signal(
     g: float,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """Sum of (effective @ symbols) / g over transmitting nodes, plus noise.
+    """Sum of effective @ transmit / g over transmitting nodes, plus noise.
 
-    effective maps each node to its channel @ composite at the receive
-    point.  Nodes are summed in ascending id order so the float
-    accumulation is reproducible.
+    effective maps each node to its (M, K) channel @ composite at the
+    receive point (K = M streams, or K = 1 where diversity mode has taken
+    it through the repetition vector) and transmit to its (K, N) symbols.
+    The sum starts from a copy of noise, which is never written, and adds
+    each node's rows one at a time, y[m] += (effective / g)[m, k] * x[k],
+    with nodes in ascending id order so the float accumulation is
+    reproducible.
     """
+    # a numpy contraction, not effective @ x: that product is a BLAS zgemm,
+    # which the default threaded OpenBLAS runs 2.3x slower at packet size
+    # than one thread does; row by row no temporary exceeds one row
     if not g > 0:
         raise DegenerateNormalizationError(f"normalization {g} not positive")
-    first, *rest = sorted(transmit)
-    y = noise + effective[first] @ transmit[first] / g
-    for node_id in rest:
-        y += effective[node_id] @ transmit[node_id] / g
+    y = noise.astype(complex)
+    for node_id in sorted(transmit):
+        rows = list(transmit[node_id])
+        for y_m, coefficients in zip(y, (effective[node_id] / g).tolist()):
+            for a_mk, x_k in zip(coefficients, rows):
+                y_m += a_mk * x_k
     return y
 
 
@@ -441,11 +451,12 @@ def _run_task(
 
     Every trial draws its channels from its own spawned stream, every pair
     is solved for all the trials as one stack, the link algebra at the
-    measured point (each sender's channel @ composite and the desired
-    node's equalizer) is one stack too, then every trial sends its packet
-    from its own stream: the bits of all senders from one draw, in sender
-    order, then the noise, which is the stream order of drawing them one
-    sender at a time.
+    measured point (each sender's channel @ composite, taken through the
+    repetition vector in diversity mode, and the desired node's equalizer)
+    is one stack too, then every trial sends its packet from its own
+    stream: the bits of all senders from one draw, in sender order, then
+    the noise, which is the stream order of drawing them one sender at a
+    time.  The normals and the noise block are one buffer each per task.
 
     A numerical failure in the solve, the normalization or the equalizer
     erases its trials: one lost packet each, NaN capacity.  The failing
@@ -468,24 +479,27 @@ def _run_task(
             alive = alive[~exc.mask]
 
     scheme, rep, per_stream = link.modulation, plan.repetition, link.symbols_per_stream
+    # diversity sends its one stream through channel @ composite @ rep
+    sent = effective if rep is None else [e @ rep[:, None] for e in effective]
     sigma2 = 1.0 / (10.0 ** (link.snr_db[point_idx] / 10.0))
     scale = math.sqrt(sigma2 / 2.0)
     ids = [node_id for node_id, _ in plan.senders]
     shape = (len(ids), link.streams, per_stream)
+    # one buffer each for the normals and the noise, refilled by every trial
+    normals = np.empty((2, link.dimension, per_stream))
+    noise = np.empty(normals.shape[1:], dtype=complex)
     caps = np.full(len(rngs), math.nan)
     bit_errors = symbol_errors = packet_errors = 0
     for row, k in enumerate(alive.tolist()):
         bits = rngs[k].integers(0, 2, size=(len(ids), link.packet_bits))
         symbols = modulate(bits.reshape(-1), scheme).reshape(shape)
-        x = rep[:, None] * symbols if rep is not None else symbols
-        normals = rngs[k].standard_normal((2, link.dimension, per_stream))
+        rngs[k].standard_normal(out=normals)
         # written in place, bit for bit (normals[0] + 1j * normals[1]) * scale
-        noise = np.empty(normals.shape[1:], dtype=complex)
         np.multiply(normals[0], scale, out=noise.real)
         np.multiply(normals[1], scale, out=noise.imag)
-        h = [stacked[row] for stacked in effective]
-        y = received_signal(dict(zip(ids, h)), dict(zip(ids, x)), g[row], noise)
-        caps[k] = capacity(effective_snr(1.0, h[0], sigma2, g[row]))
+        h = [stacked[row] for stacked in sent]
+        y = received_signal(dict(zip(ids, h)), dict(zip(ids, symbols)), g[row], noise)
+        caps[k] = capacity(effective_snr(1.0, effective[0][row], sigma2, g[row]))
         # a symbol is wrong exactly when one of its bits is
         wrong = detect(y, pinv[row], scheme) != bits[0]
         wrong_bits = int(np.count_nonzero(wrong))

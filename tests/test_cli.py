@@ -176,8 +176,9 @@ class TestBadInputExits1:
 
 class TestErasedPoint:
     def test_all_trials_erased_is_named(self, tmp_path, capsys):
-        # a valid config whose every trial is erased: an outcome, so exit 2
-        cfg = write_config(tmp_path, {"scenario": {"packet_bits": 32, "tx_power": 1e308}})
+        # a valid config whose every trial is erased: an outcome, so exit 2;
+        # identity channels make each pair's coupling singular
+        cfg = write_config(tmp_path, {"scenario": {"packet_bits": 32, "identity_channel": True}})
         rc = main(["--config", cfg, "--trials", "3", "--snr", "4:4:1",
                    "--out", str(tmp_path / "x.csv")])
         err = capsys.readouterr().err

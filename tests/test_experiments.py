@@ -4,8 +4,10 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
+from beamlink import experiments
 from beamlink.experiments import (
     DIMENSION_SWEEP,
     EXPERIMENTS,
@@ -18,6 +20,7 @@ from beamlink.experiments import (
     run_experiment,
     serialize_config,
 )
+from beamlink.linksim import run_trials
 from beamlink.metrics import Estimate, MetricPoint, MetricSeries, packet_error_rate, uncoded_stream_params
 
 
@@ -304,6 +307,16 @@ class TestRunExperiment:
             return path.read_bytes()
 
         assert csv_bytes(1) == csv_bytes(2)
+
+    @pytest.mark.parametrize("node_count", [2, 8])
+    def test_high_tx_power_erases_nothing(self, node_count):
+        # g scales as 1 / tx_power (about 1e-18 here), so a fixed floor on
+        # the normalization would erase every trial of this valid scenario
+        cfg = fast_config(scenario={"node_count": node_count, "packet_bits": 32, "tx_power": 1e20})
+        [(_, _, _, scenario, link)] = experiments._runs(cfg)
+        [point] = run_trials(scenario, link, cfg.trials, cfg.seed)
+        assert point.stats.erasures == 0
+        assert np.isfinite(point.capacity_samples).all()
 
 
 def toy_series() -> list[MetricSeries]:

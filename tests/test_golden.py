@@ -1,7 +1,7 @@
 """Golden CSV digests: every named experiment at a small seeded budget.
 
 Each entry of EXPERIMENTS runs at trials 3, seed 7 and its default snr grid,
-and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins six runs
+and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins eight runs
 that the trials-3 digests never reach: one that erases a trial inside a
 batch of 100 (capacity_vs_nodes with nakagami_m 1e6 erases exactly one
 trial, at 8 nodes, and equalizes values up to ~1e13 whose sign, not their
@@ -10,7 +10,9 @@ distance to the constellation, decides the bit), a 20-trial link sweep, a
 of 8-bit packets) under per_formula "literal", whose per_model values
 (6e-10 to 0.09) are not clamped, and a 3-node chain, with and without
 interference, where a node outside the measured pair is heard at its
-receive point.  A refactor must leave
+receive point.  Two more send diversity past interferers: a 30-trial
+distance sweep (PER 0.9 / 0.2 / 0.0) and the chain at M = 4 and 80 dB,
+where both other nodes are heard.  A refactor must leave
 these bytes unchanged; moving a digest on purpose needs a CHANGES.md entry
 that says why the output changed.
 """
@@ -68,6 +70,19 @@ LARGER_RUNS = {
             "scenario": {**_CHAIN3, "include_interference": False},
         },
         "5f1a1eada1bc794757505dd4d5ceeebfe8375056e00d2ffdd457c85045a56476",
+    ),
+    "per_vs_distance-trials30-seed11": (
+        {"experiment": "per_vs_distance", "trials": 30, "seed": 11},
+        "b4ffe2a346fe8fc903fd7a23f7e61fcfa43801edc6930c2c1fa8d1c514061969",
+    ),
+    "custom-chain3-diversity-m4-trials20-seed6": (
+        {
+            "trials": 20,
+            "seed": 6,
+            "snr": {"start": 80.0},
+            "scenario": {**_CHAIN3, "dimension": 4, "transmission_mode": "diversity", "packet_bits": 64},
+        },
+        "c95b9eb5f63bc5471fe4a3b26d4ebf1c633a451362b8ed4ac48872fd0c5ec908",
     ),
 }
 

@@ -170,7 +170,7 @@ class TestReceivedSignal:
         np.testing.assert_allclose(y12, y1 + y2 - noise, atol=1e-12)
 
     def test_noise_block_not_mutated(self):
-        # the sum starts from noise + first term, never from the caller's block
+        # the sum starts from a copy of noise, never from the caller's block
         rng = np.random.default_rng(4)
         noise = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
         before = noise.copy()
@@ -179,6 +179,28 @@ class TestReceivedSignal:
                             {0: x, 1: x}, 1.0, noise)
         np.testing.assert_array_equal(noise, before)
         np.testing.assert_array_equal(y, before + x + x)
+
+    @pytest.mark.parametrize("dimension", [1, 2, 4])
+    def test_diversity_column_matches_repeated_block(self, dimension):
+        # diversity sends (E @ rep) with the (1, N) symbols, not E with the
+        # (M, N) block rep (x) symbols; the two agree to rounding
+        rng = np.random.default_rng(dimension)
+        e = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(size=(dimension, dimension))
+        rep = linksim._alternating_unit_vector(dimension)
+        s = modulate(rng.integers(0, 2, size=2 * 64), QPSK)[None]
+        noise = rng.normal(size=(dimension, 64)) + 1j * rng.normal(size=(dimension, 64))
+        g = 2.3
+        y = received_signal({0: e @ rep[:, None]}, {0: s}, g, noise)
+        np.testing.assert_allclose(y, noise + e @ (rep[:, None] * s) / g, rtol=1e-13)
+
+    def test_two_multiplexing_senders_match_matrix_product(self):
+        rng = np.random.default_rng(9)
+        e = {k: rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for k in (3, 1)}
+        x = {k: modulate(rng.integers(0, 2, size=4 * 32), BPSK).reshape(4, 32) for k in e}
+        noise = rng.normal(size=(4, 32)) + 1j * rng.normal(size=(4, 32))
+        g = 0.7
+        y = received_signal(e, x, g, noise)
+        np.testing.assert_allclose(y, noise + sum(e[k] @ x[k] / g for k in e), rtol=1e-13)
 
     def test_degenerate_normalization(self):
         with pytest.raises(DegenerateNormalizationError):
