@@ -7,7 +7,7 @@ the reference distance value.
 """
 import numpy as np
 
-from beamlink import Node, build_scenario, detect_overlaps, lens_center_distance, path_gain
+from beamlink import Node, build_scenario, detect_overlaps, path_gain
 
 nodes = [
     Node(id=0, position=np.array([0.0, 0.0]), range_radius=6.0),
@@ -27,9 +27,10 @@ for region in scenario.overlaps:
     print(f"pair {i}-{j}: point for {i} at {np.round(region.point_for(i), 3)}, "
           f"point for {j} at {np.round(region.point_for(j), 3)}")
 
-a, c = nodes[0], nodes[1]
+# by default both points of a pair sit at the lens center
+center = scenario.overlaps[0].point_for(0)
 print()
-print(f"lens center sits {lens_center_distance(a, c):.3f} m from node {a.id} "
+print(f"lens center sits {np.linalg.norm(center - nodes[0].position):.3f} m from node 0 "
       f"along the 0-1 axis")
 
 print()
@@ -37,10 +38,15 @@ print("path gain from node 0, exponent 3, clamped at 1 m:")
 for d in (0.5, 1.0, 2.0, 4.0, 8.0):
     print(f"  distance {d:>4} m -> gain {path_gain(d, scenario):.6f}")
 
-# points placed off the lens center: offsets are clamped to stay inside
-shifted = build_scenario(nodes[:2], point_offsets={(0, 1): (-2.0, 2.0)})
+# each point placed a set distance from its own node; the lens here spans
+# 2-6 m from node 0, so 3 m keeps both points inside it
+shifted = build_scenario(nodes[:2], own_point_distance=3.0)
 region = shifted.overlaps[0]
 print()
-print("with point offsets -2/+2 m the pair's points move along the axis:")
+print("with own_point_distance 3 m each point sits 3 m from its own node:")
 print(f"  point for 0: {np.round(region.point_for(0), 3)}")
 print(f"  point for 1: {np.round(region.point_for(1), 3)}")
+try:
+    build_scenario(nodes[:2], own_point_distance=1.5)
+except ValueError as e:
+    print(f"  own_point_distance 1.5 m is rejected: {e}")

@@ -31,8 +31,15 @@ def _parse_snr(text: str) -> dict:
     return {"start": start, "stop": stop, "step": step}
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed flag is a config error (exit 1), not argparse's exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beamlink",
         description="Monte-Carlo link simulator for coordinated interference-driving "
         "beamformers; writes per-SNR metric estimates as CSV.",
@@ -48,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         overrides: dict = {}
         if args.experiment is not None:
             overrides["experiment"] = args.experiment

@@ -30,14 +30,7 @@ from beamlink.metrics import (
     packet_error_rate,
     uncoded_stream_params,
 )
-from beamlink.topology import (
-    NetworkScenario,
-    Node,
-    build_scenario,
-    detect_overlaps,
-    lens_center_distance,
-    lens_interval,
-)
+from beamlink.topology import NetworkScenario, Node, build_scenario, detect_overlaps
 
 __all__ = [
     "ConfigError",
@@ -443,38 +436,21 @@ def _build_nodes(sc: ScenarioConfig) -> list[Node]:
     ]
 
 
-def _build_network(sc: ScenarioConfig):
+def _build_network(sc: ScenarioConfig) -> NetworkScenario:
     nodes = _build_nodes(sc)
     try:
-        pairs = detect_overlaps(nodes)
+        detect_overlaps(nodes)
     except ValueError as e:
         _fail(f"field 'scenario.nodes' has no overlap geometry: {e}")
-    offsets = None
-    if sc.own_point_distance is not None:
-        by_id = {n.id: n for n in nodes}
-        offsets = {}
-        for i, j in pairs:
-            a, c = by_id[i], by_id[j]
-            d = float(np.linalg.norm(c.position - a.position))
-            # node i's point sits at own_point_distance along i->j, node j's at
-            # d - own_point_distance; both must stay inside the lens
-            lo, hi = lens_interval(a, c)
-            low, high = max(lo, d - hi), min(hi, d - lo)
-            if not low < sc.own_point_distance < high:
-                _fail(
-                    f"field 'scenario.own_point_distance' must lie in ({low:g}, {high:g}) "
-                    f"to keep both points of pair ({i}, {j}) inside its overlap, "
-                    f"got {sc.own_point_distance:g}"
-                )
-            x = lens_center_distance(a, c)
-            # park each pair point at the configured distance from its own node
-            offsets[(i, j)] = (sc.own_point_distance - x, (d - sc.own_point_distance) - x)
-    return build_scenario(
-        nodes,
-        path_loss_exponent=sc.path_loss_exponent,
-        reference_distance=sc.reference_distance,
-        point_offsets=offsets,
-    )
+    try:
+        return build_scenario(
+            nodes,
+            path_loss_exponent=sc.path_loss_exponent,
+            reference_distance=sc.reference_distance,
+            own_point_distance=sc.own_point_distance,
+        )
+    except ValueError as e:  # the field specs leave only the overlap rule to reject
+        _fail(f"field 'scenario.own_point_distance' {e}")
 
 
 def _build_link(sc: ScenarioConfig, snr_points: tuple[float, ...]) -> LinkConfig:

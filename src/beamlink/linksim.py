@@ -529,19 +529,20 @@ def run_trials(
     """Monte-Carlo sweep: one PointResult per entry of link.snr_db.
 
     The draw plan is built once.  Each SNR point's trials are split into
-    spans of at most _BATCH_TRIALS, at least one per worker, and each
-    (SNR point, span) task runs in this process for one worker and on one
-    process pool otherwise.  Per-trial streams are derived from
-    (master_seed, point index, trial index), counters merge by integer
-    addition in task order, and capacity samples land positionally, so the
-    result is identical for every worker count.
+    spans of at most _BATCH_TRIALS, at least one per worker up to one per
+    trial, and each (SNR point, span) task runs in this process for one
+    worker and on one process pool otherwise.  Per-trial streams are
+    derived from (master_seed, point index, trial index), counters merge by
+    integer addition in task order, and capacity samples land positionally,
+    so the result is identical for every worker count.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    spans_per_point = max(workers, -(-n_trials // _BATCH_TRIALS))
+    # more spans than trials would only be empty ones
+    spans_per_point = max(min(workers, n_trials), -(-n_trials // _BATCH_TRIALS))
     bounds = np.linspace(0, n_trials, spans_per_point + 1, dtype=int)
     spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     tasks = [(p, a, b) for p in range(len(link.snr_db)) for a, b in spans]

@@ -2,13 +2,13 @@
 
 Every pair of nodes whose range disks intersect with positive area gets an
 overlap region carrying two designated receive points, one associated with
-each node of the pair.  Path gains follow a log-distance law.
+each node of the pair; interference_points alone decides where they sit.
+Path gains follow a log-distance law.
 """
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +17,6 @@ __all__ = [
     "OverlapRegion",
     "NetworkScenario",
     "detect_overlaps",
-    "lens_center_distance",
-    "lens_interval",
     "interference_points",
     "path_gain",
     "build_scenario",
@@ -122,40 +120,18 @@ def detect_overlaps(nodes: list[Node]) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def lens_center_distance(a: Node, c: Node) -> float:
-    """Distance from a, along the segment a->c, of the lens center.
-
-    For intersecting circles this is the foot of the common chord,
-    x = (d^2 + r_a^2 - r_c^2) / (2 d); when one disk contains the other the
-    formula still applies but may land outside the lens (callers clamp).
-    """
-    d = float(np.linalg.norm(c.position - a.position))
-    return (d * d + a.range_radius**2 - c.range_radius**2) / (2.0 * d)
-
-
-def lens_interval(a: Node, c: Node) -> tuple[float, float]:
-    """Open interval (lo, hi) of distances t from a, along the line a->c,
-    whose points lie strictly inside both disks: |t| < r_a and |d - t| < r_c."""
-    d = float(np.linalg.norm(c.position - a.position))
-    return max(-a.range_radius, d - c.range_radius), min(a.range_radius, d + c.range_radius)
-
-
-def _clamp_into_lens(t: float, a: Node, c: Node) -> float:
-    lo, hi = lens_interval(a, c)
-    margin = 1e-9 * (hi - lo)
-    return min(max(t, lo + margin), hi - margin)
-
-
 def interference_points(
-    a: Node, c: Node, offset_a: float = 0.0, offset_c: float = 0.0
+    a: Node, c: Node, own_point_distance: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Place the pair's two receive points inside the overlap lens.
+    """Place the pair's receive points, for a and for c, inside the overlap lens.
 
-    Both default to the lens center on the segment a->c.  offset_a and
-    offset_c shift each point along that segment (positive toward c); the
-    results are clamped so they stay strictly inside both disks, which also
-    covers the containment case where the nominal lens center falls outside
-    the smaller disk.
+    The lens is the open interval of distances t from a, along a->c, with
+    |t| < r_a and |d - t| < r_c, less 1e-9 of its width at each end so that
+    rounding cannot put a point on a disk's edge.  By default both points
+    sit at the foot of the common chord, (d^2 + r_a^2 - r_c^2) / (2 d),
+    clamped into the lens (it falls outside when one disk contains the
+    other).  With own_point_distance, a's point sits exactly that far from
+    a and c's that far from c; ValueError names the interval it must lie in.
     """
     d = float(np.linalg.norm(c.position - a.position))
     if d == 0.0:
@@ -164,10 +140,22 @@ def interference_points(
         raise ValueError(
             f"disks of nodes {a.id} and {c.id} do not overlap (d={d:.6g})"
         )
+    lo = max(-a.range_radius, d - c.range_radius)
+    hi = min(a.range_radius, d + c.range_radius)
+    margin = 1e-9 * (hi - lo)
+    lo, hi = lo + margin, hi - margin
+    if own_point_distance is None:
+        x = (d * d + a.range_radius**2 - c.range_radius**2) / (2.0 * d)
+        t_a = t_c = min(max(x, lo), hi)
+    else:
+        low, high = max(lo, d - hi), min(hi, d - lo)
+        if not low < own_point_distance < high:
+            raise ValueError(
+                f"must lie in ({low:g}, {high:g}) to keep both points of pair "
+                f"({a.id}, {c.id}) inside its overlap, got {own_point_distance:g}"
+            )
+        t_a, t_c = own_point_distance, d - own_point_distance
     direction = (c.position - a.position) / d
-    x = lens_center_distance(a, c)
-    t_a = _clamp_into_lens(x + offset_a, a, c)
-    t_c = _clamp_into_lens(x + offset_c, a, c)
     return a.position + t_a * direction, a.position + t_c * direction
 
 
@@ -183,19 +171,17 @@ def build_scenario(
     nodes: list[Node],
     path_loss_exponent: float = 3.0,
     reference_distance: float = 1.0,
-    point_offsets: dict[tuple[int, int], tuple[float, float]] | None = None,
+    own_point_distance: float | None = None,
 ) -> NetworkScenario:
     """Assemble a scenario: detect every overlap and place its receive points.
 
-    point_offsets maps an id pair (i, j), i < j, to segment offsets for the
-    points associated with i and j respectively.
+    own_point_distance, when given, is each point's distance from its own
+    node along the pair's axis (see interference_points).
     """
-    point_offsets = point_offsets or {}
     by_id = {n.id: n for n in nodes}
     overlaps = []
     for i, j in detect_overlaps(nodes):
-        off_i, off_j = point_offsets.get((i, j), (0.0, 0.0))
-        p_i, p_j = interference_points(by_id[i], by_id[j], off_i, off_j)
+        p_i, p_j = interference_points(by_id[i], by_id[j], own_point_distance)
         overlaps.append(OverlapRegion(pair=(i, j), point_a=p_i, point_b=p_j))
     return NetworkScenario(
         nodes=list(nodes),

@@ -223,8 +223,20 @@ class TestFlagPrecedence:
 class TestParser:
     def test_experiment_choices_are_closed(self):
         parser = build_parser()
-        with pytest.raises(SystemExit):
+        with pytest.raises(ConfigError):
             parser.parse_args(["--experiment", "bogus"])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--trials", "abc"], ["--seed", "1.5"], ["--experiment", "bogus"], ["--bogus", "1"]],
+    )
+    def test_malformed_flag_exits_1(self, capsys, flags):
+        rc = main(flags)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("config error:")
+        assert flags[0] in captured.err
+        assert "usage" not in captured.err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -1,7 +1,7 @@
 """Golden CSV digests: every named experiment at a small seeded budget.
 
 Each entry of EXPERIMENTS runs at trials 3, seed 7 and its default snr grid,
-and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins eight runs
+and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins ten runs
 that the trials-3 digests never reach: one that erases a trial inside a
 batch of 100 (capacity_vs_nodes with nakagami_m 1e6 erases exactly one
 trial, at 8 nodes, and equalizes values up to ~1e13 whose sign, not their
@@ -12,7 +12,10 @@ of 8-bit packets) under per_formula "literal", whose per_model values
 interference, where a node outside the measured pair is heard at its
 receive point.  Two more send diversity past interferers: a 30-trial
 distance sweep (PER 0.9 / 0.2 / 0.0) and the chain at M = 4 and 80 dB,
-where both other nodes are heard.  A refactor must leave
+where both other nodes are heard.  The last two lay out explicit nodes: a
+triangle of three overlapping pairs with own_point_distance set, where the
+third node is heard, and a disk inside another, whose default receive
+points are clamped into the small disk.  A refactor must leave
 these bytes unchanged; moving a digest on purpose needs a CHANGES.md entry
 that says why the output changed.
 """
@@ -35,6 +38,28 @@ GOLDEN_SHA256 = {
 # nodes 0, 1, 2 on a 5 m chain with 12 m disks: node 2 covers the receive
 # point of the measured pair (0, 1) without being in it
 _CHAIN3 = {"node_count": 3, "node_spacing": 5.0, "range_radius": 12.0}
+
+# three pairs of unequal disks, each point placed 4.3 m from its own node;
+# node 2 sits off the 0-1 axis and covers that pair's receive points
+_TRIANGLE = {
+    "own_point_distance": 4.3,
+    "packet_bits": 64,
+    "nodes": [
+        {"id": 0, "x": 0.0, "y": 0.0, "radius": 7.0},
+        {"id": 1, "x": 9.0, "y": 0.0, "radius": 5.0},
+        {"id": 2, "x": 6.0, "y": 4.0, "radius": 6.0},
+    ],
+}
+
+# node 1's disk lies inside node 0's, so the chord foot falls outside the
+# lens and both default points are clamped into the small disk
+_CONTAINED = {
+    "packet_bits": 64,
+    "nodes": [
+        {"id": 0, "x": 0.0, "y": 0.0, "radius": 20.0},
+        {"id": 1, "x": 5.0, "y": 0.0, "radius": 2.0},
+    ],
+}
 
 LARGER_RUNS = {
     "capacity_vs_nodes-m1e6-trials100-seed3": (
@@ -83,6 +108,14 @@ LARGER_RUNS = {
             "scenario": {**_CHAIN3, "dimension": 4, "transmission_mode": "diversity", "packet_bits": 64},
         },
         "c95b9eb5f63bc5471fe4a3b26d4ebf1c633a451362b8ed4ac48872fd0c5ec908",
+    ),
+    "custom-triangle-own-point-trials20-seed9": (
+        {"trials": 20, "seed": 9, "snr": {"start": 30.0}, "scenario": _TRIANGLE},
+        "f60fa69d537b0cfa3635c4d543421b7664198f131db63ddb42bca57eb5e4116b",
+    ),
+    "custom-contained-disk-trials20-seed4": (
+        {"trials": 20, "seed": 4, "snr": {"start": 20.0}, "scenario": _CONTAINED},
+        "1c73ae4e7afc7e9effcf0d6640a8d4e7d9676228f9f4c52e0eebd06b0adc3715",
     ),
 }
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -417,9 +418,10 @@ class TestRunTrials:
         assert max(b - a for a, b in spans) <= linksim._BATCH_TRIALS
         assert sum(b - a for a, b in spans) == 600
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        # a pool starts all its processes at once, so 64 workers on 2 CPUs
-        # open 2; the stand-in pool runs the tasks here and starts none
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Each pool size run_trials opens, on 2 CPUs; the stand-in pool
+        runs the tasks here and starts no process."""
         opened = []
 
         class InProcessPool:
@@ -437,12 +439,35 @@ class TestRunTrials:
 
         monkeypatch.setattr(linksim, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(linksim.os, "cpu_count", lambda: 2)
+        return opened
+
+    def test_pool_capped_at_cpu_count(self, pool_sizes):
+        # a pool starts all its processes at once, so 64 workers on 2 CPUs open 2
+        opened = pool_sizes
         sc = two_node_scenario()
         link = LinkConfig(snr_db=(3.0, 9.0), packet_bits=96)
         serial = run_trials(sc, link, n_trials=13, master_seed=7, workers=1)
         capped = run_trials(sc, link, n_trials=13, master_seed=7, workers=64)
         assert opened == [2]
         for a, b in zip(serial, capped):
+            assert a.stats == b.stats
+            assert a.capacity_samples.tobytes() == b.capacity_samples.tobytes()
+
+    def test_workers_beyond_trials_cost_no_memory(self, pool_sizes):
+        # a million workers on 3 trials split each point into 3 spans, not a
+        # million mostly empty ones
+        sc = two_node_scenario()
+        link = LinkConfig(snr_db=(3.0, 9.0), packet_bits=96)
+        serial = run_trials(sc, link, n_trials=3, master_seed=7, workers=1)
+        tracemalloc.start()
+        try:
+            many = run_trials(sc, link, n_trials=3, master_seed=7, workers=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert pool_sizes == [2]
+        for a, b in zip(serial, many):
             assert a.stats == b.stats
             assert a.capacity_samples.tobytes() == b.capacity_samples.tobytes()
 

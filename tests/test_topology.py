@@ -12,8 +12,6 @@ from beamlink.topology import (
     build_scenario,
     detect_overlaps,
     interference_points,
-    lens_center_distance,
-    lens_interval,
     path_gain,
 )
 
@@ -76,22 +74,30 @@ class TestInterferencePoints:
     def test_symmetric_case_midpoint(self):
         a, c = make_node(0, 0, 0, 6), make_node(1, 10, 0, 6)
         # equal radii, d=10: chord foot at x = 5, the segment midpoint
-        assert lens_center_distance(a, c) == pytest.approx(5.0, abs=1e-12)
         p_a, p_c = interference_points(a, c)
-        np.testing.assert_allclose(p_a, [5.0, 0.0], atol=1e-8)
-        np.testing.assert_allclose(p_c, [5.0, 0.0], atol=1e-8)
+        np.testing.assert_allclose(p_a, [5.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(p_c, [5.0, 0.0], atol=1e-12)
 
     def test_lens_interval(self):
-        # |t| < 6 and |10 - t| < 6 along the axis; containment ends at the small disk
-        assert lens_interval(make_node(0, 0, 0, 6), make_node(1, 10, 0, 6)) == (4.0, 6.0)
-        assert lens_interval(make_node(0, 0, 0, 20), make_node(1, 5, 0, 2)) == (3.0, 7.0)
+        # |t| < 6 and |10 - t| < 6 along the axis: the lens is (4, 6), and a
+        # point at t leaves its partner at 10 - t, so t must lie in (4, 6)
+        a, c = make_node(0, 0, 0, 6), make_node(1, 10, 0, 6)
+        for own in (4.0, 6.0):
+            with pytest.raises(ValueError, match=r"must lie in \(4, 6\)"):
+                interference_points(a, c, own)
+        # containment ends the lens at the small disk, (3, 7), and a point at
+        # t leaves its partner at 5 - t, outside it for every t
+        a, c = make_node(0, 0, 0, 20), make_node(1, 5, 0, 2)
+        for own in (3.5, 2.5, 1.5, 4.0):
+            with pytest.raises(ValueError, match=r"must lie in \(3, 2\)"):
+                interference_points(a, c, own)
 
     def test_asymmetric_chord_distance(self):
         # x = (d^2 + r_a^2 - r_c^2) / (2 d) = (100 + 64 - 36) / 20 = 6.4
         a, c = make_node(0, 0, 0, 8), make_node(1, 10, 0, 6)
-        assert lens_center_distance(a, c) == pytest.approx(6.4, abs=1e-12)
-        p_a, _ = interference_points(a, c)
-        np.testing.assert_allclose(p_a, [6.4, 0.0], atol=1e-8)
+        p_a, p_c = interference_points(a, c)
+        np.testing.assert_allclose(p_a, [6.4, 0.0], atol=1e-12)
+        np.testing.assert_allclose(p_c, [6.4, 0.0], atol=1e-12)
 
     def test_containment_clamps_into_small_disk(self):
         a, c = make_node(0, 0, 0, 20), make_node(1, 5, 0, 2)
@@ -99,6 +105,8 @@ class TestInterferencePoints:
         for p in (p_a, p_c):
             assert np.linalg.norm(p - a.position) < a.range_radius
             assert np.linalg.norm(p - c.position) < c.range_radius
+        with pytest.raises(ValueError, match=r"pair \(0, 1\)"):
+            interference_points(a, c, 4.0)
 
     def test_nonoverlapping_error(self):
         a, c = make_node(0, 0, 0, 6), make_node(1, 13, 0, 6)
@@ -107,33 +115,41 @@ class TestInterferencePoints:
 
     def test_offsets_shift_along_segment(self):
         a, c = make_node(0, 0, 0, 6), make_node(1, 10, 0, 6)
-        p_a, p_c = interference_points(a, c, offset_a=-0.5, offset_c=0.5)
-        np.testing.assert_allclose(p_a, [4.5, 0.0], atol=1e-8)
-        np.testing.assert_allclose(p_c, [5.5, 0.0], atol=1e-8)
+        p_a, p_c = interference_points(a, c, own_point_distance=4.5)
+        np.testing.assert_array_equal(p_a, [4.5, 0.0])
+        np.testing.assert_array_equal(p_c, [5.5, 0.0])
 
-    def test_huge_offsets_are_clamped_inside(self):
+    def test_distances_outside_lens_rejected(self):
         a, c = make_node(0, 0, 0, 6), make_node(1, 10, 0, 6)
-        p_a, p_c = interference_points(a, c, offset_a=-100.0, offset_c=100.0)
-        for p in (p_a, p_c):
-            assert np.linalg.norm(p - a.position) < a.range_radius
-            assert np.linalg.norm(p - c.position) < c.range_radius
+        for own in (4.0, 6.0, 100.0):
+            with pytest.raises(ValueError, match=f"got {own:g}$"):
+                interference_points(a, c, own)
 
     @given(
         d=st.floats(min_value=0.1, max_value=30.0),
         r_a=st.floats(min_value=0.5, max_value=20.0),
         r_c=st.floats(min_value=0.5, max_value=20.0),
-        off_a=st.floats(min_value=-50.0, max_value=50.0),
-        off_c=st.floats(min_value=-50.0, max_value=50.0),
+        own=st.floats(min_value=-50.0, max_value=50.0),
         angle=st.floats(min_value=0.0, max_value=2.0 * math.pi),
     )
     @settings(max_examples=300, deadline=None)
-    def test_points_inside_both_disks(self, d, r_a, r_c, off_a, off_c, angle):
+    def test_points_inside_both_disks(self, d, r_a, r_c, own, angle):
         if d >= r_a + r_c:
             return
         a = make_node(0, 0, 0, r_a)
         c = make_node(1, d * math.cos(angle), d * math.sin(angle), r_c)
-        p_a, p_c = interference_points(a, c, off_a, off_c)
-        for p in (p_a, p_c):
+        points = [interference_points(a, c)]
+        try:
+            placed = interference_points(a, c, own)
+        except ValueError:
+            pass
+        else:
+            dist = float(np.linalg.norm(c.position - a.position))
+            direction = (c.position - a.position) / dist
+            np.testing.assert_array_equal(placed[0], a.position + own * direction)
+            np.testing.assert_array_equal(placed[1], a.position + (dist - own) * direction)
+            points.append(placed)
+        for p in (p for pair in points for p in pair):
             assert np.linalg.norm(p - a.position) < a.range_radius
             assert np.linalg.norm(p - c.position) < c.range_radius
 
@@ -181,12 +197,13 @@ class TestBuildScenario:
         sc = build_scenario(nodes)
         assert [o.pair for o in sc.overlaps] == [(0, 1)]
 
-    def test_point_offsets_applied(self):
-        nodes = [make_node(0, 0, 0, 6), make_node(1, 10, 0, 6)]
-        sc = build_scenario(nodes, point_offsets={(0, 1): (-1.0, 1.0)})
+    def test_own_point_distance_applied(self):
+        # 7 m disks 10 m apart: the lens (3, 7) holds both points
+        nodes = [make_node(0, 0, 0, 7), make_node(1, 10, 0, 7)]
+        sc = build_scenario(nodes, own_point_distance=4.0)
         region = sc.overlaps[0]
-        np.testing.assert_allclose(region.point_for(0), [4.0, 0.0], atol=1e-8)
-        np.testing.assert_allclose(region.point_for(1), [6.0, 0.0], atol=1e-8)
+        np.testing.assert_array_equal(region.point_for(0), [4.0, 0.0])
+        np.testing.assert_array_equal(region.point_for(1), [6.0, 0.0])
 
     def test_duplicate_ids_rejected(self):
         nodes = [make_node(0, 0, 0, 6), make_node(0, 10, 0, 6)]
