@@ -34,7 +34,7 @@ link = LinkConfig(
     include_interference=True,
 )
 
-results = run_trials(scenario, link, n_trials=400, master_seed=31, workers=1)
+results = run_trials([(scenario, link)], n_trials=400, master_seed=31, workers=1)
 
 print(f"{'snr dB':>7} {'ber':>22} {'per':>22} {'capacity':>10} {'erased':>7}")
 for point in results:

@@ -16,6 +16,7 @@ import os
 import sys
 from collections.abc import Iterator
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -485,15 +486,28 @@ def _sweep(config: ExperimentConfig) -> list[tuple[str, float, ScenarioConfig]]:
 
 
 def run_experiment(config: ExperimentConfig) -> list[MetricSeries]:
-    """Run the configured experiment's sweep; one MetricSeries per value."""
-    out = []
-    for param_name, param_value, sc, scenario, link in _runs(config):
-        point_results = run_trials(
-            scenario, link, config.trials, config.seed, workers=config.workers
+    """Run the configured experiment's sweep; one MetricSeries per value.
+
+    Every sweep value's network and link are built first, and one
+    run_trials call runs the trials of them all, on one pool for more than
+    one worker.  Estimation walks its flat result in sweep order, so an
+    SNR point whose trials were all erased is reported at the first value
+    and point that has one, but only after every value's trials have run.
+    """
+    runs = list(_runs(config))
+    point_results = iter(
+        run_trials(
+            [(scenario, link) for *_, scenario, link in runs],
+            config.trials,
+            config.seed,
+            workers=config.workers,
         )
+    )
+    out = []
+    for param_name, param_value, sc, _, link in runs:
         exponents = uncoded_stream_params(sc.packet_bits, link.modulation.bits_per_symbol, link.streams)
         points = []
-        for pr in point_results:
+        for pr in islice(point_results, len(link.snr_db)):
             if pr.stats.erasures == pr.stats.packets_sent:
                 raise RuntimeError(
                     f"{param_name} = {param_value:g} at snr {pr.snr_db:g} dB: "

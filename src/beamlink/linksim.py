@@ -10,24 +10,26 @@ worker count or execution order.
 
 What does not depend on the draws (moments, rotator, which channels to
 draw and their path amplitudes, which nodes send at the measured point) is
-worked out once per run.  A task (one SNR point, one span of trials) then
-runs in three steps: each trial draws all of its channels from its own
-stream; every pair is solved for all of the task's trials as one stack,
-and the link algebra at the measured point (each sender's channel @
-composite, through the repetition vector in diversity mode, and the
-desired node's pseudoinverse) is one more; then each trial draws its bits
-and noise from its own stream into buffers the task reuses, forms the
-received block row by row without BLAS, equalizes it and slices each
-symbol by sign.  A singular solve, normalization or equalizer erases the
-trials its SolveError marks, and the stacked steps run again on the rest.
+worked out once per run.  The tasks of all the runs (one run, one SNR
+point, one span of trials each) go to one scheduler, which runs them here
+for one process or on one process pool.  A task runs in three steps: each
+trial draws all of its channels from its own stream; every pair is solved
+for all of the task's trials as one stack, and the link algebra at the
+measured point (each sender's channel @ composite, through the repetition
+vector in diversity mode, and the desired node's pseudoinverse) is one
+more; then each trial draws its bits and noise from its own stream into
+buffers the task reuses, forms the received block row by row without
+BLAS, equalizes it and slices each symbol by sign.  A singular solve,
+normalization or equalizer erases the trials its SolveError marks, and the
+stacked steps run again on the rest.
 """
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.random import Generator
@@ -520,45 +522,51 @@ def _run_task(
 
 
 def run_trials(
-    scenario: NetworkScenario,
-    link: LinkConfig,
+    runs: Sequence[tuple[NetworkScenario, LinkConfig]],
     n_trials: int,
     master_seed: int,
     workers: int = 1,
 ) -> list[PointResult]:
-    """Monte-Carlo sweep: one PointResult per entry of link.snr_db.
+    """Monte-Carlo sweep of every (scenario, link) run: one PointResult per
+    SNR point of each run, run-major (run 0's points, then run 1's).
 
-    The draw plan is built once.  Each SNR point's trials are split into
-    spans of at most _BATCH_TRIALS, at least one per worker up to one per
-    trial, and each (SNR point, span) task runs in this process for one
-    worker and on one process pool otherwise.  Per-trial streams are
-    derived from (master_seed, point index, trial index), counters merge by
-    integer addition in task order, and capacity samples land positionally,
-    so the result is identical for every worker count.
+    Each run's draw plan is built once.  Each SNR point's trials are split
+    into spans of at most _BATCH_TRIALS, and every (run, SNR point, span)
+    task runs in this process when one process is used and otherwise on
+    one pool of min(workers, tasks, CPU count) processes.  Every run
+    derives its per-trial streams from (master_seed, point index, trial
+    index), so the runs share them.  Counters merge by integer addition in
+    task order and capacity samples land positionally, so the result is
+    identical for every worker count.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if not runs:
+        raise ValueError("no runs to sweep")
 
-    # more spans than trials would only be empty ones
-    spans_per_point = max(min(workers, n_trials), -(-n_trials // _BATCH_TRIALS))
-    bounds = np.linspace(0, n_trials, spans_per_point + 1, dtype=int)
-    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    tasks = [(p, a, b) for p in range(len(link.snr_db)) for a, b in spans]
-    run = partial(_run_task, _plan(scenario, link), link, master_seed)
-    if workers == 1:
-        chunks = [run(*task) for task in tasks]
+    plans = [_plan(scenario, link) for scenario, link in runs]
+    points = [(r, p) for r, (_, link) in enumerate(runs) for p in range(len(link.snr_db))]
+    bounds = np.linspace(0, n_trials, -(-n_trials // _BATCH_TRIALS) + 1, dtype=int)
+    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    tasks = [(i, a, b) for i in range(len(points)) for a, b in spans]
+    args = [(plans[r], runs[r][1], master_seed, p, a, b) for r, p in points for a, b in spans]
+    # the pool starts all its processes at once, so never more than the CPUs
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    if processes == 1:
+        chunks = [_run_task(*task) for task in args]
     else:
-        # the pool starts all its processes at once, so never more than the CPUs
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks), os.cpu_count() or 1)) as pool:
-            chunks = list(pool.map(run, *zip(*tasks)))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            chunks = list(pool.map(_run_task, *zip(*args)))
 
     results = [
-        PointResult(snr_db=snr_db, stats=TrialStats(), capacity_samples=np.empty(n_trials))
-        for snr_db in link.snr_db
+        PointResult(
+            snr_db=runs[r][1].snr_db[p], stats=TrialStats(), capacity_samples=np.empty(n_trials)
+        )
+        for r, p in points
     ]
-    for (p, a, b), (chunk_stats, chunk_caps) in zip(tasks, chunks):
-        results[p].stats = results[p].stats + chunk_stats
-        results[p].capacity_samples[a:b] = chunk_caps
+    for (i, a, b), (chunk_stats, chunk_caps) in zip(tasks, chunks):
+        results[i].stats = results[i].stats + chunk_stats
+        results[i].capacity_samples[a:b] = chunk_caps
     return results

@@ -131,7 +131,8 @@ def interference_points(
     sit at the foot of the common chord, (d^2 + r_a^2 - r_c^2) / (2 d),
     clamped into the lens (it falls outside when one disk contains the
     other).  With own_point_distance, a's point sits exactly that far from
-    a and c's that far from c; ValueError names the interval it must lie in.
+    a and c's that far from c; ValueError names the interval it must lie in,
+    or says that no distance keeps both points in the lens.
     """
     d = float(np.linalg.norm(c.position - a.position))
     if d == 0.0:
@@ -149,6 +150,11 @@ def interference_points(
         t_a = t_c = min(max(x, lo), hi)
     else:
         low, high = max(lo, d - hi), min(hi, d - lo)
+        if not low < high:
+            raise ValueError(
+                f"cannot keep both points of pair ({a.id}, {c.id}) inside its overlap "
+                f"at any distance, got {own_point_distance:g}"
+            )
         if not low < own_point_distance < high:
             raise ValueError(
                 f"must lie in ({low:g}, {high:g}) to keep both points of pair "

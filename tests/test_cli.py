@@ -186,6 +186,17 @@ class TestErasedPoint:
         assert err.startswith("runtime error:")
         assert "custom = 0 at snr 4 dB: all 3 trials erased" in err
 
+    def test_first_erased_value_is_named_on_a_pool(self, tmp_path, capsys):
+        # every value runs before any is estimated; the first one is named
+        cfg = write_config(tmp_path, {
+            "experiment": "capacity_vs_nodes", "trials": 5, "workers": 2,
+            "scenario": {"identity_channel": True},
+        })
+        rc = main(["--config", cfg, "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "node_count = 2 at snr 5 dB: all 5 trials erased" in err
+
 
 class TestFlagPrecedence:
     def test_flags_override_file(self, tmp_path, capsys):

@@ -314,7 +314,7 @@ class TestRunExperiment:
         # the normalization would erase every trial of this valid scenario
         cfg = fast_config(scenario={"node_count": node_count, "packet_bits": 32, "tx_power": 1e20})
         [(_, _, _, scenario, link)] = experiments._runs(cfg)
-        [point] = run_trials(scenario, link, cfg.trials, cfg.seed)
+        [point] = run_trials([(scenario, link)], cfg.trials, cfg.seed)
         assert point.stats.erasures == 0
         assert np.isfinite(point.capacity_samples).all()
 

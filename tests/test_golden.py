@@ -25,6 +25,7 @@ import hashlib
 
 import pytest
 
+from beamlink import linksim
 from beamlink.experiments import EXPERIMENTS, emit_csv, load_config, run_experiment
 
 GOLDEN_SHA256 = {
@@ -139,3 +140,14 @@ def test_csv_digest(tmp_path, name):
 def test_larger_run_digest(tmp_path, name):
     overrides, digest = LARGER_RUNS[name]
     assert _digest(overrides, tmp_path / f"{name}.csv") == digest
+
+
+def test_erasing_run_on_a_pool(tmp_path, monkeypatch, real_pool):
+    # every sweep value's tasks share one pool of processes, each of the 3
+    # values in spans of 25 trials, and the 8-node value's erased trial must
+    # land where the 1-worker run puts it
+    monkeypatch.setattr(linksim, "_BATCH_TRIALS", 30)
+    name = "capacity_vs_nodes-m1e6-trials100-seed3"
+    overrides, digest = LARGER_RUNS[name]
+    assert _digest({**overrides, "workers": 3}, tmp_path / f"{name}.csv") == digest
+    assert real_pool == [(3, 12)]

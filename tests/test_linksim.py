@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm as scipy_norm
 
-from beamlink import linksim
+from beamlink import experiments, linksim
 from beamlink.beamformer import DegenerateNormalizationError, SolveError
 from beamlink.channel import NakagamiParams
 from beamlink.linksim import (
@@ -321,39 +321,69 @@ class TestEqualizers:
         assert exc.value.mask.tolist() == [False, True, True, False]
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Each pool size run_trials opens, on 2 CPUs; the stand-in pool runs
+    the tasks here and starts no process."""
+    opened = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(linksim, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(linksim.os, "cpu_count", lambda: 2)
+    return opened
+
+
 class TestRunTrials:
     def test_determinism_same_seed(self):
         sc = two_node_scenario()
         link = LinkConfig(snr_db=(5.0,), packet_bits=96)
-        r1 = run_trials(sc, link, n_trials=20, master_seed=99)
-        r2 = run_trials(sc, link, n_trials=20, master_seed=99)
+        r1 = run_trials([(sc, link)], n_trials=20, master_seed=99)
+        r2 = run_trials([(sc, link)], n_trials=20, master_seed=99)
         assert r1[0].stats == r2[0].stats
         np.testing.assert_array_equal(r1[0].capacity_samples, r2[0].capacity_samples)
 
     def test_different_seed_differs(self):
         sc = two_node_scenario()
         link = LinkConfig(snr_db=(5.0,), packet_bits=96)
-        r1 = run_trials(sc, link, n_trials=20, master_seed=99)
-        r2 = run_trials(sc, link, n_trials=20, master_seed=100)
+        r1 = run_trials([(sc, link)], n_trials=20, master_seed=99)
+        r2 = run_trials([(sc, link)], n_trials=20, master_seed=100)
         assert not np.array_equal(r1[0].capacity_samples, r2[0].capacity_samples)
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch, real_pool):
         sc = two_node_scenario()
         link = LinkConfig(snr_db=(3.0, 9.0), packet_bits=96)
-        serial = run_trials(sc, link, n_trials=13, master_seed=7, workers=1)
-        parallel = run_trials(sc, link, n_trials=13, master_seed=7, workers=3)
+        serial = run_trials([(sc, link)], n_trials=13, master_seed=7, workers=1)
+        # spans of at most 5 trials: 3 per point, merged across processes
+        monkeypatch.setattr(linksim, "_BATCH_TRIALS", 5)
+        parallel = run_trials([(sc, link)], n_trials=13, master_seed=7, workers=3)
+        assert real_pool == [(3, 6)]
         for a, b in zip(serial, parallel):
             assert a.stats == b.stats
             np.testing.assert_array_equal(a.capacity_samples, b.capacity_samples)
 
-    def test_worker_count_invariance_with_erasures(self):
+    def test_worker_count_invariance_with_erasures(self, monkeypatch, real_pool):
         # 8 nodes with nearly deterministic channels: seed 15 erases trials
-        # 15, 29 and 33 at 5 dB, two of them in the last of three spans
+        # 15, 29 and 33 at 5 dB
         nodes = [Node(id=i, position=np.array([10.0 * i, 0.0]), range_radius=6.0) for i in range(8)]
         sc = build_scenario(nodes)
         link = LinkConfig(snr_db=(5.0, 9.0), packet_bits=32, fading=NakagamiParams(m=1e6, omega=1.0))
-        serial = run_trials(sc, link, n_trials=37, master_seed=15, workers=1)
-        parallel = run_trials(sc, link, n_trials=37, master_seed=15, workers=3)
+        serial = run_trials([(sc, link)], n_trials=37, master_seed=15, workers=1)
+        # spans (0, 12), (12, 24), (24, 37): the erasures fall in the last two
+        monkeypatch.setattr(linksim, "_BATCH_TRIALS", 13)
+        parallel = run_trials([(sc, link)], n_trials=37, master_seed=15, workers=3)
+        assert real_pool == [(3, 6)]
         assert np.flatnonzero(np.isnan(serial[0].capacity_samples)).tolist() == [15, 29, 33]
         for a, b in zip(serial, parallel):
             assert (a.snr_db, a.stats) == (b.snr_db, b.stats)
@@ -366,9 +396,9 @@ class TestRunTrials:
             [Node(id=i, position=np.array([10.0 * i, 0.0]), range_radius=6.0) for i in range(4)]
         )
         link = LinkConfig(snr_db=(5.0,), packet_bits=32, fading=NakagamiParams(m=1e6, omega=1.0))
-        whole = run_trials(sc, link, n_trials=40, master_seed=2)
+        whole = run_trials([(sc, link)], n_trials=40, master_seed=2)
         monkeypatch.setattr(linksim, "_BATCH_TRIALS", 1)
-        split = run_trials(sc, link, n_trials=40, master_seed=2)
+        split = run_trials([(sc, link)], n_trials=40, master_seed=2)
         assert whole[0].stats == split[0].stats
         np.testing.assert_array_equal(whole[0].capacity_samples, split[0].capacity_samples)
 
@@ -401,7 +431,7 @@ class TestRunTrials:
             return plan(*args)
 
         monkeypatch.setattr(linksim, "_plan", counted)
-        run_trials(two_node_scenario(), LinkConfig(snr_db=(3.0, 9.0), packet_bits=32), 4, 1)
+        run_trials([(two_node_scenario(), LinkConfig(snr_db=(3.0, 9.0), packet_bits=32))], 4, 1)
         assert len(calls) == 1
 
     def test_tasks_hold_at_most_a_batch(self, monkeypatch):
@@ -413,55 +443,32 @@ class TestRunTrials:
             return task(plan, link, master_seed, point_idx, start, stop)
 
         monkeypatch.setattr(linksim, "_run_task", recorded)
-        run_trials(single_node_scenario(), calibration_config([0.0], 32), 600, 1, workers=1)
+        run_trials([(single_node_scenario(), calibration_config([0.0], 32))], 600, 1, workers=1)
         assert len(spans) > 1
         assert max(b - a for a, b in spans) <= linksim._BATCH_TRIALS
         assert sum(b - a for a, b in spans) == 600
-
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """Each pool size run_trials opens, on 2 CPUs; the stand-in pool
-        runs the tasks here and starts no process."""
-        opened = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(linksim, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(linksim.os, "cpu_count", lambda: 2)
-        return opened
 
     def test_pool_capped_at_cpu_count(self, pool_sizes):
         # a pool starts all its processes at once, so 64 workers on 2 CPUs open 2
         opened = pool_sizes
         sc = two_node_scenario()
         link = LinkConfig(snr_db=(3.0, 9.0), packet_bits=96)
-        serial = run_trials(sc, link, n_trials=13, master_seed=7, workers=1)
-        capped = run_trials(sc, link, n_trials=13, master_seed=7, workers=64)
+        serial = run_trials([(sc, link)], n_trials=13, master_seed=7, workers=1)
+        capped = run_trials([(sc, link)], n_trials=13, master_seed=7, workers=64)
         assert opened == [2]
         for a, b in zip(serial, capped):
             assert a.stats == b.stats
             assert a.capacity_samples.tobytes() == b.capacity_samples.tobytes()
 
     def test_workers_beyond_trials_cost_no_memory(self, pool_sizes):
-        # a million workers on 3 trials split each point into 3 spans, not a
-        # million mostly empty ones
+        # a million workers on 2 CPUs run each point's 3 trials as one task
+        # on a pool of 2, not as a million mostly empty spans
         sc = two_node_scenario()
         link = LinkConfig(snr_db=(3.0, 9.0), packet_bits=96)
-        serial = run_trials(sc, link, n_trials=3, master_seed=7, workers=1)
+        serial = run_trials([(sc, link)], n_trials=3, master_seed=7, workers=1)
         tracemalloc.start()
         try:
-            many = run_trials(sc, link, n_trials=3, master_seed=7, workers=10**6)
+            many = run_trials([(sc, link)], n_trials=3, master_seed=7, workers=10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -474,7 +481,7 @@ class TestRunTrials:
     def test_high_snr_error_free(self):
         sc = single_node_scenario()
         link = calibration_config([200.0], packet_bits=2304)
-        (res,) = run_trials(sc, link, n_trials=5, master_seed=1)
+        (res,) = run_trials([(sc, link)], n_trials=5, master_seed=1)
         assert res.stats.bit_errors == 0
         assert res.stats.packet_errors == 0
 
@@ -482,14 +489,14 @@ class TestRunTrials:
         # unit channel, unit normalization, snr 0 dB: capacity log2(2) = 1
         sc = single_node_scenario()
         link = calibration_config([0.0], packet_bits=96)
-        (res,) = run_trials(sc, link, n_trials=4, master_seed=3)
+        (res,) = run_trials([(sc, link)], n_trials=4, master_seed=3)
         np.testing.assert_allclose(res.capacity_samples, 1.0, atol=1e-12)
 
     def test_calibration_ber_matches_q_function(self):
         sc = single_node_scenario()
         link = calibration_config([0.0])
         n_trials = 90  # ~2e5 bits
-        (res,) = run_trials(sc, link, n_trials=n_trials, master_seed=11)
+        (res,) = run_trials([(sc, link)], n_trials=n_trials, master_seed=11)
         n = res.stats.bits_sent
         ber = res.stats.bit_errors / n
         target = q_function(math.sqrt(2.0))
@@ -499,7 +506,7 @@ class TestRunTrials:
     def test_ber_monotone_in_snr(self):
         sc = single_node_scenario()
         link = calibration_config([0.0, 4.0, 8.0])
-        results = run_trials(sc, link, n_trials=60, master_seed=13)
+        results = run_trials([(sc, link)], n_trials=60, master_seed=13)
         bers = [r.stats.bit_errors / r.stats.bits_sent for r in results]
         assert bers[0] > bers[1] > bers[2]
 
@@ -508,7 +515,7 @@ class TestRunTrials:
         # exactly singular, so every trial must erase, not crash
         sc = two_node_scenario()
         link = LinkConfig(snr_db=(5.0,), packet_bits=96, fading=None)
-        (res,) = run_trials(sc, link, n_trials=8, master_seed=5)
+        (res,) = run_trials([(sc, link)], n_trials=8, master_seed=5)
         assert res.stats.erasures == 8
         assert res.stats.packet_errors == 8
         assert res.stats.packets_sent == 8
@@ -518,7 +525,7 @@ class TestRunTrials:
     def test_counter_consistency(self):
         sc = two_node_scenario()
         link = LinkConfig(snr_db=(2.0,), packet_bits=96)
-        (res,) = run_trials(sc, link, n_trials=40, master_seed=21)
+        (res,) = run_trials([(sc, link)], n_trials=40, master_seed=21)
         s = res.stats
         assert s.bit_errors <= s.bits_sent
         assert s.symbol_errors <= s.symbols_sent
@@ -531,9 +538,9 @@ class TestRunTrials:
         # grow when interference is added (statistically, via totals)
         sc = two_node_scenario()
         kwargs = dict(snr_db=(12.0,), packet_bits=192, fading=NakagamiParams(1.0, 1.0))
-        with_i = run_trials(sc, LinkConfig(**kwargs), 150, master_seed=31)
+        with_i = run_trials([(sc, LinkConfig(**kwargs))], 150, master_seed=31)
         without_i = run_trials(
-            sc, LinkConfig(**kwargs, include_interference=False), 150, master_seed=31
+            [(sc, LinkConfig(**kwargs, include_interference=False))], 150, master_seed=31
         )
         assert with_i[0].stats.bit_errors >= without_i[0].stats.bit_errors
 
@@ -543,7 +550,7 @@ class TestRunTrials:
             snr_db=(10.0,), dimension=2, packet_bits=96, mode="diversity",
             include_interference=False,
         )
-        (res,) = run_trials(sc, link, n_trials=30, master_seed=41)
+        (res,) = run_trials([(sc, link)], n_trials=30, master_seed=41)
         assert res.stats.packets_sent == 30
         assert res.stats.bits_sent == 96 * (30 - res.stats.erasures)
         # one stream: symbol count equals bit count for BPSK
@@ -552,22 +559,83 @@ class TestRunTrials:
     def test_qpsk_multiplexing_runs(self):
         sc = two_node_scenario()
         link = LinkConfig(snr_db=(15.0,), modulation=QPSK, packet_bits=192)
-        (res,) = run_trials(sc, link, n_trials=25, master_seed=43)
+        (res,) = run_trials([(sc, link)], n_trials=25, master_seed=43)
         assert res.stats.symbols_sent == res.stats.bits_sent // 2
 
     def test_bad_args(self):
         sc = single_node_scenario()
         link = calibration_config([0.0])
         with pytest.raises(ValueError):
-            run_trials(sc, link, n_trials=0, master_seed=1)
+            run_trials([(sc, link)], n_trials=0, master_seed=1)
         with pytest.raises(ValueError):
-            run_trials(sc, link, n_trials=1, master_seed=1, workers=0)
+            run_trials([(sc, link)], n_trials=1, master_seed=1, workers=0)
+        with pytest.raises(ValueError):
+            run_trials([], n_trials=1, master_seed=1, workers=2)
 
     def test_measured_node_selects_role(self):
         sc = two_node_scenario()
         link_a = LinkConfig(snr_db=(5.0,), packet_bits=96, measured_node=0)
         link_b = LinkConfig(snr_db=(5.0,), packet_bits=96, measured_node=1)
-        r_a = run_trials(sc, link_a, 10, master_seed=51)
-        r_b = run_trials(sc, link_b, 10, master_seed=51)
+        r_a = run_trials([(sc, link_a)], 10, master_seed=51)
+        r_b = run_trials([(sc, link_b)], 10, master_seed=51)
         # same seed, different measured role: different capacity draws
         assert not np.array_equal(r_a[0].capacity_samples, r_b[0].capacity_samples)
+
+
+class TestScheduler:
+    """run_experiment hands every sweep value's tasks to one run_trials call."""
+
+    @pytest.fixture
+    def task_list(self, monkeypatch):
+        """The (draws per trial, dimension, point, start, stop) of every task
+        run_trials runs for a config, in the order it runs them; the tasks
+        return empty counters instead of running their trials."""
+
+        def tasks(overrides):
+            ran = []
+
+            def recorded(plan, link, master_seed, point_idx, start, stop):
+                ran.append((len(plan.amplitudes), link.dimension, point_idx, start, stop))
+                return TrialStats(), np.full(stop - start, math.nan)
+
+            monkeypatch.setattr(linksim, "_run_task", recorded)
+            config = experiments.load_config(overrides=overrides)
+            runs = [(scenario, link) for *_, scenario, link in experiments._runs(config)]
+            linksim.run_trials(runs, config.trials, config.seed, workers=config.workers)
+            return ran
+
+        return tasks
+
+    @pytest.mark.parametrize("experiment", ["ber_vs_dimension", "capacity_vs_nodes"])
+    def test_one_pool_per_experiment(self, pool_sizes, tmp_path, experiment):
+        def csv_bytes(workers):
+            config = experiments.load_config(overrides={
+                "experiment": experiment, "trials": 3, "seed": 7, "workers": workers,
+                "scenario": {"packet_bits": 32},
+            })
+            path = tmp_path / f"w{workers}.csv"
+            experiments.emit_csv(experiments.run_experiment(config), str(path))
+            return path.read_bytes()
+
+        assert csv_bytes(1) == csv_bytes(2)
+        assert pool_sizes == [2]
+
+    def test_workers_beyond_cpus_run_the_same_tasks(self, pool_sizes, task_list):
+        base = {"experiment": "capacity_vs_nodes", "trials": 100}
+        two = task_list({**base, "workers": 2})
+        many = task_list({**base, "workers": 10**6})
+        assert two == many
+        assert pool_sizes == [2, 2]
+
+    def test_link_sweep_on_two_workers(self, pool_sizes, task_list):
+        # 16 snr points of 50 trials: one task each, in sweep order
+        ran = task_list({"experiment": "ber_vs_dimension", "trials": 50, "workers": 2})
+        assert ran == [(1, d, p, 0, 50) for d in (2, 4) for p in range(8)]
+        assert pool_sizes == [2]
+
+    def test_one_worker_keeps_the_per_run_task_list(self, task_list):
+        # each run in sweep order, each snr point split into spans of at
+        # most 256 trials: the task list of one run_trials call per value
+        ran = task_list({"experiment": "ber_vs_dimension", "trials": 600, "workers": 1})
+        spans = [(0, 200), (200, 400), (400, 600)]
+        assert ran == [(1, d, p, a, b) for d in (2, 4) for p in range(8) for a, b in spans]

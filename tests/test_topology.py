@@ -89,7 +89,7 @@ class TestInterferencePoints:
         # t leaves its partner at 5 - t, outside it for every t
         a, c = make_node(0, 0, 0, 20), make_node(1, 5, 0, 2)
         for own in (3.5, 2.5, 1.5, 4.0):
-            with pytest.raises(ValueError, match=r"must lie in \(3, 2\)"):
+            with pytest.raises(ValueError, match=r"pair \(0, 1\) inside its overlap at any distance"):
                 interference_points(a, c, own)
 
     def test_asymmetric_chord_distance(self):
