@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--experiment", choices=EXPERIMENTS, help="experiment to run")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
     parser.add_argument("--trials", type=int, help="trials per SNR point")
-    parser.add_argument("--out", help="output CSV path")
+    parser.add_argument("--out", dest="output", metavar="OUT", help="output CSV path")
     parser.add_argument("--snr", help="SNR sweep in dB as start:stop:step")
     parser.add_argument("--workers", type=int, help="parallel worker processes")
     return parser
@@ -57,19 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        overrides: dict = {}
-        if args.experiment is not None:
-            overrides["experiment"] = args.experiment
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.out is not None:
-            overrides["output"] = args.out
-        if args.snr is not None:
-            overrides["snr"] = _parse_snr(args.snr)
-        if args.workers is not None:
-            overrides["workers"] = args.workers
+        # each flag but --config is named after the config field it overrides
+        overrides = {
+            key: _parse_snr(value) if key == "snr" else value
+            for key, value in vars(args).items()
+            if key != "config" and value is not None
+        }
         config = load_config(args.config, overrides)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -3,8 +3,10 @@
 Config files are JSON.  Field resolution order is: CLI override > explicit
 value in the file > experiment-specific default > generic default, and it
 happens entirely at load time, so a loaded config is fully resolved and
-serializing it round-trips exactly.  Each field's generic default, JSON
-type and bounds are declared once, on its dataclass field (see _spec).
+serializing it round-trips exactly.  The dataclasses are the schema: each
+field's generic default, JSON type and bounds are declared once, on its
+field (see _spec), and the JSON objects snr and scenario are SnrGrid and
+ScenarioConfig.  Each named experiment is declared once, in _EXPERIMENTS.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from beamlink.topology import NetworkScenario, Node, build_scenario, detect_over
 
 __all__ = [
     "ConfigError",
+    "SnrGrid",
     "ScenarioConfig",
     "ExperimentConfig",
     "EXPERIMENTS",
@@ -49,18 +52,60 @@ class ConfigError(ValueError):
     """Configuration parse or validation failure (CLI exit code 1)."""
 
 
-EXPERIMENTS = (
-    "capacity_vs_nodes",
-    "per_vs_distance",
-    "per_vs_modulation",
-    "ber_vs_dimension",
-    "custom",
-)
-
 NODE_COUNT_SWEEP = (2, 4, 8)
 SPACING_SWEEP = (5.0, 8.0, 11.0)
 MODULATION_SWEEP = ("bpsk", "qpsk")
 DIMENSION_SWEEP = (2, 4)
+
+# each named experiment: the scenario field it sweeps, the values it takes,
+# and its defaults, applied only where the config is silent
+_EXPERIMENTS: dict[str, tuple[str, tuple, dict]] = {
+    "capacity_vs_nodes": ("node_count", NODE_COUNT_SWEEP, {
+        "snr": {"start": 5.0, "stop": 5.0, "step": 1.0}, "trials": 600
+    }),
+    # interference-limited operating point: the network normalization grows
+    # like the inverse cross-link gain, so the transmit-referenced snr must be
+    # large before thermal noise stops masking the interference floor.  The
+    # receive point sits 4 m from its transmitter at every spacing, so the
+    # interferer recedes 1 -> 4 -> 7 m across the sweep; worst-case fading
+    # (m = 0.5) keeps the failure tail measurable.  Diversity mode avoids
+    # inverting the driven effective channel, whose condition number is large
+    # by construction.
+    "per_vs_distance": ("node_spacing", SPACING_SWEEP, {
+        "snr": {"start": 120.0, "stop": 120.0, "step": 1.0},
+        "trials": 1200,
+        "scenario": {
+            "transmission_mode": "diversity",
+            "range_radius": 12.0,
+            "own_point_distance": 4.0,
+            "nakagami_m": 0.5,
+            "packet_bits": 192,
+        },
+    }),
+    # single fading link: order constellations by their noise margin without
+    # the coordinated-pair normalization dominating the comparison.
+    "per_vs_modulation": ("modulation", MODULATION_SWEEP, {
+        "snr": {"start": 0.0, "stop": 14.0, "step": 2.0},
+        "trials": 400,
+        "scenario": {"node_count": 1},
+    }),
+    # single fading link so the diversity order of the antenna count is
+    # visible at moderate snr; a coordinated pair would bury the 8-12 dB
+    # window under the network normalization.
+    "ber_vs_dimension": ("dimension", DIMENSION_SWEEP, {
+        "snr": {"start": 0.0, "stop": 14.0, "step": 2.0},
+        "trials": 1500,
+        "scenario": {
+            "transmission_mode": "diversity",
+            "include_interference": False,
+            "node_count": 1,
+            "nakagami_m": 1.0,
+        },
+    }),
+    # runs the scenario as given, as the one value of a sweep named custom
+    "custom": ("custom", (), {}),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 _BOUND_CHECKS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
@@ -74,9 +119,7 @@ MAX_SNR_POINTS = 10_000
 MAX_SNR_DB = 1000.0
 
 
-def _spec(
-    default=MISSING, kind=float, *, ge=None, gt=None, le=None, choices=None, fold=False, key=None
-):
+def _spec(default=MISSING, kind=float, *, ge=None, gt=None, le=None, choices=None, fold=False):
     """A config field: its default, and how load_config reads it from JSON.
 
     kind is the JSON type: float takes any finite number, int an integer,
@@ -85,12 +128,12 @@ def _spec(
     and a dataclass a non-empty list of objects with that dataclass's
     fields, each kept as a tuple.  Numbers must be >= ge, > gt and <= le.
     A field whose default is None also takes null; one without a default
-    is required.  key is the dotted JSON path where it is not the name.
+    is required.
     """
     bounds = tuple((op, b) for op, b in ((">=", ge), (">", gt), ("<=", le)) if b is not None)
     return field(
         default=default,
-        metadata={"kind": kind, "bounds": bounds, "choices": choices, "fold": fold, "key": key},
+        metadata={"kind": kind, "bounds": bounds, "choices": choices, "fold": fold},
     )
 
 
@@ -133,13 +176,25 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
+class SnrGrid:
+    """The snr points start, start + step, ... up to stop, in dB."""
+
+    start: float = _spec(0.0, ge=-MAX_SNR_DB, le=MAX_SNR_DB)
+    stop: float = _spec(10.0, ge=-MAX_SNR_DB, le=MAX_SNR_DB)
+    step: float = _spec(2.0, gt=0.0)
+
+    def count(self) -> float:
+        """Points of the grid; inf when the count overflows."""
+        steps = (self.stop - self.start) / self.step + 1e-9
+        return math.floor(steps) + 1 if math.isfinite(steps) else math.inf
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A fully resolved run: experiment, sweep, budget, seed, output."""
 
     experiment: str = _spec("custom", str, choices=EXPERIMENTS)
-    snr_start: float = _spec(0.0, ge=-MAX_SNR_DB, le=MAX_SNR_DB, key="snr.start")
-    snr_stop: float = _spec(10.0, ge=-MAX_SNR_DB, le=MAX_SNR_DB, key="snr.stop")
-    snr_step: float = _spec(2.0, gt=0.0, key="snr.step")
+    snr: SnrGrid = SnrGrid()
     trials: int = _spec(200, int, ge=1)
     seed: int = _spec(12345, int, ge=0)
     output: str = _spec("results.csv", str)
@@ -147,68 +202,10 @@ class ExperimentConfig:
     scenario: ScenarioConfig = ScenarioConfig()
 
     def snr_points(self) -> tuple[float, ...]:
-        count = _snr_count(self.snr_start, self.snr_stop, self.snr_step)
-        return tuple(self.snr_start + k * self.snr_step for k in range(count))
+        return tuple(self.snr.start + k * self.snr.step for k in range(self.snr.count()))
 
 
-def _snr_count(start: float, stop: float, step: float) -> float:
-    """Points of the grid start, start + step, ... up to stop; inf on overflow."""
-    steps = (stop - start) / step + 1e-9
-    return math.floor(steps) + 1 if math.isfinite(steps) else math.inf
-
-
-# experiment-specific defaults, applied only where the config is silent
-_EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "capacity_vs_nodes": {
-        "snr": {"start": 5.0, "stop": 5.0, "step": 1.0},
-        "trials": 600,
-    },
-    # interference-limited operating point: the network normalization grows
-    # like the inverse cross-link gain, so the transmit-referenced snr must be
-    # large before thermal noise stops masking the interference floor.  The
-    # receive point sits 4 m from its transmitter at every spacing, so the
-    # interferer recedes 1 -> 4 -> 7 m across the sweep; worst-case fading
-    # (m = 0.5) keeps the failure tail measurable.  Diversity mode avoids
-    # inverting the driven effective channel, whose condition number is large
-    # by construction.
-    "per_vs_distance": {
-        "snr": {"start": 120.0, "stop": 120.0, "step": 1.0},
-        "trials": 1200,
-        "scenario": {
-            "transmission_mode": "diversity",
-            "range_radius": 12.0,
-            "own_point_distance": 4.0,
-            "nakagami_m": 0.5,
-            "packet_bits": 192,
-        },
-    },
-    # single fading link: order constellations by their noise margin without
-    # the coordinated-pair normalization dominating the comparison.
-    "per_vs_modulation": {
-        "snr": {"start": 0.0, "stop": 14.0, "step": 2.0},
-        "trials": 400,
-        "scenario": {"node_count": 1},
-    },
-    # single fading link so the diversity order of the antenna count is
-    # visible at moderate snr; a coordinated pair would bury the 8-12 dB
-    # window under the network normalization.
-    "ber_vs_dimension": {
-        "snr": {"start": 0.0, "stop": 14.0, "step": 2.0},
-        "trials": 1500,
-        "scenario": {
-            "transmission_mode": "diversity",
-            "include_interference": False,
-            "node_count": 1,
-            "nakagami_m": 1.0,
-        },
-    },
-    "custom": {},
-}
-
-# JSON path of each ExperimentConfig field; the accepted top-level and snr keys follow
-_FIELD_BY_KEY = {f.metadata.get("key") or f.name: f.name for f in fields(ExperimentConfig)}
-_TOP_KEYS = {key.partition(".")[0] for key in _FIELD_BY_KEY}
-_SNR_KEYS = {key[len("snr.") :] for key in _FIELD_BY_KEY if key.startswith("snr.")}
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 _NODE_KEYS = tuple(f.name for f in fields(_NodeEntry))
 
 
@@ -250,7 +247,8 @@ def _read(f, value, name: str):
         if not isinstance(value, list) or not value:
             _fail(f"field {name!r} must be a non-empty list of objects")
         value = tuple(
-            tuple(_read_fields(kind, entry, f"{name}[{i}]").values()) for i, entry in enumerate(value)
+            tuple(_read_fields(kind, entry, f"{name}[{i}]").values())
+            for i, entry in enumerate(value)
         )
     elif kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -277,8 +275,7 @@ def _read_fields(cls, raw, where: str) -> dict:
     values = {}
     for f in specs:
         if f.name in raw:
-            name = f.metadata["key"] or (f"{where}.{f.name}" if where else f.name)
-            values[f.name] = _read(f, raw[f.name], name)
+            values[f.name] = _read(f, raw[f.name], f"{where}.{f.name}" if where else f.name)
         elif f.default is MISSING:
             _fail(f"field {where!r} is missing {f.name!r}")
         else:
@@ -288,7 +285,7 @@ def _read_fields(cls, raw, where: str) -> dict:
 
 def _check_scenario(sc: ScenarioConfig) -> None:
     """The rules that tie scenario fields to each other."""
-    ids = [n[0] for n in sc.nodes] if sc.nodes is not None else list(range(sc.node_count))
+    ids = [n[0] for n in _node_entries(sc)]
     if len(set(ids)) != len(ids):
         _fail(f"duplicate node ids in 'scenario.nodes': {ids}")
     measured = {"measured_node": [sc.measured_node], "measured_pair": sc.measured_pair or []}
@@ -340,38 +337,34 @@ def _resolve(raw: dict, overrides: dict | None) -> ExperimentConfig:
     # later layers win; scenario objects merge field by field, snr is taken whole
     top: dict = {}
     scenario: dict = {}
-    for layer in (_EXPERIMENT_DEFAULTS[experiment], raw, overrides):
+    for layer in (_EXPERIMENTS[experiment][2], raw, overrides):
         top.update(layer)
         part = layer.get("scenario", {})
         if not isinstance(part, dict):
             _fail("field 'scenario' must be an object")
         scenario.update(part)
     top.pop("scenario", None)
-    if "snr" in top:
-        snr = top.pop("snr")
-        if not isinstance(snr, dict):
-            _fail(f"field 'snr' must be an object with {sorted(_SNR_KEYS)}")
-        _check_keys(snr, _SNR_KEYS, "snr")
-        # a partial grid without a stop is the single point at its start
-        snr = {"stop": snr.get("start", ExperimentConfig.snr_start), **snr}
-        top.update({_FIELD_BY_KEY[f"snr.{k}"]: v for k, v in snr.items()})
+    snr = top.pop("snr", asdict(SnrGrid()))
+    if not isinstance(snr, dict):
+        _fail(f"field 'snr' must be an object with {sorted(f.name for f in fields(SnrGrid))}")
+    # no snr anywhere is the generic grid; one without a stop is the single point at its start
+    grid = SnrGrid(**_read_fields(SnrGrid, {"stop": snr.get("start", SnrGrid.start), **snr}, "snr"))
 
     values = _read_fields(ExperimentConfig, top, "")
-    if values["snr_stop"] < values["snr_start"]:
-        _fail(
-            f"field 'snr.stop' must be >= snr.start, got {values['snr_stop']} < {values['snr_start']}"
-        )
+    if grid.stop < grid.start:
+        _fail(f"field 'snr.stop' must be >= snr.start, got {grid.stop} < {grid.start}")
     # the CSV is written after every trial has run, so its path is checked now
     output = values["output"]
     if os.path.isdir(output):
         _fail(f"field 'output' must name a file, got the directory {output!r}")
     if not os.path.isdir(os.path.dirname(output) or os.curdir):
         _fail(f"field 'output' must be in an existing directory, got {output!r}")
-    count = _snr_count(values["snr_start"], values["snr_stop"], values["snr_step"])
-    if count > MAX_SNR_POINTS:
-        _fail(f"field 'snr.step' must give at most {MAX_SNR_POINTS} snr points, got {count}")
+    if grid.count() > MAX_SNR_POINTS:
+        _fail(f"field 'snr.step' must give at most {MAX_SNR_POINTS} snr points, got {grid.count()}")
     config = ExperimentConfig(
-        **values, scenario=ScenarioConfig(**_read_fields(ScenarioConfig, scenario, "scenario"))
+        **values,
+        snr=grid,
+        scenario=ScenarioConfig(**_read_fields(ScenarioConfig, scenario, "scenario")),
     )
     for _ in _runs(config):
         pass
@@ -401,17 +394,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
 
 def serialize_config(config: ExperimentConfig) -> str:
     """JSON text that reloads to an equal config (all fields explicit)."""
-    sc = asdict(config.scenario)
+    payload = asdict(config)
+    sc = payload["scenario"]
     if sc["nodes"] is not None:
         sc["nodes"] = [dict(zip(_NODE_KEYS, n)) for n in sc["nodes"]]
-    payload: dict = {}
-    for key, name in _FIELD_BY_KEY.items():
-        value = sc if name == "scenario" else getattr(config, name)
-        group, _, sub = key.partition(".")
-        if sub:
-            payload.setdefault(group, {})[sub] = value
-        else:
-            payload[group] = value
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -420,25 +406,21 @@ def _scenario_hash(sc: ScenarioConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _build_nodes(sc: ScenarioConfig) -> list[Node]:
+def _node_entries(sc: ScenarioConfig) -> tuple[tuple[int, float, float, float, float], ...]:
+    """The (id, x, y, radius, power) of each node: the explicit nodes, or
+    node_count nodes node_spacing apart on the x axis."""
     if sc.nodes is not None:
-        return [
-            Node(id=nid, position=np.array([x, y]), range_radius=radius, tx_power=power)
-            for nid, x, y, radius, power in sc.nodes
-        ]
-    return [
-        Node(
-            id=i,
-            position=np.array([i * sc.node_spacing, 0.0]),
-            range_radius=sc.range_radius,
-            tx_power=sc.tx_power,
-        )
-        for i in range(sc.node_count)
-    ]
+        return sc.nodes
+    return tuple(
+        (i, i * sc.node_spacing, 0.0, sc.range_radius, sc.tx_power) for i in range(sc.node_count)
+    )
 
 
 def _build_network(sc: ScenarioConfig) -> NetworkScenario:
-    nodes = _build_nodes(sc)
+    nodes = [
+        Node(id=nid, position=np.array([x, y]), range_radius=radius, tx_power=power)
+        for nid, x, y, radius, power in _node_entries(sc)
+    ]
     try:
         detect_overlaps(nodes)
     except ValueError as e:
@@ -470,19 +452,13 @@ def _build_link(sc: ScenarioConfig, snr_points: tuple[float, ...]) -> LinkConfig
 
 
 def _sweep(config: ExperimentConfig) -> list[tuple[str, float, ScenarioConfig]]:
-    sc = config.scenario
-    if config.experiment == "capacity_vs_nodes":
-        return [("node_count", float(n), replace(sc, node_count=n)) for n in NODE_COUNT_SWEEP]
-    if config.experiment == "per_vs_distance":
-        return [("node_spacing", s, replace(sc, node_spacing=s)) for s in SPACING_SWEEP]
-    if config.experiment == "per_vs_modulation":
-        return [
-            ("modulation", float(modulation_by_name(m).bits_per_symbol), replace(sc, modulation=m))
-            for m in MODULATION_SWEEP
-        ]
-    if config.experiment == "ber_vs_dimension":
-        return [("dimension", float(d), replace(sc, dimension=d)) for d in DIMENSION_SWEEP]
-    return [("custom", 0.0, sc)]
+    """(param_name, param_value, scenario) of each value the experiment runs."""
+    name, values, _ = _EXPERIMENTS[config.experiment]
+    if name == "custom":
+        return [("custom", 0.0, config.scenario)]
+    # a modulation is valued by its bits per symbol
+    params = [modulation_by_name(v).bits_per_symbol if name == "modulation" else v for v in values]
+    return [(name, float(p), replace(config.scenario, **{name: v})) for v, p in zip(values, params)]
 
 
 def run_experiment(config: ExperimentConfig) -> list[MetricSeries]:
@@ -505,7 +481,9 @@ def run_experiment(config: ExperimentConfig) -> list[MetricSeries]:
     )
     out = []
     for param_name, param_value, sc, _, link in runs:
-        exponents = uncoded_stream_params(sc.packet_bits, link.modulation.bits_per_symbol, link.streams)
+        exponents = uncoded_stream_params(
+            sc.packet_bits, link.modulation.bits_per_symbol, link.streams
+        )
         points = []
         for pr in islice(point_results, len(link.snr_db)):
             if pr.stats.erasures == pr.stats.packets_sent:

@@ -5,12 +5,13 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from beamlink import cli
 from beamlink.cli import _parse_snr, build_parser, main
-from beamlink.experiments import ConfigError
+from beamlink.experiments import ConfigError, ExperimentConfig
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -232,6 +233,16 @@ class TestFlagPrecedence:
 
 
 class TestParser:
+    def test_flags_are_named_after_config_fields(self):
+        # main passes each flag on as the override of the field its dest names
+        top = {f.name for f in fields(ExperimentConfig)}
+        dests = [
+            action.dest
+            for action in build_parser()._actions
+            if action.option_strings and action.dest not in ("help", "config")
+        ]
+        assert dests and [d for d in dests if d not in top] == []
+
     def test_experiment_choices_are_closed(self):
         parser = build_parser()
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Config resolution, experiment sweeps, and CSV emission."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -15,6 +16,7 @@ from beamlink.experiments import (
     ConfigError,
     ExperimentConfig,
     ScenarioConfig,
+    SnrGrid,
     emit_csv,
     load_config,
     run_experiment,
@@ -51,7 +53,7 @@ class TestLoadConfig:
 
     def test_experiment_defaults_applied(self):
         cfg = load_config(overrides={"experiment": "per_vs_distance"})
-        assert cfg.snr_start == 120.0 and cfg.snr_stop == 120.0
+        assert cfg.snr.start == 120.0 and cfg.snr.stop == 120.0
         assert cfg.trials == 1200
         sc = cfg.scenario
         assert sc.transmission_mode == "diversity"
@@ -66,7 +68,7 @@ class TestLoadConfig:
         cfg = load_config(str(path), overrides={"trials": 9})
         assert cfg.trials == 9  # override wins
         assert cfg.seed == 3  # file wins over defaults
-        assert cfg.snr_start == 120.0  # experiment default fills the silence
+        assert cfg.snr.start == 120.0  # experiment default fills the silence
 
     def test_scenario_override_merges_with_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -216,18 +218,91 @@ class TestLoadConfig:
         path.write_text(serialize_config(cfg))
         assert load_config(str(path)) == cfg
 
+    def test_modulation_name_is_folded(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": {"modulation": "QPSK"}}))
+        cfg = load_config(str(path))
+        assert cfg.scenario.modulation == "qpsk"
+        assert json.loads(serialize_config(cfg))["scenario"]["modulation"] == "qpsk"
+
+
+# resolved configs whose serialized text and scenario hashes are pinned: a
+# change to either changes every run's recorded config, so it must be deliberate
+PINNED_CONFIGS = {
+    "explicit-nodes": (
+        {
+            "trials": 50,
+            "seed": 7,
+            "snr": {"start": 2.0, "stop": 6.0},
+            "scenario": {
+                "nodes": [
+                    {"id": 0, "x": 0.0, "y": 0.0, "radius": 6.0},
+                    {"id": 1, "x": 4.0, "y": 0.0, "radius": 6.0, "power": 2.0},
+                ],
+                "measured_pair": [1, 0],
+            },
+        },
+        "0cff26cf9958622a7c58e21b00d5895fc35512f4eaef157668fdd3441b5b94de",
+        ["5c42758a0dff"],
+    ),
+    "line-layout": (
+        {
+            "experiment": "capacity_vs_nodes",
+            "scenario": {"node_spacing": 9.0, "range_radius": 5.0, "modulation": "QPSK"},
+        },
+        "1ced2442d6de85396dcdfc008cfff3d6e21f818ef87eccf0adf836b5a4c0c75c",
+        ["1497f18effab", "db6a1db806d3", "4c4111930829"],
+    ),
+}
+
+
+class TestResolvedConfigText:
+    @pytest.mark.parametrize("name", PINNED_CONFIGS)
+    def test_pinned_digests(self, name):
+        raw, text_sha256, scenario_hashes = PINNED_CONFIGS[name]
+        cfg = load_config(overrides=raw)
+        assert hashlib.sha256(serialize_config(cfg).encode()).hexdigest() == text_sha256
+        assert [experiments._scenario_hash(sc) for *_, sc in experiments._sweep(cfg)] == (
+            scenario_hashes
+        )
+
+
+class TestSnrGrid:
+    @pytest.mark.parametrize(
+        "snr, points",
+        [
+            # a grid without a stop is the single point at its start
+            ({"start": 3}, (3.0,)),
+            ({"step": 1}, (0.0,)),
+            ({"stop": 4}, (0.0, 2.0, 4.0)),
+        ],
+    )
+    def test_partial_grid(self, snr, points):
+        assert load_config(overrides={"snr": snr}).snr_points() == points
+
+    def test_no_grid_anywhere(self):
+        assert load_config().snr_points() == (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
+
+    def test_partial_grid_replaces_experiment_default_whole(self, tmp_path):
+        # capacity_vs_nodes defaults to 5:5:1; the file's grid takes none of it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "capacity_vs_nodes", "snr": {"stop": 6.0}}))
+        cfg = load_config(str(path))
+        assert cfg.snr == SnrGrid(0.0, 6.0, 2.0)
+        assert cfg.snr_points() == (0.0, 2.0, 4.0, 6.0)
+
 
 class TestSnrPoints:
     def test_inclusive_grid(self):
-        cfg = ExperimentConfig(snr_start=0.0, snr_stop=10.0, snr_step=2.0)
+        cfg = ExperimentConfig(snr=SnrGrid(0.0, 10.0, 2.0))
         assert cfg.snr_points() == (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 
     def test_single_point(self):
-        cfg = ExperimentConfig(snr_start=5.0, snr_stop=5.0, snr_step=1.0)
+        cfg = ExperimentConfig(snr=SnrGrid(5.0, 5.0, 1.0))
         assert cfg.snr_points() == (5.0,)
 
     def test_fractional_step(self):
-        cfg = ExperimentConfig(snr_start=0.0, snr_stop=1.5, snr_step=0.5)
+        cfg = ExperimentConfig(snr=SnrGrid(0.0, 1.5, 0.5))
         pts = cfg.snr_points()
         assert len(pts) == 4
         assert pts[-1] == pytest.approx(1.5)
@@ -379,4 +454,4 @@ class TestExperimentRegistry:
         for name in EXPERIMENTS:
             cfg = load_config(overrides={"experiment": name})
             assert cfg.experiment == name
-            assert math.isfinite(cfg.snr_start)
+            assert math.isfinite(cfg.snr.start)
