@@ -180,7 +180,8 @@ def normalization(composites: list[np.ndarray]) -> float | np.ndarray:
     """
     if not composites:
         raise ValueError("normalization needs at least one composite")
-    total = sum(np.sum(np.abs(c) ** 2, axis=(-2, -1)) for c in composites)
+    with np.errstate(over="ignore"):  # an overflow is inf: degenerate, not a warning
+        total = sum(np.sum(np.abs(c) ** 2, axis=(-2, -1)) for c in composites)
     bad = ~((total > 0.0) & np.isfinite(total))
     if bad.any():
         raise DegenerateNormalizationError(

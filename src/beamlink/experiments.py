@@ -22,7 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from beamlink.linksim import LinkConfig, measured_roles, modulation_by_name, run_trials
+from beamlink.linksim import LinkConfig, modulation_by_name, run_trials
 from beamlink.channel import NakagamiParams
 from beamlink.metrics import (
     Estimate,
@@ -33,7 +33,7 @@ from beamlink.metrics import (
     packet_error_rate,
     uncoded_stream_params,
 )
-from beamlink.topology import NetworkScenario, Node, build_scenario, detect_overlaps
+from beamlink.topology import NetworkScenario, Node, ScenarioError, build_scenario
 
 __all__ = [
     "ConfigError",
@@ -117,6 +117,8 @@ MAX_SNR_POINTS = 10_000
 # largest magnitude of an snr (dB): 10 ** (snr / 10) stays far from
 # overflow and underflow
 MAX_SNR_DB = 1000.0
+# most nodes a scenario may hold: load_config builds each in quadratic time
+MAX_NODES = 1000
 
 
 def _spec(default=MISSING, kind=float, *, ge=None, gt=None, le=None, choices=None, fold=False):
@@ -125,7 +127,7 @@ def _spec(default=MISSING, kind=float, *, ge=None, gt=None, le=None, choices=Non
     kind is the JSON type: float takes any finite number, int an integer,
     bool true or false, str a non-empty string (or one of choices, compared
     lower-cased when fold), tuple a pair of distinct integers kept sorted,
-    and a dataclass a non-empty list of objects with that dataclass's
+    and a dataclass a list of 1 to MAX_NODES objects with that dataclass's
     fields, each kept as a tuple.  Numbers must be >= ge, > gt and <= le.
     A field whose default is None also takes null; one without a default
     is required.
@@ -161,7 +163,7 @@ class ScenarioConfig:
     rotation_angle: float = _spec(math.pi)
     path_loss_exponent: float = _spec(3.0, ge=0.0)
     reference_distance: float = _spec(1.0, gt=0.0, le=MAX_LENGTH)
-    node_count: int = _spec(2, int, ge=1)
+    node_count: int = _spec(2, int, ge=1, le=MAX_NODES)
     node_spacing: float = _spec(10.0, gt=0.0, le=MAX_LENGTH)
     range_radius: float = _spec(6.0, gt=0.0, le=MAX_LENGTH)
     tx_power: float = _spec(1.0, gt=0.0)
@@ -244,8 +246,8 @@ def _read(f, value, name: str):
             _fail(f"field {name!r} must be a pair of distinct node ids, got {value!r}")
         value = (min(value), max(value))
     elif is_dataclass(kind):
-        if not isinstance(value, list) or not value:
-            _fail(f"field {name!r} must be a non-empty list of objects")
+        if not isinstance(value, list) or not 0 < len(value) <= MAX_NODES:
+            _fail(f"field {name!r} must be a list of 1 to {MAX_NODES} objects")
         value = tuple(
             tuple(_read_fields(kind, entry, f"{name}[{i}]").values())
             for i, entry in enumerate(value)
@@ -283,18 +285,6 @@ def _read_fields(cls, raw, where: str) -> dict:
     return values
 
 
-def _check_scenario(sc: ScenarioConfig) -> None:
-    """The rules that tie scenario fields to each other."""
-    ids = [n[0] for n in _node_entries(sc)]
-    if len(set(ids)) != len(ids):
-        _fail(f"duplicate node ids in 'scenario.nodes': {ids}")
-    measured = {"measured_node": [sc.measured_node], "measured_pair": sc.measured_pair or []}
-    for name, picked in measured.items():
-        for nid in picked:
-            if nid is not None and nid not in ids:
-                _fail(f"field 'scenario.{name}' references unknown node {nid}")
-
-
 def _runs(
     config: ExperimentConfig,
 ) -> Iterator[tuple[str, float, ScenarioConfig, NetworkScenario, LinkConfig]]:
@@ -310,18 +300,7 @@ def _runs(
             link = _build_link(sc, snr_points)
         except ValueError as e:
             _fail(f"field 'scenario.packet_bits' must split evenly: {e}{where}")
-        try:
-            _check_scenario(sc)
-            scenario = _build_network(sc)
-        except ConfigError as e:
-            _fail(f"{e}{where}")
-        # the pair alone first, so the error names the field at fault
-        for name, node in (("measured_pair", None), ("measured_node", sc.measured_node)):
-            try:
-                measured_roles(scenario, sc.measured_pair, node)
-            except ValueError as e:
-                _fail(f"field 'scenario.{name}': {e}{where}")
-        yield param_name, param_value, sc, scenario, link
+        yield param_name, param_value, sc, _build_network(sc, where), link
 
 
 def _resolve(raw: dict, overrides: dict | None) -> ExperimentConfig:
@@ -416,24 +395,22 @@ def _node_entries(sc: ScenarioConfig) -> tuple[tuple[int, float, float, float, f
     )
 
 
-def _build_network(sc: ScenarioConfig) -> NetworkScenario:
+def _build_network(sc: ScenarioConfig, where: str) -> NetworkScenario:
     nodes = [
         Node(id=nid, position=np.array([x, y]), range_radius=radius, tx_power=power)
         for nid, x, y, radius, power in _node_entries(sc)
     ]
-    try:
-        detect_overlaps(nodes)
-    except ValueError as e:
-        _fail(f"field 'scenario.nodes' has no overlap geometry: {e}")
     try:
         return build_scenario(
             nodes,
             path_loss_exponent=sc.path_loss_exponent,
             reference_distance=sc.reference_distance,
             own_point_distance=sc.own_point_distance,
+            measured_pair=sc.measured_pair,
+            measured_node=sc.measured_node,
         )
-    except ValueError as e:  # the field specs leave only the overlap rule to reject
-        _fail(f"field 'scenario.own_point_distance' {e}")
+    except ScenarioError as e:  # the field specs leave only the network rules to reject
+        _fail(f"field 'scenario.{e.field}': {e}{where}")
 
 
 def _build_link(sc: ScenarioConfig, snr_points: tuple[float, ...]) -> LinkConfig:
@@ -446,8 +423,6 @@ def _build_link(sc: ScenarioConfig, snr_points: tuple[float, ...]) -> LinkConfig
         rotation_angle=sc.rotation_angle,
         mode=sc.transmission_mode,
         include_interference=sc.include_interference,
-        measured_pair=sc.measured_pair,
-        measured_node=sc.measured_node,
     )
 
 

@@ -51,7 +51,7 @@ from beamlink.channel import (
     stack,
 )
 from beamlink.metrics import capacity, effective_snr
-from beamlink.topology import NetworkScenario, Node, OverlapRegion, path_gain
+from beamlink.topology import NetworkScenario, Node, path_gain
 
 __all__ = [
     "ModulationScheme",
@@ -62,7 +62,6 @@ __all__ = [
     "LinkConfig",
     "PointResult",
     "DetectionError",
-    "measured_roles",
     "modulate",
     "received_signal",
     "equalizers",
@@ -141,7 +140,7 @@ class TrialStats:
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """Everything a Monte-Carlo run needs besides the node geometry.
+    """Everything a Monte-Carlo run needs besides the network and its measured link.
 
     fading=None replaces every channel draw with the identity matrix (AWGN
     calibration).  mode 'multiplexing' sends one independent stream per
@@ -161,8 +160,6 @@ class LinkConfig:
     rotation_angle: float = math.pi
     mode: str = "multiplexing"
     include_interference: bool = True
-    measured_pair: tuple[int, int] | None = None
-    measured_node: int | None = None
 
     def __post_init__(self):
         if len(self.snr_db) == 0:
@@ -341,35 +338,14 @@ def _amplitude(node: Node, point: np.ndarray, scenario: NetworkScenario) -> floa
     return math.sqrt(gain * node.tx_power)
 
 
-def measured_roles(
-    scenario: NetworkScenario, measured_pair: tuple[int, int] | None, measured_node: int | None
-) -> tuple[int, OverlapRegion | None]:
-    """The measured node and the overlap region it is measured in.
-
-    The pair defaults to the first overlap and the node to the pair's lower
-    id.  With no pair given and no overlap at all, the region is None and
-    the node defaults to the first node.  Raises ValueError when the pair
-    has no overlap region or the node is not in it.
-    """
-    if measured_pair is None and not scenario.overlaps:
-        return (measured_node if measured_node is not None else scenario.nodes[0].id), None
-    pair = measured_pair if measured_pair is not None else scenario.overlaps[0].pair
-    region = next((o for o in scenario.overlaps if o.pair == tuple(pair)), None)
-    if region is None:
-        raise ValueError(f"measured pair {pair} has no overlap region")
-    desired = measured_node if measured_node is not None else region.pair[0]
-    if desired not in region.pair:
-        raise ValueError(f"measured node {desired} is not in pair {region.pair}")
-    return desired, region
-
-
 def _plan(scenario: NetworkScenario, link: LinkConfig) -> _TaskPlan:
     """Fix the draw order: per overlap (sorted by id pair) the four pair
-    channels, then the measured point's other interferers by ascending id."""
+    channels, then the measured point's other interferers by ascending id.
+    The desired node and its region are the scenario's measured link."""
     moments = derive_moments(link.fading) if link.fading is not None else None
     corr = moments if moments is not None else MomentDecomposition(0.0, 1.0)
     rotator = build_rotator(corr, link.dimension, link.rotation_angle)
-    desired, region = measured_roles(scenario, link.measured_pair, link.measured_node)
+    desired, region = scenario.measured_node, scenario.measured_region
 
     if region is None:
         # single-link calibration: no neighbors to drive, unit normalization

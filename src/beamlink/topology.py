@@ -3,7 +3,8 @@
 Every pair of nodes whose range disks intersect with positive area gets an
 overlap region carrying two designated receive points, one associated with
 each node of the pair; interference_points alone decides where they sit.
-Path gains follow a log-distance law.
+build_scenario alone assembles and checks a network and picks its measured
+link.  Path gains follow a log-distance law.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "ScenarioError",
     "Node",
     "OverlapRegion",
     "NetworkScenario",
@@ -21,6 +23,14 @@ __all__ = [
     "path_gain",
     "build_scenario",
 ]
+
+
+class ScenarioError(ValueError):
+    """A network that cannot be built; field names the build_scenario argument at fault."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass
@@ -72,10 +82,14 @@ class OverlapRegion:
 
 @dataclass
 class NetworkScenario:
-    """Nodes plus their detected overlaps and the propagation constants."""
+    """Nodes, their detected overlaps, the measured link and the propagation
+    constants: measured_node's packets are counted at its receive point in
+    measured_region, or over a single link when that is None."""
 
     nodes: list[Node]
     overlaps: list[OverlapRegion]
+    measured_node: int
+    measured_region: OverlapRegion | None
     path_loss_exponent: float = 3.0
     reference_distance: float = 1.0
 
@@ -88,9 +102,6 @@ class NetworkScenario:
             raise ValueError(
                 f"reference_distance must be > 0, got {self.reference_distance}"
             )
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"node ids must be unique, got {ids}")
 
     def node_by_id(self, node_id: int) -> Node:
         for n in self.nodes:
@@ -104,16 +115,17 @@ def detect_overlaps(nodes: list[Node]) -> list[tuple[int, int]]:
 
     Strict inequality: tangent disks do not overlap.  One disk containing
     the other does count (the intersection is the smaller disk).  The result
-    is sorted, so it is independent of the input node order.
+    is sorted, so it is independent of the input node order.  No nodes, or
+    two at one point, raise ScenarioError.
     """
     if len(nodes) < 1:
-        raise ValueError("need at least one node")
+        raise ScenarioError("nodes", "need at least one node")
     pairs = []
     for a, c in itertools.combinations(nodes, 2):
         d = float(np.linalg.norm(a.position - c.position))
         if d == 0.0:
-            raise ValueError(
-                f"nodes {a.id} and {c.id} are coincident; overlap geometry undefined"
+            raise ScenarioError(
+                "nodes", f"nodes {a.id} and {c.id} are coincident; overlap geometry undefined"
             )
         if d < a.range_radius + c.range_radius:
             pairs.append((min(a.id, c.id), max(a.id, c.id)))
@@ -131,8 +143,8 @@ def interference_points(
     sit at the foot of the common chord, (d^2 + r_a^2 - r_c^2) / (2 d),
     clamped into the lens (it falls outside when one disk contains the
     other).  With own_point_distance, a's point sits exactly that far from
-    a and c's that far from c; ValueError names the interval it must lie in,
-    or says that no distance keeps both points in the lens.
+    a and c's that far from c; ScenarioError names the interval it must lie
+    in, or says that no distance keeps both points in the lens.
     """
     d = float(np.linalg.norm(c.position - a.position))
     if d == 0.0:
@@ -151,12 +163,14 @@ def interference_points(
     else:
         low, high = max(lo, d - hi), min(hi, d - lo)
         if not low < high:
-            raise ValueError(
+            raise ScenarioError(
+                "own_point_distance",
                 f"cannot keep both points of pair ({a.id}, {c.id}) inside its overlap "
                 f"at any distance, got {own_point_distance:g}"
             )
         if not low < own_point_distance < high:
-            raise ValueError(
+            raise ScenarioError(
+                "own_point_distance",
                 f"must lie in ({low:g}, {high:g}) to keep both points of pair "
                 f"({a.id}, {c.id}) inside its overlap, got {own_point_distance:g}"
             )
@@ -178,20 +192,43 @@ def build_scenario(
     path_loss_exponent: float = 3.0,
     reference_distance: float = 1.0,
     own_point_distance: float | None = None,
+    measured_pair: tuple[int, int] | None = None,
+    measured_node: int | None = None,
 ) -> NetworkScenario:
-    """Assemble a scenario: detect every overlap and place its receive points.
+    """Assemble and check a network: detect every overlap, place its receive
+    points and pick the measured link.
 
     own_point_distance, when given, is each point's distance from its own
-    node along the pair's axis (see interference_points).
+    node along the pair's axis (see interference_points).  measured_pair
+    defaults to the first overlap and measured_node to the pair's lower id;
+    with no overlap and no pair the link is single, by default the first
+    node's.  Any rule broken raises ScenarioError naming its argument.
     """
+    ids = [n.id for n in nodes]
+    if len(set(ids)) != len(ids):
+        raise ScenarioError("nodes", f"duplicate node ids in {ids}")
     by_id = {n.id: n for n in nodes}
     overlaps = []
     for i, j in detect_overlaps(nodes):
         p_i, p_j = interference_points(by_id[i], by_id[j], own_point_distance)
         overlaps.append(OverlapRegion(pair=(i, j), point_a=p_i, point_b=p_j))
+    region, members = None, ids
+    if measured_pair is not None or overlaps:
+        pair = tuple(sorted(measured_pair)) if measured_pair is not None else overlaps[0].pair
+        region = next((o for o in overlaps if o.pair == pair), None)
+        if region is None:
+            raise ScenarioError("measured_pair", f"measured pair {pair} has no overlap region")
+        members = region.pair
+    if measured_node is None:
+        measured_node = members[0]
+    elif measured_node not in members:
+        where = f"pair {members}" if region is not None else "the network"
+        raise ScenarioError("measured_node", f"measured node {measured_node} is not in {where}")
     return NetworkScenario(
         nodes=list(nodes),
         overlaps=overlaps,
+        measured_node=measured_node,
+        measured_region=region,
         path_loss_exponent=path_loss_exponent,
         reference_distance=reference_distance,
     )

@@ -144,6 +144,11 @@ BAD_INPUTS = [
     # snrs whose linear power would overflow or underflow at run time
     (["--snr=4000:4000:1"], {}, "snr.start"),
     (["--snr=-4000:-4000:1"], {}, "snr.start"),
+] + [
+    # measured-link selectors naming a node the network does not have
+    ([], {"measured_pair": [0, 9]}, "scenario.measured_pair"),
+    ([], {"measured_node": 9}, "scenario.measured_node"),
+    ([], {"node_count": 1, "measured_node": 4}, "scenario.measured_node"),
 ]
 
 

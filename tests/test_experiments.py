@@ -12,6 +12,7 @@ from beamlink import experiments
 from beamlink.experiments import (
     DIMENSION_SWEEP,
     EXPERIMENTS,
+    MAX_NODES,
     MAX_SNR_POINTS,
     ConfigError,
     ExperimentConfig,
@@ -180,6 +181,18 @@ class TestLoadConfig:
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("count", [MAX_NODES + 1, 10**5])
+    def test_node_count_bounded_before_any_build(self, monkeypatch, count):
+        def build_scenario(*args, **kwargs):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(experiments, "build_scenario", build_scenario)
+        with pytest.raises(ConfigError, match="'scenario.node_count'"):
+            load_config(overrides={"scenario": {"node_count": count}})
+        nodes = [{"id": i, "x": 10.0 * i, "y": 0.0, "radius": 6.0} for i in range(count)]
+        with pytest.raises(ConfigError, match="'scenario.nodes'"):
+            load_config(overrides={"scenario": {"nodes": nodes}})
 
     def test_node_entry_missing_coordinate(self, tmp_path):
         raw = {"scenario": {"nodes": [{"id": 0, "y": 0.0, "radius": 6.0}]}}

@@ -522,6 +522,18 @@ class TestRunTrials:
         assert res.stats.bits_sent == 0
         assert np.all(np.isnan(res.capacity_samples))
 
+    def test_overflowing_normalization_erases_every_trial(self):
+        # at this power the composites' squared norms overflow: the
+        # normalization is inf, an erasure, whatever the warnings filter says
+        nodes = [
+            Node(id=i, position=np.array([10.0 * i, 0.0]), range_radius=6.0, tx_power=1e-200)
+            for i in range(4)
+        ]
+        link = LinkConfig(snr_db=(5.0,), packet_bits=96)
+        (res,) = run_trials([(build_scenario(nodes), link)], n_trials=5, master_seed=5)
+        assert res.stats.erasures == 5
+        assert np.all(np.isnan(res.capacity_samples))
+
     def test_counter_consistency(self):
         sc = two_node_scenario()
         link = LinkConfig(snr_db=(2.0,), packet_bits=96)
@@ -573,11 +585,10 @@ class TestRunTrials:
             run_trials([], n_trials=1, master_seed=1, workers=2)
 
     def test_measured_node_selects_role(self):
-        sc = two_node_scenario()
-        link_a = LinkConfig(snr_db=(5.0,), packet_bits=96, measured_node=0)
-        link_b = LinkConfig(snr_db=(5.0,), packet_bits=96, measured_node=1)
-        r_a = run_trials([(sc, link_a)], 10, master_seed=51)
-        r_b = run_trials([(sc, link_b)], 10, master_seed=51)
+        nodes = two_node_scenario().nodes
+        link = LinkConfig(snr_db=(5.0,), packet_bits=96)
+        r_a = run_trials([(build_scenario(nodes, measured_node=0), link)], 10, master_seed=51)
+        r_b = run_trials([(build_scenario(nodes, measured_node=1), link)], 10, master_seed=51)
         # same seed, different measured role: different capacity draws
         assert not np.array_equal(r_a[0].capacity_samples, r_b[0].capacity_samples)
 

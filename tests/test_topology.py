@@ -9,6 +9,7 @@ from beamlink.topology import (
     NetworkScenario,
     Node,
     OverlapRegion,
+    ScenarioError,
     build_scenario,
     detect_overlaps,
     interference_points,
@@ -18,6 +19,11 @@ from beamlink.topology import (
 
 def make_node(nid, x, y, r, p=1.0):
     return Node(id=nid, position=np.array([x, y]), range_radius=r, tx_power=p)
+
+
+def collinear(count):
+    """6 m disks 10 m apart on the x axis: each neighbouring pair overlaps."""
+    return [make_node(i, 10.0 * i, 0, 6) for i in range(count)]
 
 
 class TestNode:
@@ -159,6 +165,8 @@ class TestPathGain:
         return NetworkScenario(
             nodes=[make_node(0, 0, 0, 6)],
             overlaps=[],
+            measured_node=0,
+            measured_region=None,
             path_loss_exponent=eta,
             reference_distance=d0,
         )
@@ -209,6 +217,41 @@ class TestBuildScenario:
         nodes = [make_node(0, 0, 0, 6), make_node(0, 10, 0, 6)]
         with pytest.raises(ValueError):
             build_scenario(nodes)
+
+    def test_default_measured_link(self):
+        sc = build_scenario(collinear(3))
+        assert sc.measured_node == 0
+        assert sc.measured_region is sc.overlaps[0]
+        assert sc.measured_region.pair == (0, 1)
+
+    def test_explicit_pair_and_node(self):
+        sc = build_scenario(collinear(3), measured_pair=(2, 1))
+        assert (sc.measured_region.pair, sc.measured_node) == ((1, 2), 1)
+        sc = build_scenario(collinear(3), measured_pair=(1, 2), measured_node=2)
+        assert sc.measured_region is sc.overlaps[1]
+        assert sc.measured_node == 2
+
+    def test_single_node_default(self):
+        sc = build_scenario([make_node(4, 0, 0, 6)])
+        assert (sc.measured_node, sc.measured_region) == (4, None)
+
+    @pytest.mark.parametrize(
+        "nodes, kwargs, field",
+        [
+            ([make_node(0, 1, 1, 6), make_node(1, 1, 1, 6)], {}, "nodes"),
+            ([make_node(0, 0, 0, 6), make_node(0, 10, 0, 6)], {}, "nodes"),
+            (collinear(2), {"own_point_distance": 6.5}, "own_point_distance"),
+            (collinear(3), {"measured_pair": (0, 2)}, "measured_pair"),
+            (collinear(3), {"measured_node": 2}, "measured_node"),
+            ([make_node(0, 0, 0, 6)], {"measured_node": 4}, "measured_node"),
+        ],
+        ids=["coincident", "duplicate-ids", "lens", "pair-without-overlap", "node-outside-pair",
+             "unknown-node-single-link"],
+    )
+    def test_failure_names_its_field(self, nodes, kwargs, field):
+        with pytest.raises(ScenarioError) as info:
+            build_scenario(nodes, **kwargs)
+        assert info.value.field == field
 
     def test_region_point_lookup_unknown_id(self):
         region = OverlapRegion(pair=(0, 1), point_a=np.zeros(2), point_b=np.ones(2))
