@@ -16,8 +16,8 @@ import math
 import operator
 import os
 import sys
-from collections.abc import Iterator
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -117,8 +117,11 @@ MAX_SNR_POINTS = 10_000
 # largest magnitude of an snr (dB): 10 ** (snr / 10) stays far from
 # overflow and underflow
 MAX_SNR_DB = 1000.0
-# most nodes a scenario may hold: load_config builds each in quadratic time
+# most nodes a scenario may hold: building a network checks all n^2/2 node pairs
 MAX_NODES = 1000
+# most trials a run may hold over its snr points and sweep values: run_trials
+# keeps 8 bytes of capacity samples per trial, about 800 MB at this bound
+MAX_TRIALS = 10**8
 
 
 def _spec(default=MISSING, kind=float, *, ge=None, gt=None, le=None, choices=None, fold=False):
@@ -206,6 +209,65 @@ class ExperimentConfig:
     def snr_points(self) -> tuple[float, ...]:
         return tuple(self.snr.start + k * self.snr.step for k in range(self.snr.count()))
 
+    @cached_property
+    def runs(self) -> tuple[tuple[str, float, ScenarioConfig, NetworkScenario, LinkConfig], ...]:
+        """(param_name, param_value, scenario, network, link) of each value the
+        sweep runs, built and checked on first use (load_config makes it) and
+        kept; a value the sweep replaces is not checked.  Not a field, so
+        asdict, serialize_config, equality and hashing ignore it."""
+        name, values, _ = _EXPERIMENTS[self.experiment]
+        if self.scenario.nodes is not None and name in ("node_count", "node_spacing"):
+            _fail(
+                f"field 'scenario.nodes' cannot be given to {self.experiment}, "
+                f"which sweeps scenario.{name}"
+            )
+        sweep = [("custom", 0.0, self.scenario)] if name == "custom" else [
+            # a modulation is valued by its bits per symbol
+            (name, float(modulation_by_name(v).bits_per_symbol if name == "modulation" else v),
+             replace(self.scenario, **{name: v}))
+            for v in values
+        ]
+        runs = []
+        for param_name, param_value, sc in sweep:
+            where = "" if param_name == "custom" else f" (with {param_name} = {param_value:g})"
+            fading = None if sc.identity_channel else NakagamiParams(sc.nakagami_m, sc.nakagami_omega)
+            try:
+                # the field specs leave LinkConfig only the packet/stream split to reject
+                link = LinkConfig(
+                    snr_db=self.snr_points(),
+                    dimension=sc.dimension,
+                    modulation=modulation_by_name(sc.modulation),
+                    packet_bits=sc.packet_bits,
+                    fading=fading,
+                    rotation_angle=sc.rotation_angle,
+                    mode=sc.transmission_mode,
+                    include_interference=sc.include_interference,
+                )
+            except ValueError as e:
+                _fail(f"field 'scenario.packet_bits' must split evenly: {e}{where}")
+            # the explicit nodes, or node_count nodes node_spacing apart on the x axis
+            entries = sc.nodes if sc.nodes is not None else [
+                (i, i * sc.node_spacing, 0.0, sc.range_radius, sc.tx_power)
+                for i in range(sc.node_count)
+            ]
+            nodes = [
+                Node(id=nid, position=np.array([x, y]), range_radius=radius, tx_power=power)
+                for nid, x, y, radius, power in entries
+            ]
+            try:
+                network = build_scenario(
+                    nodes,
+                    path_loss_exponent=sc.path_loss_exponent,
+                    reference_distance=sc.reference_distance,
+                    own_point_distance=sc.own_point_distance,
+                    measured_pair=sc.measured_pair,
+                    measured_node=sc.measured_node,
+                )
+            except ScenarioError as e:  # the field specs leave only the network rules to reject
+                _fail(f"field 'scenario.{e.field}': {e}{where}")
+            runs.append((param_name, param_value, sc, network, link))
+        return tuple(runs)
+
 
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 _NODE_KEYS = tuple(f.name for f in fields(_NodeEntry))
@@ -285,24 +347,6 @@ def _read_fields(cls, raw, where: str) -> dict:
     return values
 
 
-def _runs(
-    config: ExperimentConfig,
-) -> Iterator[tuple[str, float, ScenarioConfig, NetworkScenario, LinkConfig]]:
-    """Build and check the network and link of each scenario the sweep runs,
-    one sweep value at a time; load_config walks them all, so one that
-    cannot run fails there rather than mid-run.  A value the sweep replaces
-    is not checked."""
-    snr_points = config.snr_points()
-    for param_name, param_value, sc in _sweep(config):
-        where = "" if param_name == "custom" else f" (with {param_name} = {param_value:g})"
-        try:
-            # the field specs leave LinkConfig only the packet/stream split to reject
-            link = _build_link(sc, snr_points)
-        except ValueError as e:
-            _fail(f"field 'scenario.packet_bits' must split evenly: {e}{where}")
-        yield param_name, param_value, sc, _build_network(sc, where), link
-
-
 def _resolve(raw: dict, overrides: dict | None) -> ExperimentConfig:
     overrides = overrides or {}
     _check_keys(raw, _TOP_KEYS, "config")
@@ -340,13 +384,16 @@ def _resolve(raw: dict, overrides: dict | None) -> ExperimentConfig:
         _fail(f"field 'output' must be in an existing directory, got {output!r}")
     if grid.count() > MAX_SNR_POINTS:
         _fail(f"field 'snr.step' must give at most {MAX_SNR_POINTS} snr points, got {grid.count()}")
+    # every snr point of every sweep value runs the full trial budget
+    most = MAX_TRIALS // (grid.count() * (len(_EXPERIMENTS[experiment][1]) or 1))
+    if values["trials"] > most:
+        _fail(f"field 'trials' must be <= {most} for this snr grid and sweep, got {values['trials']}")
     config = ExperimentConfig(
         **values,
         snr=grid,
         scenario=ScenarioConfig(**_read_fields(ScenarioConfig, scenario, "scenario")),
     )
-    for _ in _runs(config):
-        pass
+    config.runs  # builds and checks every sweep value now, and keeps them for the run
     return config
 
 
@@ -354,6 +401,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
     """Load and fully validate a JSON config; overrides win over file fields.
 
     With path=None an all-defaults config (plus overrides) is produced.
+    Every sweep value is built and checked here, and kept as config.runs.
     """
     raw: dict = {}
     if path is not None:
@@ -385,77 +433,25 @@ def _scenario_hash(sc: ScenarioConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _node_entries(sc: ScenarioConfig) -> tuple[tuple[int, float, float, float, float], ...]:
-    """The (id, x, y, radius, power) of each node: the explicit nodes, or
-    node_count nodes node_spacing apart on the x axis."""
-    if sc.nodes is not None:
-        return sc.nodes
-    return tuple(
-        (i, i * sc.node_spacing, 0.0, sc.range_radius, sc.tx_power) for i in range(sc.node_count)
-    )
-
-
-def _build_network(sc: ScenarioConfig, where: str) -> NetworkScenario:
-    nodes = [
-        Node(id=nid, position=np.array([x, y]), range_radius=radius, tx_power=power)
-        for nid, x, y, radius, power in _node_entries(sc)
-    ]
-    try:
-        return build_scenario(
-            nodes,
-            path_loss_exponent=sc.path_loss_exponent,
-            reference_distance=sc.reference_distance,
-            own_point_distance=sc.own_point_distance,
-            measured_pair=sc.measured_pair,
-            measured_node=sc.measured_node,
-        )
-    except ScenarioError as e:  # the field specs leave only the network rules to reject
-        _fail(f"field 'scenario.{e.field}': {e}{where}")
-
-
-def _build_link(sc: ScenarioConfig, snr_points: tuple[float, ...]) -> LinkConfig:
-    return LinkConfig(
-        snr_db=snr_points,
-        dimension=sc.dimension,
-        modulation=modulation_by_name(sc.modulation),
-        packet_bits=sc.packet_bits,
-        fading=None if sc.identity_channel else NakagamiParams(sc.nakagami_m, sc.nakagami_omega),
-        rotation_angle=sc.rotation_angle,
-        mode=sc.transmission_mode,
-        include_interference=sc.include_interference,
-    )
-
-
-def _sweep(config: ExperimentConfig) -> list[tuple[str, float, ScenarioConfig]]:
-    """(param_name, param_value, scenario) of each value the experiment runs."""
-    name, values, _ = _EXPERIMENTS[config.experiment]
-    if name == "custom":
-        return [("custom", 0.0, config.scenario)]
-    # a modulation is valued by its bits per symbol
-    params = [modulation_by_name(v).bits_per_symbol if name == "modulation" else v for v in values]
-    return [(name, float(p), replace(config.scenario, **{name: v})) for v, p in zip(values, params)]
-
-
 def run_experiment(config: ExperimentConfig) -> list[MetricSeries]:
     """Run the configured experiment's sweep; one MetricSeries per value.
 
-    Every sweep value's network and link are built first, and one
-    run_trials call runs the trials of them all, on one pool for more than
-    one worker.  Estimation walks its flat result in sweep order, so an
-    SNR point whose trials were all erased is reported at the first value
-    and point that has one, but only after every value's trials have run.
+    It builds nothing: one run_trials call runs the trials of every value
+    of config.runs, as load_config built and checked them, on one pool for
+    more than one worker.  Estimation walks its flat result in sweep order,
+    so an SNR point whose trials were all erased is reported at the first
+    value and point that has one, but only after every value's trials ran.
     """
-    runs = list(_runs(config))
     point_results = iter(
         run_trials(
-            [(scenario, link) for *_, scenario, link in runs],
+            [(scenario, link) for *_, scenario, link in config.runs],
             config.trials,
             config.seed,
             workers=config.workers,
         )
     )
     out = []
-    for param_name, param_value, sc, _, link in runs:
+    for param_name, param_value, sc, _, link in config.runs:
         exponents = uncoded_stream_params(
             sc.packet_bits, link.modulation.bits_per_symbol, link.streams
         )

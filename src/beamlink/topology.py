@@ -8,7 +8,6 @@ link.  Path gains follow a log-distance law.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,16 +119,19 @@ def detect_overlaps(nodes: list[Node]) -> list[tuple[int, int]]:
     """
     if len(nodes) < 1:
         raise ScenarioError("nodes", "need at least one node")
-    pairs = []
-    for a, c in itertools.combinations(nodes, 2):
-        d = float(np.linalg.norm(a.position - c.position))
-        if d == 0.0:
-            raise ScenarioError(
-                "nodes", f"nodes {a.id} and {c.id} are coincident; overlap geometry undefined"
-            )
-        if d < a.range_radius + c.range_radius:
-            pairs.append((min(a.id, c.id), max(a.id, c.id)))
-    return sorted(pairs)
+    i, j = np.triu_indices(len(nodes), 1)  # every pair, in itertools.combinations order
+    positions = np.array([n.position for n in nodes])
+    d = np.linalg.norm(positions[i] - positions[j], axis=1)
+    coincident = np.flatnonzero(d == 0.0)
+    if coincident.size:
+        a, c = nodes[i[coincident[0]]], nodes[j[coincident[0]]]
+        raise ScenarioError(
+            "nodes", f"nodes {a.id} and {c.id} are coincident; overlap geometry undefined"
+        )
+    radii = np.array([n.range_radius for n in nodes], dtype=float)
+    hit = d < radii[i] + radii[j]
+    ids = [n.id for n in nodes]
+    return sorted((min(ids[a], ids[c]), max(ids[a], ids[c])) for a, c in zip(i[hit], j[hit]))
 
 
 def interference_points(

@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import pytest
 
-from beamlink import cli
+from beamlink import cli, experiments
 from beamlink.cli import _parse_snr, build_parser, main
 from beamlink.experiments import ConfigError, ExperimentConfig
 
@@ -149,6 +149,18 @@ BAD_INPUTS = [
     ([], {"measured_pair": [0, 9]}, "scenario.measured_pair"),
     ([], {"measured_node": 9}, "scenario.measured_node"),
     ([], {"node_count": 1, "measured_node": 4}, "scenario.measured_node"),
+] + [
+    # explicit nodes leave nothing for a node count or spacing sweep to lay out
+    (
+        ["--experiment", "capacity_vs_nodes"],
+        {"nodes": [{"id": i, "x": 10.0 * i, "y": 0.0, "radius": 6.0} for i in (0, 1)]},
+        "scenario.nodes",
+    ),
+    (
+        ["--experiment", "per_vs_distance"],
+        {"nodes": [{"id": i, "x": 10.0 * i, "y": 0.0, "radius": 12.0} for i in (0, 1)]},
+        "scenario.nodes",
+    ),
 ]
 
 
@@ -167,6 +179,17 @@ class TestBadInputExits1:
         assert err.startswith("config error:")
         assert f"'{field}'" in err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_trial_budget_is_bounded(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "run_trials", no_trials)
+        cfg = write_config(tmp_path, {"scenario": {"packet_bits": 32}})
+        rc = main(["--config", cfg, "--trials", "100000000000", "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("config error:") and "'trials'" in err
 
     def test_value_the_sweep_replaces_is_not_checked(self, tmp_path, capsys):
         # 8 bits do not split into 3 streams, but the sweep runs dimensions 2 and 4

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from beamlink.experiments import (
     EXPERIMENTS,
     MAX_NODES,
     MAX_SNR_POINTS,
+    MAX_TRIALS,
     ConfigError,
     ExperimentConfig,
     ScenarioConfig,
@@ -25,6 +27,7 @@ from beamlink.experiments import (
 )
 from beamlink.linksim import run_trials
 from beamlink.metrics import Estimate, MetricPoint, MetricSeries, packet_error_rate, uncoded_stream_params
+from beamlink.topology import build_scenario
 
 
 # small, fast sandbox config: one fading link, short packets
@@ -194,6 +197,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="'scenario.nodes'"):
             load_config(overrides={"scenario": {"nodes": nodes}})
 
+    def test_trial_budget_bounded_over_points_and_values(self):
+        # loading runs no trial, so a budget past the bound is safe to try
+        one_point = {"snr": {"start": 0.0}, "scenario": {"packet_bits": 32}}
+        assert load_config(overrides={**one_point, "trials": MAX_TRIALS}).trials == MAX_TRIALS
+        for overrides in (
+            {**one_point, "trials": MAX_TRIALS + 1},
+            # the generic grid has 6 points
+            {"trials": MAX_TRIALS // 6 + 1},
+            # capacity_vs_nodes runs 3 node counts at one point
+            {"experiment": "capacity_vs_nodes", "trials": MAX_TRIALS // 3 + 1},
+            {"trials": 10**11},
+        ):
+            with pytest.raises(ConfigError, match="'trials'"):
+                load_config(overrides=overrides)
+        assert load_config(overrides={"trials": MAX_TRIALS // 6}).trials == MAX_TRIALS // 6
+
     def test_node_entry_missing_coordinate(self, tmp_path):
         raw = {"scenario": {"nodes": [{"id": 0, "y": 0.0, "radius": 6.0}]}}
         path = tmp_path / "cfg.json"
@@ -275,9 +294,38 @@ class TestResolvedConfigText:
         raw, text_sha256, scenario_hashes = PINNED_CONFIGS[name]
         cfg = load_config(overrides=raw)
         assert hashlib.sha256(serialize_config(cfg).encode()).hexdigest() == text_sha256
-        assert [experiments._scenario_hash(sc) for *_, sc in experiments._sweep(cfg)] == (
+        assert [experiments._scenario_hash(sc) for _, _, sc, _, _ in cfg.runs] == (
             scenario_hashes
         )
+
+
+class TestRuns:
+    CAPACITY = {"experiment": "capacity_vs_nodes", "trials": 2, "scenario": {"packet_bits": 32}}
+
+    def test_each_sweep_value_built_once(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(len(args[0]))
+            return build_scenario(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "build_scenario", counting)
+        run_experiment(load_config(overrides=self.CAPACITY))
+        assert built == [2, 4, 8]
+
+    def test_runs_are_not_a_field(self):
+        cfg = load_config(overrides=self.CAPACITY)
+        assert [(name, value) for name, value, *_ in cfg.runs] == [
+            ("node_count", 2.0), ("node_count", 4.0), ("node_count", 8.0)
+        ]
+        assert "runs" not in asdict(cfg)
+        assert "runs" not in json.loads(serialize_config(cfg))
+        same = replace(cfg)
+        assert same == cfg and hash(same) == hash(cfg)
+        # a replaced config builds its own runs: 6 m disks 20 m apart do not overlap
+        apart = replace(cfg, scenario=replace(cfg.scenario, node_spacing=20.0))
+        assert all(network.overlaps for *_, network, _ in cfg.runs)
+        assert not any(network.overlaps for *_, network, _ in apart.runs)
 
 
 class TestSnrGrid:
@@ -401,7 +449,7 @@ class TestRunExperiment:
         # g scales as 1 / tx_power (about 1e-18 here), so a fixed floor on
         # the normalization would erase every trial of this valid scenario
         cfg = fast_config(scenario={"node_count": node_count, "packet_bits": 32, "tx_power": 1e20})
-        [(_, _, _, scenario, link)] = experiments._runs(cfg)
+        [(_, _, _, scenario, link)] = cfg.runs
         [point] = run_trials([(scenario, link)], cfg.trials, cfg.seed)
         assert point.stats.erasures == 0
         assert np.isfinite(point.capacity_samples).all()

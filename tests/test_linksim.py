@@ -611,7 +611,7 @@ class TestScheduler:
 
             monkeypatch.setattr(linksim, "_run_task", recorded)
             config = experiments.load_config(overrides=overrides)
-            runs = [(scenario, link) for *_, scenario, link in experiments._runs(config)]
+            runs = [(scenario, link) for *_, scenario, link in config.runs]
             linksim.run_trials(runs, config.trials, config.seed, workers=config.workers)
             return ran
 

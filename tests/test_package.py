@@ -94,13 +94,14 @@ def test_benchmark_boundaries_exist():
 
 def test_benchmark_boundaries_are_called_through_their_namespace():
     tracer_module = _benchmark_tracer()
-    config = experiments.load_config(
-        overrides={"experiment": "capacity_vs_nodes", "trials": 2, "seed": 1,
-                   "scenario": {"packet_bits": 32}}
-    )
     tracer = tracer_module.Tracer()
     tracer.install(in_trial=True)
     try:
+        # load_config builds the networks, so it runs traced, as in the benchmark's passes
+        config = experiments.load_config(
+            overrides={"experiment": "capacity_vs_nodes", "trials": 2, "seed": 1,
+                       "scenario": {"packet_bits": 32}}
+        )
         experiments.run_experiment(config)
     finally:
         tracer.uninstall()

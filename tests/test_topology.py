@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,22 @@ from beamlink.topology import (
 
 def make_node(nid, x, y, r, p=1.0):
     return Node(id=nid, position=np.array([x, y]), range_radius=r, tx_power=p)
+
+
+def reference_overlaps(nodes):
+    """detect_overlaps as one norm per pair, in a loop: the reference for its array pass."""
+    if len(nodes) < 1:
+        raise ScenarioError("nodes", "need at least one node")
+    pairs = []
+    for a, c in itertools.combinations(nodes, 2):
+        d = float(np.linalg.norm(a.position - c.position))
+        if d == 0.0:
+            raise ScenarioError(
+                "nodes", f"nodes {a.id} and {c.id} are coincident; overlap geometry undefined"
+            )
+        if d < a.range_radius + c.range_radius:
+            pairs.append((min(a.id, c.id), max(a.id, c.id)))
+    return sorted(pairs)
 
 
 def collinear(count):
@@ -62,6 +79,36 @@ class TestDetectOverlaps:
         nodes = [make_node(0, 1, 1, 6), make_node(1, 1, 1, 6)]
         with pytest.raises(ValueError):
             detect_overlaps(nodes)
+
+    def test_matches_pairwise_reference(self):
+        # integer positions and radii on a small grid give exact tangencies
+        # (3-4-5 triangles among them), containment and coincident nodes
+        rng = np.random.default_rng(11)
+        seen = {"tangent": 0, "contained": 0, "coincident": 0}
+        for trial in range(600):
+            count = int(rng.integers(1, 12))
+            ids = rng.permutation(100)[:count].tolist()
+            if trial % 2:
+                xy = rng.integers(0, 8, size=(count, 2)).astype(float)
+                radii = rng.integers(1, 5, size=count).astype(float)
+            else:
+                xy = rng.uniform(-20, 20, size=(count, 2))
+                radii = rng.uniform(0.5, 12, size=count)
+            nodes = [make_node(i, x, y, r) for i, (x, y), r in zip(ids, xy, radii)]
+            try:
+                expected = reference_overlaps(nodes)
+            except ScenarioError as e:
+                with pytest.raises(ScenarioError) as got:
+                    detect_overlaps(nodes)
+                assert (got.value.field, str(got.value)) == (e.field, str(e))
+                seen["coincident"] += 1
+                continue
+            assert detect_overlaps(nodes) == expected
+            for a, c in itertools.combinations(nodes, 2):
+                d = float(np.linalg.norm(a.position - c.position))
+                seen["tangent"] += d == a.range_radius + c.range_radius
+                seen["contained"] += d <= abs(a.range_radius - c.range_radius)
+        assert min(seen.values()) > 10, seen
 
     def test_order_independent(self):
         rng = np.random.default_rng(3)
