@@ -3,9 +3,10 @@
 Each node builds one driver matrix per overlapping neighbor by forcing its
 stacked channel response onto a phase-rotated correlation target; the two
 drivers of a pair are coupled through each other's channels and are solved
-jointly in closed form.  A node's per-neighbor drivers multiply into a
-single composite transmit matrix, and the squared Frobenius norms of all
-composites sum into the shared power normalization.
+jointly as one square system [S_a S_c] [M_ac; M_ca] = T.  A node's
+per-neighbor drivers multiply into a single composite transmit matrix, and
+the squared Frobenius norms of all composites sum into the shared power
+normalization.
 
 left_pseudoinverse, solve_coupled_drivers, compose and normalization also
 take stacks: arrays with leading axes in front of the matrix axes, solved
@@ -118,42 +119,29 @@ def solve_coupled_drivers(
     """Jointly solve the two coupled driver equations of an overlapping pair.
 
     Each node's stack is the other's cross term, and both share one rotator
-    target T, so the drivers satisfy
+    target T: the drivers are the mean-squared-error fit
 
-        M_ac = P_a (T - S_c M_ca)
-        M_ca = P_c (T - S_a M_ac)
+        S_a M_ac + S_c M_ca = T
 
-    with P the left pseudoinverse of the owner's stack S.  Eliminating M_ca
-    gives the closed form
-
-        (I - P_a S_c P_c S_a) M_ac = P_a (T - S_c P_c T)
-
-    solved directly; M_ca follows by back substitution.  Returns
-    (M_ac, M_ca), each M x M (each (..., M, M) for (..., 2M, M) stacks,
-    which share the one 2M x M rotator).  Raises NoUniqueSolutionError when
-    the coupling matrix is singular to working precision.
+    With B = [S_a S_c] square (2M x 2M) and of full rank the fit is exact,
+    so [M_ac; M_ca] = B^-1 T, found by one LU solve; it satisfies both
+    M_ac = P_a (T - S_c M_ca) and M_ca = P_c (T - S_a M_ac), with P the left
+    pseudoinverse of the owner's stack.  Returns (M_ac, M_ca), each M x M
+    (each (..., M, M) for (..., 2M, M) stacks, which share the one 2M x M
+    rotator).  Raises NoUniqueSolutionError, its mask over every leading
+    axis, where B is rank_deficient.
     """
-    p_a = left_pseudoinverse(stack_a)
-    p_c = left_pseudoinverse(stack_c)
-    dim = stack_a.shape[-1]
-    k_mat = p_a @ stack_c @ p_c @ stack_a
-    coupling = np.eye(dim, dtype=complex) - k_mat
-    # judge singularity against the scale of the subtraction inputs: when
-    # k_mat ~ I the difference is pure rounding noise and a relative check
-    # on the tiny residue would wave it through
-    scale = np.maximum(1.0, np.linalg.norm(k_mat, ord=2, axis=(-2, -1)))
-    sv = np.linalg.svd(coupling, compute_uv=False)
-    bad = sv[..., -1] <= RANK_THRESHOLD * scale
+    pair = np.concatenate([stack_a, stack_c], axis=-1)
+    bad = rank_deficient(np.linalg.svd(pair, compute_uv=False))
     if bad.any():
         raise NoUniqueSolutionError(
-            "coupling matrix singular to working precision; driver pair not unique", bad
+            "stacked pair [S_a S_c] rank deficient; driver pair not unique", bad
         )
-    rhs = p_a @ (rotator - stack_c @ (p_c @ rotator))
-    m_ac = np.linalg.solve(coupling, rhs)
-    m_ca = p_c @ (rotator - stack_a @ m_ac)
-    if not (np.all(np.isfinite(m_ac)) and np.all(np.isfinite(m_ca))):
+    drivers = np.linalg.solve(pair, rotator)
+    if not np.all(np.isfinite(drivers)):
         raise ValueError("driver entries must be finite")
-    return m_ac, m_ca
+    dim = stack_a.shape[-1]
+    return drivers[..., :dim, :], drivers[..., dim:, :]
 
 
 def compose(drivers: list[np.ndarray]) -> np.ndarray:

@@ -13,15 +13,15 @@ draw and their path amplitudes, which nodes send at the measured point) is
 worked out once per run.  The tasks of all the runs (one run, one SNR
 point, one span of trials each) go to one scheduler, which runs them here
 for one process or on one process pool.  A task runs in three steps: each
-trial draws all of its channels from its own stream; every pair is solved
-for all of the task's trials as one stack, and the link algebra at the
-measured point (each sender's channel @ composite, through the repetition
-vector in diversity mode, and the desired node's pseudoinverse) is one
-more; then each trial draws its bits and noise from its own stream into
-buffers the task reuses, forms the received block row by row without
-BLAS, equalizes it and slices each symbol by sign.  A singular solve,
-normalization or equalizer erases the trials its SolveError marks, and the
-stacked steps run again on the rest.
+trial draws all of its channels from its own stream; every pair of every
+trial is solved as one stack, and the link algebra at the measured point
+(each sender's channel @ composite, through the repetition vector in
+diversity mode, and the desired node's pseudoinverse) is one more; then
+each trial draws its bits and noise from its own stream into buffers the
+task reuses, forms the received block row by row without BLAS, equalizes
+it and slices each symbol by sign.  A singular solve, normalization or
+equalizer erases the trials its SolveError marks, and the stacked steps
+run again on the rest.
 """
 from __future__ import annotations
 
@@ -403,16 +403,20 @@ def _solve_network(
         # single link: identity composite, unit normalization
         eye = np.eye(dim, dtype=complex)
         return {plan.desired: np.broadcast_to(eye, (trials, dim, dim))}, np.ones(trials)
+    # every pair of every trial in one solve: (trials, pairs, 2M, M) stacks
+    # of draws 4k, 4k + 1 (node i's) and 4k + 2, 4k + 3 (node j's)
+    end = 4 * len(plan.pairs)
+    d_i, d_j = solve_coupled_drivers(
+        stack(channels[:, 0:end:4], channels[:, 1:end:4]),
+        stack(channels[:, 2:end:4], channels[:, 3:end:4]),
+        plan.rotator,
+    )
     # the pairs come sorted by id, so each node's drivers are appended in
     # ascending order of their target, the order compose needs
     drivers: dict[int, list[np.ndarray]] = {}
     for k, (i, j) in enumerate(plan.pairs):
-        i_to_pj, i_to_pi, j_to_pi, j_to_pj = (channels[:, 4 * k + n] for n in range(4))
-        d_ij, d_ji = solve_coupled_drivers(
-            stack(i_to_pj, i_to_pi), stack(j_to_pi, j_to_pj), plan.rotator
-        )
-        drivers.setdefault(i, []).append(d_ij)
-        drivers.setdefault(j, []).append(d_ji)
+        drivers.setdefault(i, []).append(d_i[:, k])
+        drivers.setdefault(j, []).append(d_j[:, k])
     composites = {node_id: compose(drivers[node_id]) for node_id in sorted(drivers)}
     return composites, normalization(list(composites.values()))
 
@@ -428,7 +432,7 @@ def _run_task(
     """Counters and capacity samples of trials [start, stop) of one SNR point.
 
     Every trial draws its channels from its own spawned stream, every pair
-    is solved for all the trials as one stack, the link algebra at the
+    of every trial is solved as one stack, the link algebra at the
     measured point (each sender's channel @ composite, taken through the
     repetition vector in diversity mode, and the desired node's equalizer)
     is one stack too, then every trial sends its packet from its own
@@ -454,7 +458,8 @@ def _run_task(
             pinv = equalizers(effective[0], g, plan.repetition)
             break
         except SolveError as exc:
-            alive = alive[~exc.mask]
+            # the pair solve marks (trials, pairs), the other steps (trials,)
+            alive = alive[~exc.mask.reshape(len(alive), -1).any(axis=1)]
 
     scheme, rep, per_stream = link.modulation, plan.repetition, link.symbols_per_stream
     # diversity sends its one stream through channel @ composite @ rep

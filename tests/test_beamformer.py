@@ -28,7 +28,7 @@ def random_stack(mom, dim, rng):
 
 def jacobi_oracle(stack_a, stack_c, rot, tol=1e-12, max_iter=5000):
     """Fixed-point iteration of the two driver equations, fully independent
-    of the closed-form path (uses numpy's pinv directly)."""
+    of the square solve (uses numpy's pinv directly)."""
     p_a = np.linalg.pinv(stack_a)
     p_c = np.linalg.pinv(stack_c)
     m_ac = p_a @ rot
@@ -139,7 +139,8 @@ class TestSolveCoupledDrivers:
             p_c = left_pseudoinverse(s_c)
             r1 = np.linalg.norm(d_ac - p_a @ (rot - s_c @ d_ca))
             r2 = np.linalg.norm(d_ca - p_c @ (rot - s_a @ d_ac))
-            assert max(r1, r2) <= 1e-10
+            fit = np.linalg.norm(s_a @ d_ac + s_c @ d_ca - rot)
+            assert max(r1, r2, fit) <= 1e-10
 
     def test_agrees_with_fixed_point_oracle(self):
         # only contractive instances converge under Jacobi iteration; scan
@@ -164,8 +165,7 @@ class TestSolveCoupledDrivers:
 
     def test_singular_coupling_raises(self):
         eye_stack = stack(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
-        # P = [I, 0] and the partner's stack [I; 0] make the coupling product
-        # exactly I, so I - K is the zero matrix
+        # both stacks are [I; 0], so [S_a S_c] = [[I, I], [0, 0]] has rank 2 of 4
         with pytest.raises(NoUniqueSolutionError):
             solve_coupled_drivers(eye_stack, eye_stack, self.rot)
 
@@ -254,6 +254,27 @@ class TestStackedInputs:
             one_ac, one_ca = solve_coupled_drivers(s_a[k], s_c[k], rot)
             np.testing.assert_array_equal(d_ac[k], one_ac)
             np.testing.assert_array_equal(d_ca[k], one_ca)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_trials_by_pairs_equals_members(self, dim):
+        # the network solves every pair of every trial as one (trials, pairs) stack
+        s_a, s_c, rot = self.stacks(dim, 27)
+        s_a, s_c = s_a.reshape(4, 4, 2 * dim, dim), s_c.reshape(4, 4, 2 * dim, dim)
+        d_ac, d_ca = solve_coupled_drivers(s_a, s_c, rot)
+        assert d_ac.shape == d_ca.shape == (4, 4, dim, dim)
+        for t, k in np.ndindex(4, 4):
+            one_ac, one_ca = solve_coupled_drivers(s_a[t, k], s_c[t, k], rot)
+            np.testing.assert_array_equal(d_ac[t, k], one_ac)
+            np.testing.assert_array_equal(d_ca[t, k], one_ca)
+
+    def test_trials_by_pairs_mask(self):
+        s_a, s_c, rot = self.stacks(2, 28)
+        s_a, s_c = s_a.reshape(4, 4, 4, 2), s_c.reshape(4, 4, 4, 2)
+        s_c[2, 1] = s_a[2, 1]
+        with pytest.raises(NoUniqueSolutionError) as exc:
+            solve_coupled_drivers(s_a, s_c, rot)
+        assert exc.value.mask.shape == (4, 4)
+        assert np.argwhere(exc.value.mask).tolist() == [[2, 1]]
 
     def test_compose_and_normalization_equal_members(self):
         d_ac, d_ca = solve_coupled_drivers(*self.stacks(2, 23))

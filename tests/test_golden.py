@@ -2,10 +2,11 @@
 
 Each entry of EXPERIMENTS runs at trials 3, seed 7 and its default snr grid,
 and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins ten runs
-that the trials-3 digests never reach: one that erases a trial inside a
-batch of 100 (capacity_vs_nodes with nakagami_m 1e6 erases exactly one
-trial, at 8 nodes, and equalizes values up to ~1e13 whose sign, not their
-distance to the constellation, decides the bit), a 20-trial link sweep, a
+that the trials-3 digests never reach: a batch of 100 nearly deterministic
+channels (capacity_vs_nodes with nakagami_m 1e6, which erases no trial but
+equalizes values up to ~1e13 whose sign, not their distance to the
+constellation, decides the bit; test_erasing_run_on_a_pool erases one of
+its 8-node trials on purpose), a 20-trial link sweep, a
 20-trial QPSK link sweep, a multiplexing link sweep (2 and 4 streams
 of 8-bit packets) under per_formula "literal", whose per_model values
 (6e-10 to 0.09) are not clamped, and a 3-node chain, with and without
@@ -29,11 +30,11 @@ from beamlink import linksim
 from beamlink.experiments import EXPERIMENTS, emit_csv, load_config, run_experiment
 
 GOLDEN_SHA256 = {
-    "capacity_vs_nodes": "5a9c1fa090e796a2bbe81065bfd535eed1b224e2971f413b6504abb16a40f365",
-    "per_vs_distance": "505eb6cb9e6a42f7c2faf7edf97b57b04fc4799dc28b7b076c4d33e531a0e7d1",
+    "capacity_vs_nodes": "e9efc308b32308b3cfc71245cbe92a5e15c55361820e20e0ac72baf1b7a565b9",
+    "per_vs_distance": "996c4eef208d2db8a8ef426f892ee4aaf280cc7273271faa7212bdcc1591a0fb",
     "per_vs_modulation": "5de56b4e55e7a4b7f375a42a84ee69447223d6729ffb9f90fb9dbbe1f6be8441",
     "ber_vs_dimension": "adcc78ca2c50b8c181a97e8822debf823539f643fb3b9353c2679241f8f5faff",
-    "custom": "6e5f20112678e124a6b7531441b4a9a43b95d2a132d2ddf5a58562e48ad1bab5",
+    "custom": "e2b637db03467aab1c28466b408db55148e718c0535dc26c71b7bb67e6c8b06a",
 }
 
 # nodes 0, 1, 2 on a 5 m chain with 12 m disks: node 2 covers the receive
@@ -65,7 +66,7 @@ _CONTAINED = {
 LARGER_RUNS = {
     "capacity_vs_nodes-m1e6-trials100-seed3": (
         {"experiment": "capacity_vs_nodes", "trials": 100, "seed": 3, "scenario": {"nakagami_m": 1e6}},
-        "4a55e1e773821971ca5bf3e29771ce89e48d8fbe1168a4b42283be9bf8700060",
+        "f947899efa2709e3d9f08bf8353ead77be4d1c1555c2b74e5a9d017382de2a10",
     ),
     "ber_vs_dimension-trials20-seed7": (
         {"experiment": "ber_vs_dimension", "trials": 20, "seed": 7},
@@ -86,7 +87,7 @@ LARGER_RUNS = {
     ),
     "custom-chain3-interference-trials20-seed5": (
         {"trials": 20, "seed": 5, "snr": {"start": 20.0}, "scenario": _CHAIN3},
-        "249466c91af1e407b04187332e948abed30cbc4aa8435709db64f344282a686a",
+        "679f3a8904a993256ee00a294becf28567c2f591501a06ad65af0b9794d5fc8f",
     ),
     "custom-chain3-no-interference-trials20-seed5": (
         {
@@ -95,11 +96,11 @@ LARGER_RUNS = {
             "snr": {"start": 20.0},
             "scenario": {**_CHAIN3, "include_interference": False},
         },
-        "5f1a1eada1bc794757505dd4d5ceeebfe8375056e00d2ffdd457c85045a56476",
+        "fea4df2c0e6fd2abe8a5157d68819389596d3d98eb36019f5d611a1c3bf7cf9c",
     ),
     "per_vs_distance-trials30-seed11": (
         {"experiment": "per_vs_distance", "trials": 30, "seed": 11},
-        "b4ffe2a346fe8fc903fd7a23f7e61fcfa43801edc6930c2c1fa8d1c514061969",
+        "813141122434306dc5b6824fcb873587c74a0e4bf5410772e2c03edcf07d4164",
     ),
     "custom-chain3-diversity-m4-trials20-seed6": (
         {
@@ -108,15 +109,15 @@ LARGER_RUNS = {
             "snr": {"start": 80.0},
             "scenario": {**_CHAIN3, "dimension": 4, "transmission_mode": "diversity", "packet_bits": 64},
         },
-        "c95b9eb5f63bc5471fe4a3b26d4ebf1c633a451362b8ed4ac48872fd0c5ec908",
+        "bc9b052e92d2387941083996a415fac52e4a70ce40993faf0569dc693001a6b9",
     ),
     "custom-triangle-own-point-trials20-seed9": (
         {"trials": 20, "seed": 9, "snr": {"start": 30.0}, "scenario": _TRIANGLE},
-        "f60fa69d537b0cfa3635c4d543421b7664198f131db63ddb42bca57eb5e4116b",
+        "cf54d68af3cf84a1133c25c0b2fb365d419ec529aaa70d8146555f9d6d566bfe",
     ),
     "custom-contained-disk-trials20-seed4": (
         {"trials": 20, "seed": 4, "snr": {"start": 20.0}, "scenario": _CONTAINED},
-        "1c73ae4e7afc7e9effcf0d6640a8d4e7d9676228f9f4c52e0eebd06b0adc3715",
+        "fc2082919557b57dfe8f3365611aa49dc92141375391131aa1c13c0ce39eb9ee",
     ),
 }
 
@@ -144,10 +145,22 @@ def test_larger_run_digest(tmp_path, name):
 
 def test_erasing_run_on_a_pool(tmp_path, monkeypatch, real_pool):
     # every sweep value's tasks share one pool of processes, each of the 3
-    # values in spans of 25 trials, and the 8-node value's erased trial must
-    # land where the 1-worker run puts it
+    # values in spans of 25 trials; trial 60 of the 8-node value (7 pairs)
+    # draws all-zero channels, and its erasure must land where the 1-worker
+    # run puts it
     monkeypatch.setattr(linksim, "_BATCH_TRIALS", 30)
+    draw = linksim._TaskPlan.draw
+
+    def zero_trial_60_of_8_nodes(p, rng):
+        zeroed = len(p.pairs) == 7 and rng.bit_generator.seed_seq.spawn_key == (0, 60)
+        return draw(p, rng) * (0.0 if zeroed else 1.0)
+
+    monkeypatch.setattr(linksim._TaskPlan, "draw", zero_trial_60_of_8_nodes)
     name = "capacity_vs_nodes-m1e6-trials100-seed3"
     overrides, digest = LARGER_RUNS[name]
-    assert _digest({**overrides, "workers": 3}, tmp_path / f"{name}.csv") == digest
+    emit_csv(run_experiment(load_config(overrides=overrides)), str(tmp_path / "w1.csv"))
+    emit_csv(run_experiment(load_config(overrides={**overrides, "workers": 3})), str(tmp_path / "w3.csv"))
+    one_worker = (tmp_path / "w1.csv").read_bytes()
+    assert hashlib.sha256(one_worker).hexdigest() != digest  # the erasure shows
+    assert (tmp_path / "w3.csv").read_bytes() == one_worker
     assert real_pool == [(3, 12)]

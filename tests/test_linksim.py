@@ -374,18 +374,25 @@ class TestRunTrials:
             np.testing.assert_array_equal(a.capacity_samples, b.capacity_samples)
 
     def test_worker_count_invariance_with_erasures(self, monkeypatch, real_pool):
-        # 8 nodes with nearly deterministic channels: seed 15 erases trials
-        # 15, 29 and 33 at 5 dB
+        # trials 15, 29 and 33 draw all-zero channels at both points, so
+        # their pair solves are singular and they are erased
         nodes = [Node(id=i, position=np.array([10.0 * i, 0.0]), range_radius=6.0) for i in range(8)]
         sc = build_scenario(nodes)
-        link = LinkConfig(snr_db=(5.0, 9.0), packet_bits=32, fading=NakagamiParams(m=1e6, omega=1.0))
+        link = LinkConfig(snr_db=(5.0, 9.0), packet_bits=32)
+        draw = linksim._TaskPlan.draw
+
+        def zero_three_trials(p, rng):
+            zeroed = rng.bit_generator.seed_seq.spawn_key[1] in (15, 29, 33)
+            return draw(p, rng) * (0.0 if zeroed else 1.0)
+
+        monkeypatch.setattr(linksim._TaskPlan, "draw", zero_three_trials)
         serial = run_trials([(sc, link)], n_trials=37, master_seed=15, workers=1)
         # spans (0, 12), (12, 24), (24, 37): the erasures fall in the last two
         monkeypatch.setattr(linksim, "_BATCH_TRIALS", 13)
         parallel = run_trials([(sc, link)], n_trials=37, master_seed=15, workers=3)
         assert real_pool == [(3, 6)]
-        assert np.flatnonzero(np.isnan(serial[0].capacity_samples)).tolist() == [15, 29, 33]
         for a, b in zip(serial, parallel):
+            assert np.flatnonzero(np.isnan(a.capacity_samples)).tolist() == [15, 29, 33]
             assert (a.snr_db, a.stats) == (b.snr_db, b.stats)
             np.testing.assert_array_equal(a.capacity_samples, b.capacity_samples)
 
@@ -421,6 +428,30 @@ class TestRunTrials:
         erased = TrialStats(packets_sent=1, packet_errors=1, erasures=1)
         assert stats == head_stats + erased + tail_stats
         assert caps.tobytes() == np.concatenate([head_caps, [math.nan], tail_caps]).tobytes()
+
+    def test_singular_pair_erases_only_its_trial(self, monkeypatch):
+        # in a 4-node line, trial 5's draws of pair (1, 2) are zeroed: the one
+        # solve over every pair of every trial erases trial 5 alone
+        sc = build_scenario(
+            [Node(id=i, position=np.array([10.0 * i, 0.0]), range_radius=6.0) for i in range(4)]
+        )
+        link = LinkConfig(snr_db=(5.0,), packet_bits=32)
+        (clean,) = run_trials([(sc, link)], n_trials=12, master_seed=4)
+        assert linksim._plan(sc, link).pairs[1] == (1, 2)
+        draw = linksim._TaskPlan.draw
+
+        def zero_pair_1_of_trial_5(p, rng):
+            channels = draw(p, rng)
+            if rng.bit_generator.seed_seq.spawn_key == (0, 5):
+                channels[4:8] = 0.0
+            return channels
+
+        monkeypatch.setattr(linksim._TaskPlan, "draw", zero_pair_1_of_trial_5)
+        (res,) = run_trials([(sc, link)], n_trials=12, master_seed=4)
+        assert clean.stats.erasures == 0 and res.stats.erasures == 1
+        assert np.flatnonzero(np.isnan(res.capacity_samples)).tolist() == [5]
+        kept = np.arange(12) != 5
+        assert res.capacity_samples[kept].tobytes() == clean.capacity_samples[kept].tobytes()
 
     def test_plan_built_once_per_call(self, monkeypatch):
         calls = []

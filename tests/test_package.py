@@ -20,6 +20,7 @@ MODULES = (channel, topology, beamformer, linksim, metrics, experiments)
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
 SRC = Path(beamlink.__file__).resolve().parents[1]
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+BENCH = TRACER.with_name("bench.py")
 
 
 def test_all_is_union_of_module_exports():
@@ -61,6 +62,20 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_imports_resolve():
+    # every benchmark run starts by importing these; a removed name fails
+    # the whole benchmark at import
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(BENCH.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "beamlink"
+        for alias in node.names
+    ]
+    assert ("beamlink.beamformer", "IllConditionedChannelError") in imports
+    for module_name, name in imports:
+        assert hasattr(importlib.import_module(module_name), name), f"{module_name}.{name}"
 
 
 def _benchmark_tracer() -> types.ModuleType:
