@@ -49,5 +49,5 @@ for point in results:
     )
 
 print()
-print("the transmit-referenced snr has to be large: the network normalization")
-print("scales signals down by the summed composite energy before noise is added")
+print("the transmit-referenced snr has to be large: the composites share unit")
+print("total power, so every signal amplitude carries 1/sqrt(g) before noise is added")

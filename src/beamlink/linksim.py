@@ -14,14 +14,17 @@ worked out once per run.  The tasks of all the runs (one run, one SNR
 point, one span of trials each) go to one scheduler, which runs them here
 for one process or on one process pool.  A task runs in three steps: each
 trial draws all of its channels from its own stream; every pair of every
-trial is solved as one stack, and the link algebra at the measured point
+trial is solved as one stack, whose composites leave the solve scaled to
+unit total power per trial, and the link algebra at the measured point
 (each sender's channel @ composite, through the repetition vector in
-diversity mode, and the desired node's pseudoinverse) is one more; then
-each trial draws its bits and noise from its own stream into buffers the
-task reuses, forms the received block row by row without BLAS, equalizes
-it and slices each symbol by sign.  A singular solve, normalization or
-equalizer erases the trials its SolveError marks, and the stacked steps
-run again on the rest.
+diversity mode, the desired node's pseudoinverse, and each stream's
+interference power and noise gain behind it) is one more; then each trial
+draws its bits and noise from its own stream into buffers the task
+reuses, forms the received block row by row without BLAS, equalizes it
+and slices each symbol by sign, and its capacity sums the streams'
+zero-forcing output SINRs.  A singular solve, normalization or equalizer
+erases the trials its SolveError marks, and the stacked steps run again
+on the rest.
 """
 from __future__ import annotations
 
@@ -35,7 +38,6 @@ import numpy as np
 from numpy.random import Generator
 
 from beamlink.beamformer import (
-    DegenerateNormalizationError,
     SolveError,
     build_rotator,
     compose,
@@ -217,48 +219,42 @@ def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
 def received_signal(
     effective: dict[int, np.ndarray],
     transmit: dict[int, np.ndarray],
-    g: float,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """Sum of effective @ transmit / g over transmitting nodes, plus noise.
+    """Sum of effective @ transmit over transmitting nodes, plus noise.
 
     effective maps each node to its (M, K) channel @ composite at the
     receive point (K = M streams, or K = 1 where diversity mode has taken
     it through the repetition vector) and transmit to its (K, N) symbols.
-    The sum starts from a copy of noise, which is never written, and adds
-    each node's rows one at a time, y[m] += (effective / g)[m, k] * x[k],
-    with nodes in ascending id order so the float accumulation is
-    reproducible.
+    The composites already carry the network's power normalization.  The
+    sum starts from a copy of noise, which is never written, and adds each
+    node's rows one at a time, y[m] += effective[m, k] * x[k], with nodes
+    in ascending id order so the float accumulation is reproducible.
     """
     # a numpy contraction, not effective @ x: that product is a BLAS zgemm,
     # which the default threaded OpenBLAS runs 2.3x slower at packet size
     # than one thread does; row by row no temporary exceeds one row
-    if not g > 0:
-        raise DegenerateNormalizationError(f"normalization {g} not positive")
     y = noise.astype(complex)
     for node_id in sorted(transmit):
         rows = list(transmit[node_id])
-        for y_m, coefficients in zip(y, (effective[node_id] / g).tolist()):
+        for y_m, coefficients in zip(y, effective[node_id].tolist()):
             for a_mk, x_k in zip(coefficients, rows):
                 y_m += a_mk * x_k
     return y
 
 
-def equalizers(effective: np.ndarray, g: np.ndarray, repetition: np.ndarray | None) -> np.ndarray:
+def equalizers(effective: np.ndarray, repetition: np.ndarray | None) -> np.ndarray:
     """Zero-forcing equalizers of the desired node for a stack of trials.
 
-    effective is the (trials, M, M) stack of its channel @ composite and g
-    the (trials,) normalizations.  The effective channel h_eff is
-    effective / g, taken through the repetition vector in diversity mode;
-    a single column reduces the pseudoinverse to maximum-ratio combining.
-    One SVD of the stack gives both the rank check and the (trials,
-    streams, M) pseudoinverses, by numpy.linalg.pinv's own formula.
-    Raises DetectionError whose mask marks the members whose h_eff is rank
-    deficient.
+    effective is the (trials, M, M) stack of its channel @ composite.  The
+    effective channel h_eff is that, taken through the repetition vector in
+    diversity mode; a single column reduces the pseudoinverse to
+    maximum-ratio combining.  One SVD of the stack gives both the rank
+    check and the (trials, streams, M) pseudoinverses, by
+    numpy.linalg.pinv's own formula.  Raises DetectionError whose mask
+    marks the members whose h_eff is rank deficient.
     """
-    h_eff = effective / g[:, None, None]
-    if repetition is not None:
-        h_eff = h_eff @ repetition[:, None]
+    h_eff = effective if repetition is None else effective @ repetition[:, None]
     u, sv, vh = np.linalg.svd(h_eff, full_matrices=False)
     bad = rank_deficient(sv)
     if bad.any():
@@ -392,17 +388,16 @@ def _plan(scenario: NetworkScenario, link: LinkConfig) -> _TaskPlan:
     )
 
 
-def _solve_network(
-    plan: _TaskPlan, channels: np.ndarray
-) -> tuple[dict[int, np.ndarray], np.ndarray]:
+def _solve_network(plan: _TaskPlan, channels: np.ndarray) -> dict[int, np.ndarray]:
     """Solve every pair's drivers for a (trials, draws, M, M) stack of
-    channels, compose per-node beamformers and normalize; returns each
-    node's (trials, M, M) composites and the (trials,) normalizations."""
+    channels and compose per-node beamformers; returns each node's
+    (trials, M, M) composite divided by the square root of the network
+    normalization g, so every trial's composites carry unit total power."""
     trials, dim = len(channels), plan.dimension
     if not plan.pairs:
-        # single link: identity composite, unit normalization
+        # single link: identity composite, nothing to normalize
         eye = np.eye(dim, dtype=complex)
-        return {plan.desired: np.broadcast_to(eye, (trials, dim, dim))}, np.ones(trials)
+        return {plan.desired: np.broadcast_to(eye, (trials, dim, dim))}
     # every pair of every trial in one solve: (trials, pairs, 2M, M) stacks
     # of draws 4k, 4k + 1 (node i's) and 4k + 2, 4k + 3 (node j's)
     end = 4 * len(plan.pairs)
@@ -418,7 +413,8 @@ def _solve_network(
         drivers.setdefault(i, []).append(d_i[:, k])
         drivers.setdefault(j, []).append(d_j[:, k])
     composites = {node_id: compose(drivers[node_id]) for node_id in sorted(drivers)}
-    return composites, normalization(list(composites.values()))
+    scale = 1.0 / np.sqrt(normalization(list(composites.values())))[:, None, None]
+    return {node_id: composite * scale for node_id, composite in composites.items()}
 
 
 # at most this many trials are solved as one stack: bounds a task's memory,
@@ -434,11 +430,12 @@ def _run_task(
     Every trial draws its channels from its own spawned stream, every pair
     of every trial is solved as one stack, the link algebra at the
     measured point (each sender's channel @ composite, taken through the
-    repetition vector in diversity mode, and the desired node's equalizer)
-    is one stack too, then every trial sends its packet from its own
-    stream: the bits of all senders from one draw, in sender order, then
-    the noise, which is the stream order of drawing them one sender at a
-    time.  The normals and the noise block are one buffer each per task.
+    repetition vector in diversity mode, the desired node's equalizer and
+    the SINR terms behind it) is one stack too, then every trial sends its
+    packet from its own stream: the bits of all senders from one draw, in
+    sender order, then the noise, which is the stream order of drawing
+    them one sender at a time.  The normals and the noise block are one
+    buffer each per task.
 
     A numerical failure in the solve, the normalization or the equalizer
     erases its trials: one lost packet each, NaN capacity.  The failing
@@ -453,9 +450,9 @@ def _run_task(
     alive = np.arange(len(rngs))
     while True:
         try:
-            composites, g = _solve_network(plan, channels[alive])
+            composites = _solve_network(plan, channels[alive])
             effective = [channels[alive, d] @ composites[node_id] for node_id, d in plan.senders]
-            pinv = equalizers(effective[0], g, plan.repetition)
+            pinv = equalizers(effective[0], plan.repetition)
             break
         except SolveError as exc:
             # the pair solve marks (trials, pairs), the other steps (trials,)
@@ -464,6 +461,11 @@ def _run_task(
     scheme, rep, per_stream = link.modulation, plan.repetition, link.symbols_per_stream
     # diversity sends its one stream through channel @ composite @ rep
     sent = effective if rep is None else [e @ rep[:, None] for e in effective]
+    # zero forcing passes each stream's own symbol at unit gain; the
+    # (trials, K) power the interferers leak into it and its noise gain
+    noise_gain = np.sum(np.abs(pinv) ** 2, axis=-1)
+    interference = sum((np.sum(np.abs(pinv @ a) ** 2, axis=-1) for a in sent[1:]),
+                       np.zeros_like(noise_gain))
     sigma2 = 1.0 / (10.0 ** (link.snr_db[point_idx] / 10.0))
     scale = math.sqrt(sigma2 / 2.0)
     ids = [node_id for node_id, _ in plan.senders]
@@ -481,8 +483,8 @@ def _run_task(
         np.multiply(normals[0], scale, out=noise.real)
         np.multiply(normals[1], scale, out=noise.imag)
         h = [stacked[row] for stacked in sent]
-        y = received_signal(dict(zip(ids, h)), dict(zip(ids, symbols)), g[row], noise)
-        caps[k] = capacity(effective_snr(1.0, effective[0][row], sigma2, g[row]))
+        y = received_signal(dict(zip(ids, h)), dict(zip(ids, symbols)), noise)
+        caps[k] = capacity(effective_snr(interference[row], noise_gain[row], sigma2))
         # a symbol is wrong exactly when one of its bits is
         wrong = detect(y, pinv[row], scheme) != bits[0]
         wrong_bits = int(np.count_nonzero(wrong))

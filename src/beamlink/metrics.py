@@ -80,32 +80,29 @@ class MetricSeries:
     scenario_hash: str = ""
 
 
-def capacity(snr_linear: float) -> float:
-    """System capacity log2(1 + snr) in bits/s/Hz."""
-    if snr_linear < 0:
-        raise ValueError(f"snr_linear must be >= 0, got {snr_linear}")
-    return math.log2(1.0 + snr_linear)
+def capacity(sinr: np.ndarray) -> float:
+    """Sum capacity over the streams, sum_k log2(1 + sinr[k]), in bits/s/Hz."""
+    sinr = np.asarray(sinr, dtype=float)
+    if (sinr < 0).any():
+        raise ValueError(f"sinr must be >= 0, got {sinr}")
+    return float(np.log2(1.0 + sinr).sum())
 
 
 def effective_snr(
-    total_power: float,
-    effective_channel: np.ndarray,
-    noise_variance: float,
-    g: float,
-) -> float:
-    """Post-beamforming SNR: power times channel norm over (normalization * noise).
+    interference: np.ndarray, noise_gain: np.ndarray, noise_variance: float
+) -> np.ndarray:
+    """Each stream's output SINR behind a zero-forcing combiner W.
 
-    effective_channel is the channel-times-composite product before the
-    normalization division; the division enters through g.
+    W inverts the desired sender's effective channel, so stream k's own
+    unit-energy symbol reaches the slicer at unit gain.  interference[k]
+    is sum_s ||(W a_s)[k, :]||^2 over the other senders' effective
+    channels a_s, and noise_gain[k] is ||w_k||^2, row k of W, so
+    SINR_k = 1 / (interference[k] + noise_variance * noise_gain[k])
+    (Tse & Viswanath 2005, section 8.3).
     """
-    if total_power < 0:
-        raise ValueError(f"total_power must be >= 0, got {total_power}")
     if not noise_variance > 0:
         raise ValueError(f"noise_variance must be > 0, got {noise_variance}")
-    if not g > 0:
-        raise ValueError(f"normalization must be > 0, got {g}")
-    norm_sq = float(np.sum(np.abs(effective_channel) ** 2))
-    return total_power * norm_sq / (g * noise_variance)
+    return 1.0 / (np.asarray(interference) + noise_variance * np.asarray(noise_gain))
 
 
 def _clamp01(x: float) -> float:

@@ -202,8 +202,8 @@ def test_criterion_5_capacity_declines_with_density():
         5,
         "capacity declines with density",
         ok,
-        f"2 nodes [{c2.ci_low:.4f},{c2.ci_high:.4f}] > 4 nodes "
-        f"[{c4.ci_low:.4f},{c4.ci_high:.4f}] > 8 nodes [{c8.ci_low:.5f},{c8.ci_high:.5f}]",
+        f"2 nodes [{c2.ci_low:.3e},{c2.ci_high:.3e}] > 4 nodes "
+        f"[{c4.ci_low:.3e},{c4.ci_high:.3e}] > 8 nodes [{c8.ci_low:.3e},{c8.ci_high:.3e}]",
     )
 
 

@@ -30,11 +30,11 @@ from beamlink import linksim
 from beamlink.experiments import EXPERIMENTS, emit_csv, load_config, run_experiment
 
 GOLDEN_SHA256 = {
-    "capacity_vs_nodes": "e9efc308b32308b3cfc71245cbe92a5e15c55361820e20e0ac72baf1b7a565b9",
-    "per_vs_distance": "996c4eef208d2db8a8ef426f892ee4aaf280cc7273271faa7212bdcc1591a0fb",
-    "per_vs_modulation": "5de56b4e55e7a4b7f375a42a84ee69447223d6729ffb9f90fb9dbbe1f6be8441",
-    "ber_vs_dimension": "adcc78ca2c50b8c181a97e8822debf823539f643fb3b9353c2679241f8f5faff",
-    "custom": "e2b637db03467aab1c28466b408db55148e718c0535dc26c71b7bb67e6c8b06a",
+    "capacity_vs_nodes": "e7a987a4f83acd6eb3632e8803371dfb71bf54b6a256577c31f8db03925821dd",
+    "per_vs_distance": "fd5163f64f822e3f7d1712e0284db1f90ee813a0da10cdf2c8fae4468e79e02f",
+    "per_vs_modulation": "f3097d1c0dfedb757f014ee82482111e0d5936adc1266eae4a4a3314588f5885",
+    "ber_vs_dimension": "3238c6b51c288e18440d077821c6e6dbb4263c37b0ec91006fb2f69b0c48be64",
+    "custom": "9ae9bf9c21bd49cf70fd19f1cba381a20190ff31d212b21553a2cff2e8a04e66",
 }
 
 # nodes 0, 1, 2 on a 5 m chain with 12 m disks: node 2 covers the receive
@@ -66,11 +66,11 @@ _CONTAINED = {
 LARGER_RUNS = {
     "capacity_vs_nodes-m1e6-trials100-seed3": (
         {"experiment": "capacity_vs_nodes", "trials": 100, "seed": 3, "scenario": {"nakagami_m": 1e6}},
-        "f947899efa2709e3d9f08bf8353ead77be4d1c1555c2b74e5a9d017382de2a10",
+        "ec7554699854096e60afbb88279db4fa268990327a71e7f1bab417fde818ecf9",
     ),
     "ber_vs_dimension-trials20-seed7": (
         {"experiment": "ber_vs_dimension", "trials": 20, "seed": 7},
-        "2537cbdc6d44b14f1f49cf2e18944169718b2476dfe3d19bbbc8e47644f9c7f8",
+        "58e791a74402e6b16214fffa49470d152c4a32dc351cfe142a9cc2d301c3fac2",
     ),
     "ber_vs_dimension-multiplexing-bits8-literal-trials30-seed2": (
         {
@@ -79,15 +79,15 @@ LARGER_RUNS = {
             "seed": 2,
             "scenario": {"transmission_mode": "multiplexing", "packet_bits": 8, "per_formula": "literal"},
         },
-        "c3cc7e7bd7fde4e24cc18daf311766c4cd3e687d35e72878a455d8721e7fff69",
+        "ec2582b6d513d7b8a10c9be1d378a3191003cf3e13df25c977d8a2de30dee1f7",
     ),
     "ber_vs_dimension-qpsk-trials20-seed4": (
         {"experiment": "ber_vs_dimension", "trials": 20, "seed": 4, "scenario": {"modulation": "qpsk"}},
-        "86ded672d127427382b2f2de9892cce0c142702d5ff98d1c2a4abe2eb2546a59",
+        "38a5cbc403e198caa3fe49cbaf5690a6ad7cc40cac4f96a9e6aad3c7a91d80dc",
     ),
     "custom-chain3-interference-trials20-seed5": (
         {"trials": 20, "seed": 5, "snr": {"start": 20.0}, "scenario": _CHAIN3},
-        "679f3a8904a993256ee00a294becf28567c2f591501a06ad65af0b9794d5fc8f",
+        "09e99efdc48d5cb7fcce77b696d263eff78f772dba3dda6d6afe4bbbd0d9bab6",
     ),
     "custom-chain3-no-interference-trials20-seed5": (
         {
@@ -96,11 +96,11 @@ LARGER_RUNS = {
             "snr": {"start": 20.0},
             "scenario": {**_CHAIN3, "include_interference": False},
         },
-        "fea4df2c0e6fd2abe8a5157d68819389596d3d98eb36019f5d611a1c3bf7cf9c",
+        "20ed410d30578cfb195404e04f0be294095ef6ebb04ebb5d32faa3aebd9ff739",
     ),
     "per_vs_distance-trials30-seed11": (
         {"experiment": "per_vs_distance", "trials": 30, "seed": 11},
-        "813141122434306dc5b6824fcb873587c74a0e4bf5410772e2c03edcf07d4164",
+        "edfbed08912fea2f9d005921e40a7d641e69ce060d7ce164fc86c0efee0f0f1f",
     ),
     "custom-chain3-diversity-m4-trials20-seed6": (
         {
@@ -109,15 +109,15 @@ LARGER_RUNS = {
             "snr": {"start": 80.0},
             "scenario": {**_CHAIN3, "dimension": 4, "transmission_mode": "diversity", "packet_bits": 64},
         },
-        "bc9b052e92d2387941083996a415fac52e4a70ce40993faf0569dc693001a6b9",
+        "722aa823b87f13741fb26dfda8f19dd7fdfe9c383459d986072cd57aba2f2263",
     ),
     "custom-triangle-own-point-trials20-seed9": (
         {"trials": 20, "seed": 9, "snr": {"start": 30.0}, "scenario": _TRIANGLE},
-        "cf54d68af3cf84a1133c25c0b2fb365d419ec529aaa70d8146555f9d6d566bfe",
+        "776984b1ed2728ddb846e7d14d8dd4d9582ba400c42422296e519c096e63438f",
     ),
     "custom-contained-disk-trials20-seed4": (
         {"trials": 20, "seed": 4, "snr": {"start": 20.0}, "scenario": _CONTAINED},
-        "fc2082919557b57dfe8f3365611aa49dc92141375391131aa1c13c0ce39eb9ee",
+        "97464d20d848da1979e79576963ed270ff6ef0858c5be92334c85c156f020d61",
     ),
 }
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import norm as scipy_norm
 
 from beamlink import experiments, linksim
-from beamlink.beamformer import DegenerateNormalizationError, SolveError
+from beamlink.beamformer import SolveError
 from beamlink.channel import NakagamiParams
 from beamlink.linksim import (
     BPSK,
@@ -22,6 +22,7 @@ from beamlink.linksim import (
     received_signal,
     run_trials,
 )
+from beamlink.metrics import capacity, effective_snr
 from beamlink.topology import Node, build_scenario
 
 
@@ -44,7 +45,7 @@ def single_node_scenario():
 
 def pinv_of(h):
     """detect's equalizer for one effective channel h."""
-    return equalizers(np.asarray(h, dtype=complex)[None], np.ones(1), None)[0]
+    return equalizers(np.asarray(h, dtype=complex)[None], None)[0]
 
 
 def argmin_bits(equalized, scheme):
@@ -142,7 +143,6 @@ class TestReceivedSignal:
         y = received_signal(
             effective={0: np.eye(2, dtype=complex)},
             transmit={0: x},
-            g=1.0,
             noise=np.zeros((2, 2), dtype=complex),
         )
         np.testing.assert_allclose(y, x)
@@ -152,7 +152,6 @@ class TestReceivedSignal:
         y = received_signal(
             effective={0: np.eye(2, dtype=complex)},
             transmit={0: np.zeros((2, 1), dtype=complex)},
-            g=2.0,
             noise=noise,
         )
         np.testing.assert_allclose(y, noise)
@@ -161,13 +160,12 @@ class TestReceivedSignal:
         rng = np.random.default_rng(0)
         h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         eff = {0: h}
-        g = 1.7
         noise = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         x1 = rng.normal(size=(2, 3)) + 0j
         x2 = rng.normal(size=(2, 3)) + 0j
-        y12 = received_signal(eff, {0: x1 + x2}, g, noise)
-        y1 = received_signal(eff, {0: x1}, g, noise)
-        y2 = received_signal(eff, {0: x2}, g, noise)
+        y12 = received_signal(eff, {0: x1 + x2}, noise)
+        y1 = received_signal(eff, {0: x1}, noise)
+        y2 = received_signal(eff, {0: x2}, noise)
         np.testing.assert_allclose(y12, y1 + y2 - noise, atol=1e-12)
 
     def test_noise_block_not_mutated(self):
@@ -177,7 +175,7 @@ class TestReceivedSignal:
         before = noise.copy()
         x = rng.normal(size=(2, 5)) + 0j
         y = received_signal({0: np.eye(2, dtype=complex), 1: np.eye(2, dtype=complex)},
-                            {0: x, 1: x}, 1.0, noise)
+                            {0: x, 1: x}, noise)
         np.testing.assert_array_equal(noise, before)
         np.testing.assert_array_equal(y, before + x + x)
 
@@ -190,27 +188,16 @@ class TestReceivedSignal:
         rep = linksim._alternating_unit_vector(dimension)
         s = modulate(rng.integers(0, 2, size=2 * 64), QPSK)[None]
         noise = rng.normal(size=(dimension, 64)) + 1j * rng.normal(size=(dimension, 64))
-        g = 2.3
-        y = received_signal({0: e @ rep[:, None]}, {0: s}, g, noise)
-        np.testing.assert_allclose(y, noise + e @ (rep[:, None] * s) / g, rtol=1e-13)
+        y = received_signal({0: e @ rep[:, None]}, {0: s}, noise)
+        np.testing.assert_allclose(y, noise + e @ (rep[:, None] * s), rtol=1e-13)
 
     def test_two_multiplexing_senders_match_matrix_product(self):
         rng = np.random.default_rng(9)
         e = {k: rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for k in (3, 1)}
         x = {k: modulate(rng.integers(0, 2, size=4 * 32), BPSK).reshape(4, 32) for k in e}
         noise = rng.normal(size=(4, 32)) + 1j * rng.normal(size=(4, 32))
-        g = 0.7
-        y = received_signal(e, x, g, noise)
-        np.testing.assert_allclose(y, noise + sum(e[k] @ x[k] / g for k in e), rtol=1e-13)
-
-    def test_degenerate_normalization(self):
-        with pytest.raises(DegenerateNormalizationError):
-            received_signal(
-                effective={0: np.eye(2)},
-                transmit={0: np.zeros((2, 1))},
-                g=0.0,
-                noise=np.zeros((2, 1)),
-            )
+        y = received_signal(e, x, noise)
+        np.testing.assert_allclose(y, noise + sum(e[k] @ x[k] for k in e), rtol=1e-13)
 
 
 class TestDetect:
@@ -288,23 +275,23 @@ class TestEqualizers:
     def test_stack_matches_numpy_pinv_bit_for_bit(self, shape):
         rng = np.random.default_rng(200 + shape[0] * 10 + shape[1])
         h = rng.normal(size=(64, *shape)) + 1j * rng.normal(size=(64, *shape))
-        pinv = equalizers(h, np.ones(64), None)
+        pinv = equalizers(h, None)
         assert pinv.shape == (64, shape[1], shape[0])
         for member, got in zip(h, pinv):
             assert got.tobytes() == np.linalg.pinv(member).tobytes()
 
     @pytest.mark.parametrize("dimension", [2, 4])
     def test_normalization_and_repetition(self, dimension):
-        # h_eff = (effective / g) @ repetition, one column in diversity mode
+        # the composites arrive normalized, so h_eff is effective itself,
+        # times the repetition vector (one column) in diversity mode
         rng = np.random.default_rng(dimension)
         shape = (16, dimension, dimension)
         effective = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        g = rng.uniform(0.5, 5.0, size=16)
         rep = linksim._alternating_unit_vector(dimension)
         for repetition in (None, rep):
-            pinv = equalizers(effective, g, repetition)
-            for eff, g_t, got in zip(effective, g, pinv):
-                h_eff = eff / g_t if repetition is None else (eff / g_t) @ repetition[:, None]
+            pinv = equalizers(effective, repetition)
+            for eff, got in zip(effective, pinv):
+                h_eff = eff if repetition is None else eff @ repetition[:, None]
                 assert got.tobytes() == np.linalg.pinv(h_eff).tobytes()
 
     def test_mask_marks_zero_and_rank_one_members(self):
@@ -316,9 +303,72 @@ class TestEqualizers:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DetectionError) as exc:
-                equalizers(stack, np.ones(4), None)
+                equalizers(stack, None)
         assert isinstance(exc.value, SolveError)
         assert exc.value.mask.tolist() == [False, True, True, False]
+
+
+def test_composites_carry_unit_total_power():
+    # a 4-node line: three pairs, two nodes with two drivers each
+    sc = build_scenario(
+        [Node(id=i, position=np.array([10.0 * i, 0.0]), range_radius=6.0) for i in range(4)]
+    )
+    plan = linksim._plan(sc, LinkConfig(snr_db=(5.0,), packet_bits=32))
+    rng = np.random.default_rng(8)
+    composites = linksim._solve_network(plan, np.stack([plan.draw(rng) for _ in range(20)]))
+    power = sum(np.sum(np.abs(c) ** 2, axis=(1, 2)) for c in composites.values())
+    np.testing.assert_allclose(power, 1.0, rtol=0.0, atol=1e-12)
+
+
+class TestSinr:
+    """The zero-forcing output SINR against the error the slicer sees, on
+    one trial's channels of the 3-node chain, where node 2 is heard at the
+    measured receive point; at 35 dB noise and interference both count."""
+
+    # the golden runs' 3-node chain: 5 m apart, 12 m disks
+    CHAIN3 = {"node_count": 3, "node_spacing": 5.0, "range_radius": 12.0}
+
+    def trial(self, mode, dimension):
+        config = experiments.load_config(overrides={
+            "trials": 1, "seed": 5, "snr": {"start": 35.0, "stop": 35.0},
+            "scenario": {**self.CHAIN3, "dimension": dimension, "transmission_mode": mode},
+        })
+        ((*_, scenario, link),) = config.runs
+        plan = linksim._plan(scenario, link)
+        assert len(plan.senders) == 3
+        # trial 0 of point 0, drawn as run_trials draws it
+        rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0, 0)))
+        channels = plan.draw(rng)[None]
+        composites = linksim._solve_network(plan, channels)
+        sent = [channels[0, d] @ composites[node_id][0] for node_id, d in plan.senders]
+        if plan.repetition is not None:
+            sent = [a @ plan.repetition[:, None] for a in sent]
+        w = np.linalg.pinv(sent[0])
+        interference = sum(np.sum(np.abs(w @ a) ** 2, axis=1) for a in sent[1:])
+        sigma2 = 10.0 ** (-link.snr_db[0] / 10.0)
+        sinr = effective_snr(interference, np.sum(np.abs(w) ** 2, axis=1), sigma2)
+        return scenario, link, sent, w, sigma2, sinr
+
+    @pytest.mark.parametrize("mode, dimension", [("multiplexing", 2), ("diversity", 4)])
+    def test_analytic_sinr_matches_post_combiner_error(self, mode, dimension):
+        _, _, sent, w, sigma2, sinr = self.trial(mode, dimension)
+        rng = np.random.default_rng(17)
+        n = 200_000
+        streams = sent[0].shape[1]
+        symbols = {s: modulate(rng.integers(0, 2, size=streams * n), BPSK).reshape(streams, n)
+                   for s in range(len(sent))}
+        noise = rng.normal(size=(dimension, n)) + 1j * rng.normal(size=(dimension, n))
+        y = received_signal(dict(enumerate(sent)), symbols, noise * math.sqrt(sigma2 / 2))
+        error = np.abs(w @ y - symbols[0]) ** 2
+        # the mean of n independent squared errors, within 4 standard errors
+        bound = 4.0 * error.std(axis=1) / math.sqrt(n)
+        assert np.all(np.abs(error.mean(axis=1) - 1.0 / sinr) < bound)
+
+    @pytest.mark.parametrize("mode, dimension", [("multiplexing", 2), ("diversity", 4)])
+    def test_capacity_sample_reads_the_sinr(self, mode, dimension):
+        scenario, link, *_, sinr = self.trial(mode, dimension)
+        (res,) = run_trials([(scenario, link)], n_trials=1, master_seed=5)
+        assert res.capacity_samples[0] == pytest.approx(capacity(sinr), rel=1e-12)
 
 
 @pytest.fixture

@@ -21,55 +21,67 @@ from beamlink.metrics import (
 
 class TestCapacity:
     def test_zero(self):
-        assert capacity(0.0) == 0.0
+        assert capacity([0.0]) == 0.0
 
     def test_powers_of_two(self):
-        assert capacity(1.0) == pytest.approx(1.0)
-        assert capacity(3.0) == pytest.approx(2.0)
+        assert capacity([1.0]) == pytest.approx(1.0)
+        assert capacity([3.0]) == pytest.approx(2.0)
 
     def test_five_db(self):
         # 10^0.5 linear; value recomputed independently
-        assert capacity(10**0.5) == pytest.approx(2.057373208606795, abs=1e-12)
+        assert capacity([10**0.5]) == pytest.approx(2.057373208606795, abs=1e-12)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            capacity(-0.1)
+            capacity([-0.1])
+        with pytest.raises(ValueError):
+            capacity([1.0, -0.1])
 
     def test_increasing_and_concave(self):
         grid = np.linspace(0.0, 50.0, 400)
-        vals = np.array([capacity(s) for s in grid])
+        vals = np.array([capacity([s]) for s in grid])
         diffs = np.diff(vals)
         assert np.all(diffs > 0)
         assert np.all(np.diff(diffs) < 0)
 
+    def test_streams_add(self):
+        assert capacity(np.array([1.0, 3.0])) == pytest.approx(3.0, abs=1e-12)
+
 
 class TestEffectiveSnr:
     def test_unit_chain(self):
-        h = np.array([[1.0 + 0j]])
-        assert effective_snr(1.0, h, 1.0, 1.0) == pytest.approx(1.0)
+        np.testing.assert_allclose(effective_snr(np.zeros(1), np.ones(1), 1.0), [1.0])
 
     def test_power_linearity(self):
-        h = np.array([[1.0 + 1j], [0.5 - 0.25j]])
-        one = effective_snr(1.0, h, 0.7, 2.0)
-        two = effective_snr(2.0, h, 0.7, 2.0)
-        assert two == pytest.approx(2.0 * one)
+        # twice the desired power halves the interference and noise gain
+        interference, noise_gain = np.array([0.3, 1.2]), np.array([0.5, 2.0])
+        one = effective_snr(interference, noise_gain, 0.7)
+        two = effective_snr(interference / 2.0, noise_gain / 2.0, 0.7)
+        np.testing.assert_allclose(two, 2.0 * one, rtol=1e-12)
 
     def test_matches_entrywise_sum(self):
+        # SINR_k = 1 / (sum_s sum_j |(W a_s)[k, j]|^2 + sigma2 sum_m |W[k, m]|^2)
         rng = np.random.default_rng(5)
-        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        g = 3.7
+        w = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        senders = [rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)) for _ in range(2)]
         sigma2 = 0.42
-        brute = sum(abs(h[i, j]) ** 2 for i in range(2) for j in range(2)) / (3.7 * 0.42)
-        assert effective_snr(1.0, h, sigma2, g) == pytest.approx(brute, rel=1e-12)
+        brute = [
+            1.0 / (
+                sum(abs(sum(w[k, m] * a[m, j] for m in range(3))) ** 2
+                    for a in senders for j in range(2))
+                + sigma2 * sum(abs(w[k, m]) ** 2 for m in range(3))
+            )
+            for k in range(2)
+        ]
+        interference = sum(np.sum(np.abs(w @ a) ** 2, axis=1) for a in senders)
+        got = effective_snr(interference, np.sum(np.abs(w) ** 2, axis=1), sigma2)
+        np.testing.assert_allclose(got, brute, rtol=1e-12)
 
     def test_degenerate_inputs(self):
-        h = np.eye(2)
         with pytest.raises(ValueError):
-            effective_snr(1.0, h, 0.0, 1.0)
+            effective_snr(np.zeros(2), np.ones(2), 0.0)
         with pytest.raises(ValueError):
-            effective_snr(1.0, h, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            effective_snr(-1.0, h, 1.0, 1.0)
+            effective_snr(np.zeros(2), np.ones(2), -1.0)
 
 
 class TestStreamError:
