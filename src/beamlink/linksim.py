@@ -12,19 +12,13 @@ What does not depend on the draws (moments, rotator, which channels to
 draw and their path amplitudes, which nodes send at the measured point) is
 worked out once per run.  The tasks of all the runs (one run, one SNR
 point, one span of trials each) go to one scheduler, which runs them here
-for one process or on one process pool.  A task runs in three steps: each
-trial draws all of its channels from its own stream; every pair of every
-trial is solved as one stack, whose composites leave the solve scaled to
-unit total power per trial, and the link algebra at the measured point
-(each sender's channel @ composite, through the repetition vector in
-diversity mode, the desired node's pseudoinverse, and each stream's
-interference power and noise gain behind it) is one more; then each trial
-draws its bits and noise from its own stream into buffers the task
-reuses, forms the received block row by row without BLAS, equalizes it
-and slices each symbol by sign, and its capacity sums the streams'
-zero-forcing output SINRs.  A singular solve, normalization or equalizer
-erases the trials its SolveError marks, and the stacked steps run again
-on the rest.
+for one process or on one process pool.  A task solves the pairs and the
+link algebra of all its trials as stacks, then sends one packet per trial:
+the slicer reads e = sum_s A_s x_s + W n behind the zero-forcing combiner
+W, so a trial draws only the normals of the axes the slicer reads and
+colors them with a factor of W n's covariance.  A singular solve,
+normalization or equalizer erases the trials its SolveError marks, and the
+stacked steps run again on the rest.
 """
 from __future__ import annotations
 
@@ -199,48 +193,51 @@ class PointResult:
 
 def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
     """Map a 0/1 bit vector to unit-average-energy constellation symbols."""
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits)
     if bits.ndim != 1:
         raise ValueError(f"bits must be one-dimensional, got shape {bits.shape}")
     if bits.size % scheme.bits_per_symbol != 0:
         raise ValueError(
             f"{bits.size} bits are not a whole number of {scheme.bits_per_symbol}-bit symbols"
         )
-    if np.any((bits != 0) & (bits != 1)):
+    # one reduction on a packet's uint8 bits; only a signed input can go below 0
+    if bits.max(initial=0) > 1 or (bits.dtype.kind not in "ub" and bits.min(initial=0) < 0):
         raise ValueError("bits must be 0 or 1")
-    groups = bits.reshape(-1, scheme.bits_per_symbol)
+    groups = bits.astype(np.uint8, copy=False).reshape(-1, scheme.bits_per_symbol)
     # msb-first integer index into the constellation table
-    index = np.zeros(groups.shape[0], dtype=np.int64)
-    for b in range(scheme.bits_per_symbol):
+    index = groups[:, 0]
+    for b in range(1, scheme.bits_per_symbol):
         index = (index << 1) | groups[:, b]
-    return _POINTS[scheme.kind][index]
+    return _POINTS[scheme.kind].take(index)
 
 
 def received_signal(
-    effective: dict[int, np.ndarray],
-    transmit: dict[int, np.ndarray],
-    noise: np.ndarray,
+    symbols: np.ndarray, leaks: Sequence[np.ndarray], factor: np.ndarray, normals: np.ndarray
 ) -> np.ndarray:
-    """Sum of effective @ transmit over transmitting nodes, plus noise.
+    """One packet's slicer statistic: each slicer axis's known part plus its colored noise.
 
-    effective maps each node to its (M, K) channel @ composite at the
-    receive point (K = M streams, or K = 1 where diversity mode has taken
-    it through the repetition vector) and transmit to its (K, N) symbols.
-    The composites already carry the network's power normalization.  The
-    sum starts from a copy of noise, which is never written, and adds each
-    node's rows one at a time, y[m] += effective[m, k] * x[k], with nodes
-    in ascending id order so the float accumulation is reproducible.
+    symbols is the (senders, K, N) symbols, the desired sender's first,
+    and leaks each other sender's (K, K) A_s = W a_s.  The desired stream
+    passes W at unit gain, so the known part is x_0 + sum_s A_s x_s, added
+    row by row with senders in order.  factor is the (D, D) real F with
+    F F^T the axes' noise covariance, normals the (D, N) white normals.
+    Returns the (K, D/K, N) axes: Re e_k for BPSK, (Im e_k, Re e_k) for QPSK.
     """
-    # a numpy contraction, not effective @ x: that product is a BLAS zgemm,
-    # which the default threaded OpenBLAS runs 2.3x slower at packet size
-    # than one thread does; row by row no temporary exceeds one row
-    y = noise.astype(complex)
-    for node_id in sorted(transmit):
-        rows = list(transmit[node_id])
-        for y_m, coefficients in zip(y, effective[node_id].tolist()):
-            for a_mk, x_k in zip(coefficients, rows):
-                y_m += a_mk * x_k
-    return y
+    known = symbols[0].copy() if len(leaks) else symbols[0]
+    for a, x in zip(leaks, symbols[1:]):
+        for known_k, row in zip(known, a.tolist()):
+            for a_kj, x_j in zip(row, x):
+                known_k += a_kj * x_j
+    streams, per_stream = known.shape
+    e = np.empty((streams, len(factor) // streams, per_stream))
+    e[:, -1] = known.real
+    if e.shape[1] == 2:
+        e[:, 0] = known.imag
+    # a numpy contraction, not factor @ normals, so no BLAS thread runs
+    for axis, row in zip(e.reshape(len(factor), per_stream), factor.tolist()):
+        for f, z in zip(row, normals):
+            axis += f * z
+    return e
 
 
 def equalizers(effective: np.ndarray, repetition: np.ndarray | None) -> np.ndarray:
@@ -262,31 +259,40 @@ def equalizers(effective: np.ndarray, repetition: np.ndarray | None) -> np.ndarr
     return vh.conj().swapaxes(1, 2) @ ((1.0 / sv)[:, :, None] * u.conj().swapaxes(1, 2))
 
 
-def detect(y: np.ndarray, pinv: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
-    """Zero-forcing equalization, then sign decisions to 0/1 bits.
+def _noise_factor(pinv: np.ndarray, sigma2: float, bits_per_symbol: int) -> np.ndarray:
+    """(trials, D, D) real factors F, F F^T the covariance of the slicer axes' noise.
 
-    pinv is the (streams, M) pseudoinverse of the effective channel, one
-    member of what equalizers returns.  BPSK decides bit = Re e < 0 and
+    The slicer sees W n ~ CN(0, sigma2 W W^H) (Tse & Viswanath 2005,
+    section 8.3.1): Re and Im each have covariance Re(sigma2 W W^H) / 2, and
+    E[Im e_k Re e_j] = Im(sigma2 W W^H)[k, j] / 2.  One batched eigh, with
+    the negative eigenvalues of a near-singular W W^H clipped to 0, gives F
+    where a Cholesky factor would fail.
+    """
+    half = (sigma2 / 2.0) * (pinv @ pinv.conj().swapaxes(1, 2))
+    cov = half.real
+    if bits_per_symbol == 2:
+        # axes (Im e_k, Re e_k) of every stream k
+        trials, streams = half.shape[:2]
+        cov = np.empty((trials, streams, 2, streams, 2))
+        cov[:, :, 0, :, 0] = cov[:, :, 1, :, 1] = half.real
+        cov[:, :, 0, :, 1] = half.imag
+        cov[:, :, 1, :, 0] = -half.imag
+        cov = cov.reshape(trials, 2 * streams, 2 * streams)
+    lam, v = np.linalg.eigh(cov)
+    return v * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
+
+
+def detect(e: np.ndarray) -> np.ndarray:
+    """Sign decisions on a slicer statistic, to 0/1 bits in the order sent.
+
+    e is what received_signal returns.  BPSK decides bit = Re e < 0 and
     QPSK the bits (Im e < 0, Re e < 0).  For these Gray-mapped
     constellations that is the minimum-distance decision, and it stays
     exact where |Im e| / |Re e| is so large that the distances to the
     points tie in floating point.
     """
-    # a numpy contraction summed antenna by antenna, not pinv @ y: with one
-    # stream that product takes BLAS's row-vector path, which OpenBLAS
-    # splits over threads that keep spinning after it, doubling the CPU a
-    # trial costs and starving the other workers of a pool
-    y2 = np.atleast_2d(y)
-    equalized = pinv[:, :1] * y2[0]
-    for m in range(1, len(y2)):
-        equalized += pinv[:, m : m + 1] * y2[m]
-    # rows are streams; row-major flattening matches the transmit reshape
-    if scheme.kind == "bpsk":
-        return (equalized.real < 0.0).view(np.uint8).reshape(-1)
-    bits = np.empty(equalized.shape + (2,), dtype=bool)
-    np.less(equalized.imag, 0.0, out=bits[..., 0])
-    np.less(equalized.real, 0.0, out=bits[..., 1])
-    return bits.view(np.uint8).reshape(-1)
+    # rows are streams, each symbol's bits in turn: the transmit order
+    return (e < 0.0).swapaxes(1, 2).reshape(-1).view(np.uint8)
 
 
 def _alternating_unit_vector(dimension: int) -> np.ndarray:
@@ -427,15 +433,14 @@ def _run_task(
 ) -> tuple[TrialStats, np.ndarray]:
     """Counters and capacity samples of trials [start, stop) of one SNR point.
 
-    Every trial draws its channels from its own spawned stream, every pair
-    of every trial is solved as one stack, the link algebra at the
-    measured point (each sender's channel @ composite, taken through the
-    repetition vector in diversity mode, the desired node's equalizer and
-    the SINR terms behind it) is one stack too, then every trial sends its
-    packet from its own stream: the bits of all senders from one draw, in
-    sender order, then the noise, which is the stream order of drawing
-    them one sender at a time.  The normals and the noise block are one
-    buffer each per task.
+    Every trial draws its channels from its own spawned stream; every pair
+    of every trial is solved as one stack, and so is the link algebra at
+    the measured point: each sender's channel @ composite (@ rep in
+    diversity mode) a_s, the desired node's equalizer W, each other
+    sender's A_s = W a_s, the SINR terms and the noise factor.  Then each
+    trial draws its packet from its stream: ceil(packet_bits / 8) bytes
+    per sender from one (senders, bytes) draw, then the (D, N) normals of
+    its D = K * bits-per-symbol slicer axes, into one buffer per task.
 
     A numerical failure in the solve, the normalization or the equalizer
     erases its trials: one lost packet each, NaN capacity.  The failing
@@ -458,35 +463,29 @@ def _run_task(
             # the pair solve marks (trials, pairs), the other steps (trials,)
             alive = alive[~exc.mask.reshape(len(alive), -1).any(axis=1)]
 
-    scheme, rep, per_stream = link.modulation, plan.repetition, link.symbols_per_stream
+    scheme, rep = link.modulation, plan.repetition
     # diversity sends its one stream through channel @ composite @ rep
     sent = effective if rep is None else [e @ rep[:, None] for e in effective]
-    # zero forcing passes each stream's own symbol at unit gain; the
-    # (trials, K) power the interferers leak into it and its noise gain
+    # what W makes of each interferer, and each stream's (trials, K) SINR terms
+    leaks = [pinv @ a for a in sent[1:]]
     noise_gain = np.sum(np.abs(pinv) ** 2, axis=-1)
-    interference = sum((np.sum(np.abs(pinv @ a) ** 2, axis=-1) for a in sent[1:]),
-                       np.zeros_like(noise_gain))
+    interference = sum((np.sum(np.abs(a) ** 2, axis=-1) for a in leaks), np.zeros_like(noise_gain))
     sigma2 = 1.0 / (10.0 ** (link.snr_db[point_idx] / 10.0))
-    scale = math.sqrt(sigma2 / 2.0)
-    ids = [node_id for node_id, _ in plan.senders]
-    shape = (len(ids), link.streams, per_stream)
-    # one buffer each for the normals and the noise, refilled by every trial
-    normals = np.empty((2, link.dimension, per_stream))
-    noise = np.empty(normals.shape[1:], dtype=complex)
+    factor = _noise_factor(pinv, sigma2, scheme.bits_per_symbol)
+    shape = (len(sent), link.streams, link.symbols_per_stream)
+    packed_shape = (len(sent), (link.packet_bits + 7) // 8)
+    normals = np.empty((link.streams * scheme.bits_per_symbol, link.symbols_per_stream))
     caps = np.full(len(rngs), math.nan)
     bit_errors = symbol_errors = packet_errors = 0
     for row, k in enumerate(alive.tolist()):
-        bits = rngs[k].integers(0, 2, size=(len(ids), link.packet_bits))
+        packed = rngs[k].integers(0, 256, size=packed_shape, dtype=np.uint8)
+        bits = np.unpackbits(packed, axis=1, count=link.packet_bits)
         symbols = modulate(bits.reshape(-1), scheme).reshape(shape)
         rngs[k].standard_normal(out=normals)
-        # written in place, bit for bit (normals[0] + 1j * normals[1]) * scale
-        np.multiply(normals[0], scale, out=noise.real)
-        np.multiply(normals[1], scale, out=noise.imag)
-        h = [stacked[row] for stacked in sent]
-        y = received_signal(dict(zip(ids, h)), dict(zip(ids, symbols)), noise)
+        e = received_signal(symbols, [a[row] for a in leaks], factor[row], normals)
         caps[k] = capacity(effective_snr(interference[row], noise_gain[row], sigma2))
         # a symbol is wrong exactly when one of its bits is
-        wrong = detect(y, pinv[row], scheme) != bits[0]
+        wrong = detect(e) != bits[0]
         wrong_bits = int(np.count_nonzero(wrong))
         bit_errors += wrong_bits
         symbol_errors += int(np.count_nonzero(wrong.reshape(-1, scheme.bits_per_symbol).any(axis=1)))

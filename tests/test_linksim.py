@@ -24,6 +24,7 @@ from beamlink.linksim import (
 )
 from beamlink.metrics import capacity, effective_snr
 from beamlink.topology import Node, build_scenario
+from reference import full_block_detect, full_block_received_signal, trial_stream
 
 
 def q_function(x):
@@ -137,96 +138,153 @@ class TestTrialStats:
             TrialStats(bits_sent=-1)
 
 
+def axes_of(known, scheme):
+    """The (K, D/K, N) slicer axes of a known (K, N) part: Re for BPSK, (Im, Re) for QPSK."""
+    parts = [known.real] if scheme.kind == "bpsk" else [known.imag, known.real]
+    return np.stack(parts, axis=1)
+
+
 class TestReceivedSignal:
+    """The slicer statistic: the known part x_0 + sum_s A_s x_s on each axis, plus F @ normals."""
+
     def test_identity_chain(self):
         x = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex)
-        y = received_signal(
-            effective={0: np.eye(2, dtype=complex)},
-            transmit={0: x},
-            noise=np.zeros((2, 2), dtype=complex),
-        )
-        np.testing.assert_allclose(y, x)
+        e = received_signal(x[None], [], np.zeros((2, 2)), np.ones((2, 2)))
+        np.testing.assert_array_equal(e, axes_of(x, BPSK))
 
     def test_noise_only(self):
-        noise = np.array([[0.3 + 0.1j], [0.2 - 0.4j]])
-        y = received_signal(
-            effective={0: np.eye(2, dtype=complex)},
-            transmit={0: np.zeros((2, 1), dtype=complex)},
-            noise=noise,
-        )
-        np.testing.assert_allclose(y, noise)
+        factor = np.array([[0.3, 0.0], [0.1, -0.4]])
+        normals = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -2.0]])
+        e = received_signal(np.zeros((1, 2, 3), dtype=complex), [], factor, normals)
+        np.testing.assert_allclose(e[:, 0], factor @ normals, rtol=1e-15)
 
     def test_superposition(self):
         rng = np.random.default_rng(0)
-        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        eff = {0: h}
-        noise = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-        x1 = rng.normal(size=(2, 3)) + 0j
-        x2 = rng.normal(size=(2, 3)) + 0j
-        y12 = received_signal(eff, {0: x1 + x2}, noise)
-        y1 = received_signal(eff, {0: x1}, noise)
-        y2 = received_signal(eff, {0: x2}, noise)
-        np.testing.assert_allclose(y12, y1 + y2 - noise, atol=1e-12)
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        factor = rng.normal(size=(4, 4))
+        normals = rng.normal(size=(4, 3))
+        x0 = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        x1, x2 = (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)) for _ in range(2))
+        e12 = received_signal(np.stack([x0, x1 + x2]), [a], factor, normals)
+        e1 = received_signal(np.stack([x0, x1]), [a], factor, normals)
+        e2 = received_signal(np.stack([x0, x2]), [a], factor, normals)
+        e0 = received_signal(np.stack([x0, 0 * x1]), [a], factor, normals)
+        np.testing.assert_allclose(e12, e1 + e2 - e0, atol=1e-12)
 
     def test_noise_block_not_mutated(self):
-        # the sum starts from a copy of noise, never from the caller's block
+        # neither the symbols nor the normals buffer is ever written
         rng = np.random.default_rng(4)
-        noise = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
-        before = noise.copy()
-        x = rng.normal(size=(2, 5)) + 0j
-        y = received_signal({0: np.eye(2, dtype=complex), 1: np.eye(2, dtype=complex)},
-                            {0: x, 1: x}, noise)
-        np.testing.assert_array_equal(noise, before)
-        np.testing.assert_array_equal(y, before + x + x)
+        symbols = modulate(rng.integers(0, 2, size=2 * 2 * 2 * 5), QPSK).reshape(2, 2, 5)
+        normals = rng.normal(size=(4, 5))
+        before = symbols.copy(), normals.copy()
+        for leaks in ([np.eye(2, dtype=complex)], []):
+            received_signal(symbols[: 1 + len(leaks)], leaks, np.eye(4), normals)
+            np.testing.assert_array_equal(symbols, before[0])
+            np.testing.assert_array_equal(normals, before[1])
 
     @pytest.mark.parametrize("dimension", [1, 2, 4])
     def test_diversity_column_matches_repeated_block(self, dimension):
-        # diversity sends (E @ rep) with the (1, N) symbols, not E with the
-        # (M, N) block rep (x) symbols; the two agree to rounding
+        # the full-block reference: diversity sends (E @ rep) with the (1, N)
+        # symbols, not E with the (M, N) block rep (x) symbols; the two agree
+        # to rounding
         rng = np.random.default_rng(dimension)
         e = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(size=(dimension, dimension))
         rep = linksim._alternating_unit_vector(dimension)
         s = modulate(rng.integers(0, 2, size=2 * 64), QPSK)[None]
         noise = rng.normal(size=(dimension, 64)) + 1j * rng.normal(size=(dimension, 64))
-        y = received_signal({0: e @ rep[:, None]}, {0: s}, noise)
+        y = full_block_received_signal({0: e @ rep[:, None]}, {0: s}, noise)
         np.testing.assert_allclose(y, noise + e @ (rep[:, None] * s), rtol=1e-13)
 
     def test_two_multiplexing_senders_match_matrix_product(self):
         rng = np.random.default_rng(9)
-        e = {k: rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for k in (3, 1)}
-        x = {k: modulate(rng.integers(0, 2, size=4 * 32), BPSK).reshape(4, 32) for k in e}
-        noise = rng.normal(size=(4, 32)) + 1j * rng.normal(size=(4, 32))
-        y = received_signal(e, x, noise)
-        np.testing.assert_allclose(y, noise + sum(e[k] @ x[k] for k in e), rtol=1e-13)
+        leaks = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2)]
+        for scheme in (BPSK, QPSK):
+            bits = rng.integers(0, 2, size=3 * 4 * 32 * scheme.bits_per_symbol)
+            x = modulate(bits, scheme).reshape(3, 4, 32)
+            d = 4 * scheme.bits_per_symbol
+            e = received_signal(x, leaks, np.zeros((d, d)), np.zeros((d, 32)))
+            known = x[0] + leaks[0] @ x[1] + leaks[1] @ x[2]
+            np.testing.assert_allclose(e, axes_of(known, scheme), rtol=1e-13, atol=1e-14)
+
+
+class TestNoiseFactor:
+    """F F^T against the covariance of W n's slicer axes, derived from the
+    real 2K x 2M form of the complex combiner."""
+
+    @staticmethod
+    def axes_covariance(w, sigma2, scheme):
+        # [Re; Im] of W n for n ~ CN(0, sigma2 I) is R @ (white 2M-vector)
+        r = np.block([[w.real, -w.imag], [w.imag, w.real]]) * math.sqrt(sigma2 / 2.0)
+        k = len(w)
+        re, im = np.arange(k), k + np.arange(k)
+        axes = re if scheme.kind == "bpsk" else np.stack([im, re], axis=1).reshape(-1)
+        return (r @ r.T)[np.ix_(axes, axes)]
+
+    @pytest.mark.parametrize("scheme", [BPSK, QPSK], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 2), (4, 4)])
+    def test_factor_matches_the_axes_covariance(self, scheme, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        w = rng.normal(size=(16, *shape)) + 1j * rng.normal(size=(16, *shape))
+        factor = linksim._noise_factor(w, 0.3, scheme.bits_per_symbol)
+        for member, f in zip(w, factor):
+            want = self.axes_covariance(member, 0.3, scheme)
+            np.testing.assert_allclose(f @ f.T, want, rtol=1e-12, atol=1e-14)
+            # each axis's marginal variance is sigma2 ||w_k||^2 / 2, the oracle's
+            np.testing.assert_allclose(
+                np.diag(want).reshape(shape[0], -1),
+                np.repeat(0.15 * np.sum(np.abs(member) ** 2, axis=1)[:, None],
+                          scheme.bits_per_symbol, axis=1),
+                rtol=1e-12,
+            )
+
+    def test_near_singular_combiner_has_a_factor(self):
+        # a channel of condition 1e9 gives a W W^H of condition ~1e16 that is
+        # semidefinite only to rounding: Cholesky fails on it, the clipped
+        # eigh factor does not
+        rng = np.random.default_rng(0)
+        u, _, vh = np.linalg.svd(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        w = np.linalg.pinv((u * [1.0, 1e-9]) @ vh)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(w @ w.conj().T)
+        for scheme in (BPSK, QPSK):
+            (f,) = linksim._noise_factor(w[None], 1.0, scheme.bits_per_symbol)
+            cov = self.axes_covariance(w, 1.0, scheme)
+            np.testing.assert_allclose(f @ f.T, cov, rtol=0.0, atol=1e-15 * np.abs(cov).max())
 
 
 class TestDetect:
     def test_noiseless_roundtrip(self):
         rng = np.random.default_rng(1)
         for scheme in (BPSK, QPSK):
+            d = 2 * scheme.bits_per_symbol
             bits = rng.integers(0, 2, size=64 * scheme.bits_per_symbol)
-            x = modulate(bits, scheme).reshape(2, -1)
+            x = modulate(bits, scheme).reshape(1, 2, -1)
+            e = received_signal(x, [], np.zeros((d, d)), np.zeros((d, x.shape[-1])))
+            np.testing.assert_array_equal(detect(e), bits)
+            # the full-block reference through a channel and its pseudoinverse
             h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            y = h @ x
-            np.testing.assert_array_equal(detect(y, pinv_of(h), scheme), bits)
+            np.testing.assert_array_equal(full_block_detect(h @ x[0], pinv_of(h), scheme), bits)
 
     def test_bpsk_negative_halfplane(self):
-        got = detect(np.array([[-0.3 + 0j]]), pinv_of([[1.0 + 0j]]), BPSK)
-        np.testing.assert_array_equal(got, [1])
+        np.testing.assert_array_equal(detect(np.array([[[-0.3]]])), [1])
 
     def test_on_constellation_point(self):
         s = (1 - 1j) / math.sqrt(2.0)  # bits (1, 0)
-        got = detect(np.array([[s]]), pinv_of([[1.0 + 0j]]), QPSK)
-        np.testing.assert_array_equal(got, [1, 0])
+        e = received_signal(np.array([[[s]]]), [], np.zeros((2, 2)), np.zeros((2, 1)))
+        np.testing.assert_array_equal(detect(e), [1, 0])
 
     def test_bpsk_sign_decides_where_distances_tie(self):
         # |e - 1| and |e + 1| are both 1e9 in floating point; Re e < 0 decides
-        got = detect(np.array([[-0.3 + 1e9j]]), pinv_of([[1.0 + 0j]]), BPSK)
+        e = received_signal(np.array([[[-0.3 + 1e9j]]]), [], np.zeros((1, 1)), np.zeros((1, 1)))
+        np.testing.assert_array_equal(detect(e), [1])
+        got = full_block_detect(np.array([[-0.3 + 1e9j]]), pinv_of([[1.0 + 0j]]), BPSK)
         np.testing.assert_array_equal(got, [1])
 
     def test_qpsk_sign_decides_where_distances_tie(self):
         # all four distances are 1e9 in floating point; Im e < 0 and Re e < 0 decide
-        got = detect(np.array([[-0.3 - 1e9j]]), pinv_of([[1.0 + 0j]]), QPSK)
+        e = received_signal(np.array([[[-0.3 - 1e9j]]]), [], np.zeros((2, 2)), np.zeros((2, 1)))
+        np.testing.assert_array_equal(detect(e), [1, 1])
+        got = full_block_detect(np.array([[-0.3 - 1e9j]]), pinv_of([[1.0 + 0j]]), QPSK)
         np.testing.assert_array_equal(got, [1, 1])
 
     def test_singular_channel_raises(self):
@@ -240,12 +298,12 @@ class TestDetect:
         bits = rng.integers(0, 2, size=32)
         x = modulate(bits, BPSK)[None, :]
         y = h @ x
-        np.testing.assert_array_equal(detect(y, pinv_of(h), BPSK), bits)
+        np.testing.assert_array_equal(full_block_detect(y, pinv_of(h), BPSK), bits)
 
     @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 1), (4, 1)])
     def test_equalizer_matches_numpy_pinv(self, shape):
-        # detect equalizes with pinv's formula on its one SVD; the reference
-        # is numpy.linalg.pinv itself, sliced the same way
+        # the full-block reference equalizes with pinv's formula on its one
+        # SVD; the reference is numpy.linalg.pinv itself, sliced the same way
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
         points = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / math.sqrt(2.0)
         table = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
@@ -255,19 +313,20 @@ class TestDetect:
             equalized = np.linalg.pinv(h) @ y
             index = np.argmin(np.abs(equalized[..., None] - points), axis=-1)
             want = table[index.reshape(-1)].reshape(-1)
-            np.testing.assert_array_equal(detect(y, pinv_of(h), QPSK), want)
+            np.testing.assert_array_equal(full_block_detect(y, pinv_of(h), QPSK), want)
 
     @pytest.mark.parametrize("shape", [(2, 1), (4, 1), (2, 2), (4, 4)])
     def test_packet_length_blocks_match_numpy_pinv(self, shape):
         # a full 2304-column packet block, the size at which pinv @ y goes
-        # to a threaded BLAS path; detect must slice the same bits as it
+        # to a threaded BLAS path; the antenna-by-antenna contraction must
+        # slice the same bits as it
         rng = np.random.default_rng(100 + shape[0] * 10 + shape[1])
         for scheme in (BPSK, QPSK):
             for _ in range(5):
                 h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
                 y = rng.normal(size=(shape[0], 2304)) + 1j * rng.normal(size=(shape[0], 2304))
                 want = argmin_bits(np.linalg.pinv(h) @ y, scheme)
-                np.testing.assert_array_equal(detect(y, pinv_of(h), scheme), want)
+                np.testing.assert_array_equal(full_block_detect(y, pinv_of(h), scheme), want)
 
 
 class TestEqualizers:
@@ -358,7 +417,8 @@ class TestSinr:
         symbols = {s: modulate(rng.integers(0, 2, size=streams * n), BPSK).reshape(streams, n)
                    for s in range(len(sent))}
         noise = rng.normal(size=(dimension, n)) + 1j * rng.normal(size=(dimension, n))
-        y = received_signal(dict(enumerate(sent)), symbols, noise * math.sqrt(sigma2 / 2))
+        # the full-block reference: the (M, N) received block, then W
+        y = full_block_received_signal(dict(enumerate(sent)), symbols, noise * math.sqrt(sigma2 / 2))
         error = np.abs(w @ y - symbols[0]) ** 2
         # the mean of n independent squared errors, within 4 standard errors
         bound = 4.0 * error.std(axis=1) / math.sqrt(n)
@@ -502,6 +562,33 @@ class TestRunTrials:
         assert np.flatnonzero(np.isnan(res.capacity_samples)).tolist() == [5]
         kept = np.arange(12) != 5
         assert res.capacity_samples[kept].tobytes() == clean.capacity_samples[kept].tobytes()
+
+    def test_trial_stream_contract(self, monkeypatch):
+        # one trial's stream: its channels, then ceil(36 / 8) = 5 bytes for
+        # each of the 3 senders from one draw, then the (D, N) = (4, 9)
+        # normals of 2 QPSK streams; nothing else is drawn
+        config = experiments.load_config(overrides={
+            "trials": 1, "seed": 5, "snr": {"start": 20.0, "stop": 20.0},
+            "scenario": {**TestSinr.CHAIN3, "modulation": "qpsk", "packet_bits": 36},
+        })
+        ((*_, scenario, link),) = config.runs
+        plan = linksim._plan(scenario, link)
+        assert len(plan.senders) == 3
+        streams = []
+        draw = linksim._TaskPlan.draw
+
+        def recorded(p, rng):
+            streams.append(rng)
+            return draw(p, rng)
+
+        monkeypatch.setattr(linksim._TaskPlan, "draw", recorded)
+        stats, _ = linksim._run_task(plan, link, 5, 0, 0, 1)
+        assert stats.bits_sent == 36
+        fresh = trial_stream(5, 0, 0)
+        draw(plan, fresh)
+        fresh.integers(0, 256, size=(3, 5), dtype=np.uint8)
+        fresh.standard_normal((4, 9))
+        assert streams[0].bit_generator.state == fresh.bit_generator.state
 
     def test_plan_built_once_per_call(self, monkeypatch):
         calls = []
