@@ -11,6 +11,7 @@ model is the unique element-wise structure that does.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +80,10 @@ def derive_moments(params: NakagamiParams) -> MomentDecomposition:
 
 
 def sample_channel(
-    moments: MomentDecomposition, dimension: int, rng: Generator, draws: tuple[int, ...] = ()
+    moments: MomentDecomposition,
+    dimension: int,
+    rng: Generator | Sequence[Generator],
+    draws: tuple[int, ...] = (),
 ) -> np.ndarray:
     """Draw one M x M channel matrix, or a (*draws, M, M) stack of them,
     with i.i.d. mean-plus-scatter entries.
@@ -87,14 +91,22 @@ def sample_channel(
     Each entry is sqrt(squared_mean) + CN(0, variance).  Each matrix takes
     its real scatter parts and then its imaginary ones from the stream, one
     matrix after the other, so a stack equals that many single draws in a
-    row and equal seeds give bit-identical matrices.
+    row and equal seeds give bit-identical matrices.  Given a sequence of
+    generators, member i of the (len(rng), *draws, M, M) result is what
+    rng[i] alone would give: each fills its own member's normals, and the
+    transform runs once over the whole stack.
     """
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     sigma = math.sqrt(moments.variance / 2.0)
-    normals = rng.standard_normal((*draws, 2, dimension, dimension))
+    single = isinstance(rng, Generator)
+    rngs = [rng] if single else rng
+    normals = np.empty((len(rngs), *draws, 2, dimension, dimension))
+    for member, member_rng in zip(normals, rngs):
+        member_rng.standard_normal(out=member)
     scatter = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
-    return math.sqrt(moments.squared_mean) + sigma * scatter
+    channels = math.sqrt(moments.squared_mean) + sigma * scatter
+    return channels[0] if single else channels
 
 
 def stack(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ measured node, and detects it at that node's receive point with every other
 covering node contributing interference.  Trials are independent: trial t
 of SNR-sweep point p uses the random stream spawned from
 (master_seed, spawn_key=(p, t)), so results are bit-identical for any
-worker count or execution order.
+worker count or execution order.  A task hashes the seed words of all its
+trials at once, to the same streams numpy's SeedSequence gives.
 
 What does not depend on the draws (moments, rotator, which channels to
 draw and their path amplitudes, which nodes send at the measured point) is
@@ -23,13 +24,15 @@ stacked steps run again on the rest.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from beamlink.beamformer import (
     SolveError,
@@ -325,12 +328,15 @@ class _TaskPlan:
     amplitudes: np.ndarray  # (draws, 1, 1): sqrt(path gain * tx power)
     repetition: np.ndarray | None  # (M,) in diversity mode, None for multiplexing
 
-    def draw(self, rng: Generator) -> np.ndarray:
-        """One trial's channels, (draws, M, M), from one call on its stream."""
+    def draw(self, rngs: Sequence[Generator]) -> np.ndarray:
+        """The (trials, draws, M, M) channels of one trial per generator:
+        trial i's come first on rngs[i], from one sample_channel call for
+        the whole stack."""
         if self.moments is None:
-            return self.amplitudes * np.eye(self.dimension, dtype=complex)
+            eye = self.amplitudes * np.eye(self.dimension, dtype=complex)
+            return np.repeat(eye[None], len(rngs), axis=0)
         return self.amplitudes * sample_channel(
-            self.moments, self.dimension, rng, (len(self.amplitudes),)
+            self.moments, self.dimension, rngs, (len(self.amplitudes),)
         )
 
 
@@ -427,31 +433,116 @@ def _solve_network(plan: _TaskPlan, channels: np.ndarray) -> dict[int, np.ndarra
 # not its results
 _BATCH_TRIALS = 256
 
+# numpy's SeedSequence hash on 32-bit words (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, const: int, mult: int):
+    """SeedSequence's hashmix of a word (an int, or a uint64 array of
+    words): returns the hashed word and the next hash constant."""
+    following = const * mult & _MASK32
+    value = (value ^ const) * following & _MASK32
+    return value ^ value >> 16, following
+
+
+def _mix(x, y):
+    result = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: 32-bit words, least
+    significant first, and [0] for 0."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+class _TrialSeed(ISeedSequence):
+    """SeedSequence(entropy, spawn_key=spawn_key) with its PCG64 state
+    words already hashed; it answers no other request."""
+
+    def __init__(self, entropy: int, spawn_key: tuple[int, int], state: np.ndarray):
+        self.entropy, self.spawn_key, self._state = entropy, spawn_key, state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a trial seed holds only PCG64's four 64-bit state words")
+        return self._state
+
+
+def _trial_rngs(master_seed: int, point_idx: int, start: int, stop: int) -> list[Generator]:
+    """default_rng(SeedSequence(master_seed, spawn_key=(point_idx, t))) for
+    t in [start, stop), bit for bit, from one pass of the seed hash.
+
+    The entropy words are the seed's words padded with zeros to the pool
+    size, point_idx's words, then t's one word.  All but the last are the
+    same for every trial, so they are mixed once, as Python ints; t is
+    mixed for every trial at once, as a uint64 array of 32-bit words.
+    """
+    if stop > 1 << 32:
+        raise ValueError(f"trial index {stop - 1} does not fit one 32-bit word")
+    master_seed = operator.index(master_seed)
+    words = _words(master_seed)
+    words += [0] * (_POOL_WORDS - len(words)) + _words(point_idx)
+    const, pool = _INIT_A, []
+    for word in words[:_POOL_WORDS]:
+        hashed, const = _hashmix(word, const, _MULT_A)
+        pool.append(hashed)
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in [*words[_POOL_WORDS:], np.arange(start, stop, dtype=np.uint64)]:
+        for dst in range(_POOL_WORDS):
+            hashed, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], hashed)
+    # generate_state(4, uint64): eight words from the pool in turn, paired
+    # low word first
+    const, state = _INIT_B, []
+    for i in range(8):
+        hashed, const = _hashmix(pool[i % _POOL_WORDS], const, _MULT_B)
+        state.append(hashed)
+    seeds = np.stack([low | high << 32 for low, high in zip(state[::2], state[1::2])], axis=1)
+    return [
+        Generator(PCG64(_TrialSeed(master_seed, (point_idx, t), seed)))
+        for t, seed in zip(range(start, stop), seeds)
+    ]
+
 
 def _run_task(
     plan: _TaskPlan, link: LinkConfig, master_seed: int, point_idx: int, start: int, stop: int
 ) -> tuple[TrialStats, np.ndarray]:
     """Counters and capacity samples of trials [start, stop) of one SNR point.
 
-    Every trial draws its channels from its own spawned stream; every pair
-    of every trial is solved as one stack, and so is the link algebra at
-    the measured point: each sender's channel @ composite (@ rep in
-    diversity mode) a_s, the desired node's equalizer W, each other
-    sender's A_s = W a_s, the SINR terms and the noise factor.  Then each
-    trial draws its packet from its stream: ceil(packet_bits / 8) bytes
-    per sender from one (senders, bytes) draw, then the (D, N) normals of
-    its D = K * bits-per-symbol slicer axes, into one buffer per task.
+    Trial t's stream is default_rng(SeedSequence(master_seed,
+    spawn_key=(point_idx, t))); the task hashes the seed words of all its
+    trials in one pass (_trial_rngs), and one sample_channel call draws
+    every trial's channels, each first on its own stream.  Every pair of
+    every trial is solved as one stack, and so is the link algebra at the
+    measured point: each sender's channel @ composite (@ rep in diversity
+    mode) a_s, the desired node's equalizer W, each other sender's
+    A_s = W a_s, the SINR terms, the capacities and the noise factor.  Then
+    each trial draws its packet from its stream: ceil(packet_bits / 8)
+    bytes per sender from one (senders, bytes) draw, then the (D, N)
+    normals of its D = K * bits-per-symbol slicer axes, into one buffer per
+    task.
 
     A numerical failure in the solve, the normalization or the equalizer
     erases its trials: one lost packet each, NaN capacity.  The failing
     step's SolveError marks them; the stacked steps run again on the rest,
     which gives every other trial the result it would get alone.
     """
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(point_idx, t)))
-        for t in range(start, stop)
-    ]
-    channels = np.stack([plan.draw(rng) for rng in rngs])
+    rngs = _trial_rngs(master_seed, point_idx, start, stop)
+    channels = plan.draw(rngs)
     alive = np.arange(len(rngs))
     while True:
         try:
@@ -476,6 +567,7 @@ def _run_task(
     packed_shape = (len(sent), (link.packet_bits + 7) // 8)
     normals = np.empty((link.streams * scheme.bits_per_symbol, link.symbols_per_stream))
     caps = np.full(len(rngs), math.nan)
+    caps[alive] = capacity(effective_snr(interference, noise_gain, sigma2))
     bit_errors = symbol_errors = packet_errors = 0
     for row, k in enumerate(alive.tolist()):
         packed = rngs[k].integers(0, 256, size=packed_shape, dtype=np.uint8)
@@ -483,7 +575,6 @@ def _run_task(
         symbols = modulate(bits.reshape(-1), scheme).reshape(shape)
         rngs[k].standard_normal(out=normals)
         e = received_signal(symbols, [a[row] for a in leaks], factor[row], normals)
-        caps[k] = capacity(effective_snr(interference[row], noise_gain[row], sigma2))
         # a symbol is wrong exactly when one of its bits is
         wrong = detect(e) != bits[0]
         wrong_bits = int(np.count_nonzero(wrong))

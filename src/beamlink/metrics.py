@@ -80,12 +80,15 @@ class MetricSeries:
     scenario_hash: str = ""
 
 
-def capacity(sinr: np.ndarray) -> float:
-    """Sum capacity over the streams, sum_k log2(1 + sinr[k]), in bits/s/Hz."""
+def capacity(sinr: np.ndarray) -> float | np.ndarray:
+    """Sum capacity over the streams, sum_k log2(1 + sinr[..., k]), in
+    bits/s/Hz: a float for one (K,) row, one sum per row for a
+    (trials, K) stack."""
     sinr = np.asarray(sinr, dtype=float)
     if (sinr < 0).any():
         raise ValueError(f"sinr must be >= 0, got {sinr}")
-    return float(np.log2(1.0 + sinr).sum())
+    total = np.log2(1.0 + sinr).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def effective_snr(

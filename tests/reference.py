@@ -62,7 +62,7 @@ def trial_link(plan, rng) -> tuple[list[np.ndarray], np.ndarray] | None:
     """One trial's channels drawn from rng, solved alone: each sender's
     effective channel a_s (through the repetition vector in diversity mode)
     and the combiner W, or None where the trial is erased."""
-    channels = plan.draw(rng)[None]
+    channels = plan.draw([rng])
     try:
         composites = linksim._solve_network(plan, channels)
         effective = [channels[:, d] @ composites[node_id] for node_id, d in plan.senders]

@@ -1,7 +1,7 @@
 """Golden CSV digests: every named experiment at a small seeded budget.
 
 Each entry of EXPERIMENTS runs at trials 3, seed 7 and its default snr grid,
-and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins ten runs
+and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins eleven runs
 that the trials-3 digests never reach: a batch of 100 nearly deterministic
 channels (capacity_vs_nodes with nakagami_m 1e6, which erases no trial but
 hands the slicer values up to ~6e11 whose sign, not their distance to the
@@ -13,18 +13,22 @@ of 8-bit packets) under per_formula "literal", whose per_model values
 interference, where a node outside the measured pair is heard at its
 receive point.  Two more send diversity past interferers: a 30-trial
 distance sweep (PER 0.9 / 0.2 / 0.0) and the chain at M = 4 and 80 dB,
-where both other nodes are heard.  The last two lay out explicit nodes: a
+where both other nodes are heard.  Two more lay out explicit nodes: a
 triangle of three overlapping pairs with own_point_distance set, where the
 third node is heard, and a disk inside another, whose default receive
-points are clamped into the small disk.  A refactor must leave
-these bytes unchanged; moving a digest on purpose needs a CHANGES.md entry
-that says why the output changed.  CAPACITY_ROWS_SHA256 pins the capacity
-rows of the same fifteen runs apart from the rest of the CSV.
+points are clamped into the small disk.  The last link sweep has a
+three-word master seed, 2^64 + 5, and 300 trials per point, so each
+point's trials split into two spans and the second span's streams start
+at trial 150.  A refactor must leave these bytes unchanged; moving a
+digest on purpose needs a CHANGES.md entry that says why the output
+changed.  CAPACITY_ROWS_SHA256 pins the capacity
+rows of the same sixteen runs apart from the rest of the CSV.
 """
 from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from beamlink import experiments, linksim
@@ -120,6 +124,15 @@ LARGER_RUNS = {
         {"trials": 20, "seed": 4, "snr": {"start": 20.0}, "scenario": _CONTAINED},
         "61fb2e7b89aeb90f427af5fd9f64df273b6c8334e2fa769928a6707fc5b0e9fa",
     ),
+    "ber_vs_dimension-bits64-trials300-seed2e64+5": (
+        {
+            "experiment": "ber_vs_dimension",
+            "trials": 300,
+            "seed": 2**64 + 5,
+            "scenario": {"packet_bits": 64},
+        },
+        "b21c4be0216190e465d393b9e54ff7c14ae993875b824ba5690bdbfc4c7252c9",
+    ),
 }
 
 
@@ -159,6 +172,8 @@ CAPACITY_ROWS_SHA256 = {
         "1e21b1f845df9b487982f17af13ebeeefe48dfc6b9fc5457a26ad254cd3dce90",
     "custom-contained-disk-trials20-seed4":
         "6559e2d364ea1b73cefd50ca3d0c22a30e3c50ae8fef9136e2c941161da3548b",
+    "ber_vs_dimension-bits64-trials300-seed2e64+5":
+        "133a457a7bd205fe7201c3d0c60cb887e772a932c81b6e11a98665272bf95e7a",
 }
 
 
@@ -199,9 +214,10 @@ def test_erasing_run_on_a_pool(tmp_path, monkeypatch, real_pool):
     monkeypatch.setattr(linksim, "_BATCH_TRIALS", 30)
     draw = linksim._TaskPlan.draw
 
-    def zero_trial_60_of_8_nodes(p, rng):
-        zeroed = len(p.pairs) == 7 and rng.bit_generator.seed_seq.spawn_key == (0, 60)
-        return draw(p, rng) * (0.0 if zeroed else 1.0)
+    def zero_trial_60_of_8_nodes(p, rngs):
+        zeroed = [len(p.pairs) == 7 and rng.bit_generator.seed_seq.spawn_key == (0, 60)
+                  for rng in rngs]
+        return draw(p, rngs) * np.where(zeroed, 0.0, 1.0)[:, None, None, None]
 
     monkeypatch.setattr(linksim._TaskPlan, "draw", zero_trial_60_of_8_nodes)
     name = "capacity_vs_nodes-m1e6-trials100-seed3"

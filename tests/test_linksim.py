@@ -374,7 +374,7 @@ def test_composites_carry_unit_total_power():
     )
     plan = linksim._plan(sc, LinkConfig(snr_db=(5.0,), packet_bits=32))
     rng = np.random.default_rng(8)
-    composites = linksim._solve_network(plan, np.stack([plan.draw(rng) for _ in range(20)]))
+    composites = linksim._solve_network(plan, plan.draw([rng] * 20))
     power = sum(np.sum(np.abs(c) ** 2, axis=(1, 2)) for c in composites.values())
     np.testing.assert_allclose(power, 1.0, rtol=0.0, atol=1e-12)
 
@@ -397,7 +397,7 @@ class TestSinr:
         assert len(plan.senders) == 3
         # trial 0 of point 0, drawn as run_trials draws it
         rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0, 0)))
-        channels = plan.draw(rng)[None]
+        channels = plan.draw([rng])
         composites = linksim._solve_network(plan, channels)
         sent = [channels[0, d] @ composites[node_id][0] for node_id, d in plan.senders]
         if plan.repetition is not None:
@@ -491,9 +491,9 @@ class TestRunTrials:
         link = LinkConfig(snr_db=(5.0, 9.0), packet_bits=32)
         draw = linksim._TaskPlan.draw
 
-        def zero_three_trials(p, rng):
-            zeroed = rng.bit_generator.seed_seq.spawn_key[1] in (15, 29, 33)
-            return draw(p, rng) * (0.0 if zeroed else 1.0)
+        def zero_three_trials(p, rngs):
+            zeroed = [rng.bit_generator.seed_seq.spawn_key[1] in (15, 29, 33) for rng in rngs]
+            return draw(p, rngs) * np.where(zeroed, 0.0, 1.0)[:, None, None, None]
 
         monkeypatch.setattr(linksim._TaskPlan, "draw", zero_three_trials)
         serial = run_trials([(sc, link)], n_trials=37, master_seed=15, workers=1)
@@ -527,8 +527,9 @@ class TestRunTrials:
         plan = linksim._plan(sc, link)
         draw = linksim._TaskPlan.draw
 
-        def zero_trial_3(p, rng):
-            return draw(p, rng) * (0.0 if rng.bit_generator.seed_seq.spawn_key == (0, 3) else 1.0)
+        def zero_trial_3(p, rngs):
+            zeroed = [rng.bit_generator.seed_seq.spawn_key == (0, 3) for rng in rngs]
+            return draw(p, rngs) * np.where(zeroed, 0.0, 1.0)[:, None, None, None]
 
         monkeypatch.setattr(linksim._TaskPlan, "draw", zero_trial_3)
         stats, caps = linksim._run_task(plan, link, 9, 0, 0, 6)
@@ -550,10 +551,11 @@ class TestRunTrials:
         assert linksim._plan(sc, link).pairs[1] == (1, 2)
         draw = linksim._TaskPlan.draw
 
-        def zero_pair_1_of_trial_5(p, rng):
-            channels = draw(p, rng)
-            if rng.bit_generator.seed_seq.spawn_key == (0, 5):
-                channels[4:8] = 0.0
+        def zero_pair_1_of_trial_5(p, rngs):
+            channels = draw(p, rngs)
+            for trial, rng in zip(channels, rngs):
+                if rng.bit_generator.seed_seq.spawn_key == (0, 5):
+                    trial[4:8] = 0.0
             return channels
 
         monkeypatch.setattr(linksim._TaskPlan, "draw", zero_pair_1_of_trial_5)
@@ -577,15 +579,15 @@ class TestRunTrials:
         streams = []
         draw = linksim._TaskPlan.draw
 
-        def recorded(p, rng):
-            streams.append(rng)
-            return draw(p, rng)
+        def recorded(p, rngs):
+            streams.extend(rngs)
+            return draw(p, rngs)
 
         monkeypatch.setattr(linksim._TaskPlan, "draw", recorded)
         stats, _ = linksim._run_task(plan, link, 5, 0, 0, 1)
         assert stats.bits_sent == 36
         fresh = trial_stream(5, 0, 0)
-        draw(plan, fresh)
+        draw(plan, [fresh])
         fresh.integers(0, 256, size=(3, 5), dtype=np.uint8)
         fresh.standard_normal((4, 9))
         assert streams[0].bit_generator.state == fresh.bit_generator.state
@@ -759,6 +761,40 @@ class TestRunTrials:
         r_b = run_trials([(build_scenario(nodes, measured_node=1), link)], 10, master_seed=51)
         # same seed, different measured role: different capacity draws
         assert not np.array_equal(r_a[0].capacity_samples, r_b[0].capacity_samples)
+
+
+class TestTrialStreams:
+    """A task's generators are numpy's SeedSequence(seed, spawn_key=(p, t))
+    streams with the seed hash run once per task."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7])
+    @pytest.mark.parametrize("point", [0, 1, 15, 2**32 - 1])
+    def test_state_and_draws_match_numpy(self, seed, point):
+        for start, stop in [(0, 2), (255, 257), (10**8 - 1, 10**8)]:
+            rngs = linksim._trial_rngs(seed, point, start, stop)
+            assert len(rngs) == stop - start
+            for t, rng in zip(range(start, stop), rngs):
+                fresh = trial_stream(seed, point, t)
+                assert rng.bit_generator.state == fresh.bit_generator.state
+                seed_seq = rng.bit_generator.seed_seq
+                assert (seed_seq.entropy, seed_seq.spawn_key) == (seed, (point, t))
+                assert rng.standard_normal(3).tobytes() == fresh.standard_normal(3).tobytes()
+                assert rng.integers(0, 256, 5, dtype=np.uint8).tobytes() == (
+                    fresh.integers(0, 256, 5, dtype=np.uint8).tobytes()
+                )
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (2.0, TypeError)])
+    def test_seed_must_be_a_non_negative_int(self, seed, error):
+        # as numpy's SeedSequence rejects them
+        with pytest.raises(error):
+            linksim._trial_rngs(seed, 0, 0, 2)
+
+    def test_seed_answers_only_pcg64s_request(self):
+        (rng,) = linksim._trial_rngs(3, 0, 0, 1)
+        with pytest.raises(ValueError):
+            rng.bit_generator.seed_seq.generate_state(4)
+        with pytest.raises(ValueError):
+            rng.bit_generator.seed_seq.generate_state(8, np.uint64)
 
 
 class TestScheduler:

@@ -36,6 +36,9 @@ class TestCapacity:
             capacity([-0.1])
         with pytest.raises(ValueError):
             capacity([1.0, -0.1])
+        # a negative entry in any row of a (trials, K) stack
+        with pytest.raises(ValueError):
+            capacity([[1.0, 2.0], [3.0, 4.0], [1.0, -0.1]])
 
     def test_increasing_and_concave(self):
         grid = np.linspace(0.0, 50.0, 400)
@@ -46,6 +49,14 @@ class TestCapacity:
 
     def test_streams_add(self):
         assert capacity(np.array([1.0, 3.0])) == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("streams", [1, 2, 3, 4, 9])
+    def test_stack_gives_each_rows_sum(self, streams):
+        # a (trials, K) stack sums each row exactly as a one-row call does
+        sinr = np.random.default_rng(streams).exponential(size=(50, streams)) * 1e3
+        rows = capacity(sinr)
+        assert rows.shape == (50,)
+        assert rows.tobytes() == np.array([capacity(row) for row in sinr]).tobytes()
 
 
 class TestEffectiveSnr:
