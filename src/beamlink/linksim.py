@@ -14,10 +14,11 @@ draw and their path amplitudes, which nodes send at the measured point) is
 worked out once per run.  The tasks of all the runs (one run, one SNR
 point, one span of trials each) go to one scheduler, which runs them here
 for one process or on one process pool.  A task solves the pairs and the
-link algebra of all its trials as stacks, then sends one packet per trial:
-the slicer reads e = sum_s A_s x_s + W n behind the zero-forcing combiner
-W, so a trial draws only the normals of the axes the slicer reads and
-colors them with a factor of W n's covariance.  A singular solve,
+link algebra of all its trials as stacks, then sends one packet per trial,
+a few trials at a time: the slicer reads e = sum_s A_s x_s + W n behind the
+zero-forcing combiner W, so a trial draws only the normals of the real
+axes the slicer reads and colors them with a factor of W n's covariance,
+and the decisions are counted as packed bytes.  A singular solve,
 normalization or equalizer erases the trials its SolveError marks, and the
 stacked steps run again on the rest.
 """
@@ -85,12 +86,6 @@ class ModulationScheme:
 
 BPSK = ModulationScheme(kind="bpsk", bits_per_symbol=1)
 QPSK = ModulationScheme(kind="qpsk", bits_per_symbol=2)
-
-# constellation index k is the integer formed by the symbol's bits msb-first
-_POINTS = {
-    "bpsk": np.array([1.0, -1.0], dtype=complex),
-    "qpsk": np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j], dtype=complex) / math.sqrt(2.0),
-}
 
 
 def modulation_by_name(name: str) -> ModulationScheme:
@@ -195,52 +190,51 @@ class PointResult:
 
 
 def modulate(bits: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
-    """Map a 0/1 bit vector to unit-average-energy constellation symbols."""
+    """Map 0/1 bits to their unit-energy symbols' coordinates on the slicer axes.
+
+    bits is (..., N * b): one stream's bits in the order sent, every b of
+    them one symbol.  Returns the (..., b, N) coordinates, (1 - 2 bit) /
+    sqrt b each: Re x for BPSK, and for QPSK (Im x, Re x), the Gray map of
+    bits (b0, b1) to ((1 - 2 b1) + i (1 - 2 b0)) / sqrt 2.
+    """
     bits = np.asarray(bits)
-    if bits.ndim != 1:
-        raise ValueError(f"bits must be one-dimensional, got shape {bits.shape}")
-    if bits.size % scheme.bits_per_symbol != 0:
-        raise ValueError(
-            f"{bits.size} bits are not a whole number of {scheme.bits_per_symbol}-bit symbols"
-        )
-    # one reduction on a packet's uint8 bits; only a signed input can go below 0
+    b = scheme.bits_per_symbol
+    if bits.ndim < 1 or bits.shape[-1] % b != 0:
+        raise ValueError(f"bits of shape {bits.shape} are not rows of whole {b}-bit symbols")
+    # one reduction on a chunk's uint8 bits; only a signed input can go below 0
     if bits.max(initial=0) > 1 or (bits.dtype.kind not in "ub" and bits.min(initial=0) < 0):
         raise ValueError("bits must be 0 or 1")
-    groups = bits.astype(np.uint8, copy=False).reshape(-1, scheme.bits_per_symbol)
-    # msb-first integer index into the constellation table
-    index = groups[:, 0]
-    for b in range(1, scheme.bits_per_symbol):
-        index = (index << 1) | groups[:, b]
-    return _POINTS[scheme.kind].take(index)
+    groups = bits.astype(np.uint8, copy=False).reshape(*bits.shape[:-1], -1, b)
+    # each unit-energy symbol's magnitude on every axis it uses
+    c = 1.0 / math.sqrt(b)
+    return np.array([c, -c]).take(groups.swapaxes(-1, -2))
 
 
 def received_signal(
-    symbols: np.ndarray, leaks: Sequence[np.ndarray], factor: np.ndarray, normals: np.ndarray
+    symbols: np.ndarray, leaks: np.ndarray, factor: np.ndarray, normals: np.ndarray
 ) -> np.ndarray:
-    """One packet's slicer statistic: each slicer axis's known part plus its colored noise.
+    """A chunk of packets' slicer statistics: each axis's known part plus its colored noise.
 
-    symbols is the (senders, K, N) symbols, the desired sender's first,
-    and leaks each other sender's (K, K) A_s = W a_s.  The desired stream
-    passes W at unit gain, so the known part is x_0 + sum_s A_s x_s, added
-    row by row with senders in order.  factor is the (D, D) real F with
-    F F^T the axes' noise covariance, normals the (D, N) white normals.
-    Returns the (K, D/K, N) axes: Re e_k for BPSK, (Im e_k, Re e_k) for QPSK.
+    symbols is the (trials, senders, K, D/K, N) coordinates modulate gives,
+    the desired sender's first, and leaks the (trials, senders - 1, D, D)
+    real forms (_real_axes) of each other sender's A_s = W a_s.  The
+    desired stream passes W at unit gain, so the known part of axis i is
+    x_0[i] + sum_s sum_j L_s[i, j] x_s[j], added term by term, senders and
+    then j in order.  factor is the (trials, D, D) real F with F F^T the
+    axes' noise covariance, normals the (trials, D, N) white normals, and
+    sum_j F[i, j] z_j is added after, j in order.  Returns the (trials, K,
+    D/K, N) axes: Re e_k for BPSK, (Im e_k, Re e_k) for QPSK.
     """
-    known = symbols[0].copy() if len(leaks) else symbols[0]
-    for a, x in zip(leaks, symbols[1:]):
-        for known_k, row in zip(known, a.tolist()):
-            for a_kj, x_j in zip(row, x):
-                known_k += a_kj * x_j
-    streams, per_stream = known.shape
-    e = np.empty((streams, len(factor) // streams, per_stream))
-    e[:, -1] = known.real
-    if e.shape[1] == 2:
-        e[:, 0] = known.imag
-    # a numpy contraction, not factor @ normals, so no BLAS thread runs
-    for axis, row in zip(e.reshape(len(factor), per_stream), factor.tolist()):
-        for f, z in zip(row, normals):
-            axis += f * z
-    return e
+    trials, senders, *axes, per_axis = symbols.shape
+    x = symbols.reshape(trials, senders, -1, per_axis)
+    e = x[:, 0].copy()
+    # elementwise products, not a matmul, so no BLAS thread runs and every
+    # axis sums its terms in the same order for any chunk
+    terms = [(leaks[:, s - 1], x[:, s]) for s in range(1, senders)] + [(factor, normals)]
+    for coefficients, values in terms:
+        for j in range(e.shape[1]):
+            e += coefficients[:, :, j, None] * values[:, None, j]
+    return e.reshape(trials, *axes, per_axis)
 
 
 def equalizers(effective: np.ndarray, repetition: np.ndarray | None) -> np.ndarray:
@@ -262,40 +256,50 @@ def equalizers(effective: np.ndarray, repetition: np.ndarray | None) -> np.ndarr
     return vh.conj().swapaxes(1, 2) @ ((1.0 / sv)[:, :, None] * u.conj().swapaxes(1, 2))
 
 
+def _real_axes(m: np.ndarray, bits_per_symbol: int) -> np.ndarray:
+    """What the complex (..., K, K) matrix m does on the slicer axes, as a
+    real (..., D, D) matrix: Re m on the axes Re e_k of BPSK; on the axes
+    (Im e_k, Re e_k) of QPSK, the block [[Re, Im], [-Im, Re]] of each entry,
+    since Im(m x) = Re m Im x + Im m Re x and Re(m x) = Re m Re x - Im m Im x."""
+    if bits_per_symbol == 1:
+        return m.real
+    *lead, streams, _ = m.shape
+    out = np.empty((*lead, streams, 2, streams, 2))
+    out[..., 0, :, 0] = out[..., 1, :, 1] = m.real
+    out[..., 0, :, 1] = m.imag
+    out[..., 1, :, 0] = -m.imag
+    return out.reshape(*lead, 2 * streams, 2 * streams)
+
+
 def _noise_factor(pinv: np.ndarray, sigma2: float, bits_per_symbol: int) -> np.ndarray:
     """(trials, D, D) real factors F, F F^T the covariance of the slicer axes' noise.
 
     The slicer sees W n ~ CN(0, sigma2 W W^H) (Tse & Viswanath 2005,
     section 8.3.1): Re and Im each have covariance Re(sigma2 W W^H) / 2, and
-    E[Im e_k Re e_j] = Im(sigma2 W W^H)[k, j] / 2.  One batched eigh, with
-    the negative eigenvalues of a near-singular W W^H clipped to 0, gives F
-    where a Cholesky factor would fail.
+    E[Im e_k Re e_j] = Im(sigma2 W W^H)[k, j] / 2, which is the real form of
+    sigma2 W W^H / 2 on the axes.  One batched eigh, with the negative
+    eigenvalues of a near-singular W W^H clipped to 0, gives F where a
+    Cholesky factor would fail.
     """
     half = (sigma2 / 2.0) * (pinv @ pinv.conj().swapaxes(1, 2))
-    cov = half.real
-    if bits_per_symbol == 2:
-        # axes (Im e_k, Re e_k) of every stream k
-        trials, streams = half.shape[:2]
-        cov = np.empty((trials, streams, 2, streams, 2))
-        cov[:, :, 0, :, 0] = cov[:, :, 1, :, 1] = half.real
-        cov[:, :, 0, :, 1] = half.imag
-        cov[:, :, 1, :, 0] = -half.imag
-        cov = cov.reshape(trials, 2 * streams, 2 * streams)
-    lam, v = np.linalg.eigh(cov)
+    lam, v = np.linalg.eigh(_real_axes(half, bits_per_symbol))
     return v * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
 
 
 def detect(e: np.ndarray) -> np.ndarray:
-    """Sign decisions on a slicer statistic, to 0/1 bits in the order sent.
+    """Sign decisions on a chunk of slicer statistics, packed into bytes.
 
     e is what received_signal returns.  BPSK decides bit = Re e < 0 and
     QPSK the bits (Im e < 0, Re e < 0).  For these Gray-mapped
     constellations that is the minimum-distance decision, and it stays
     exact where |Im e| / |Re e| is so large that the distances to the
-    points tie in floating point.
+    points tie in floating point.  Returns each packet's decisions in the
+    order sent, msb-first, one row of bytes per packet; the bits that pad
+    the last byte are 0.
     """
     # rows are streams, each symbol's bits in turn: the transmit order
-    return (e < 0.0).swapaxes(1, 2).reshape(-1).view(np.uint8)
+    decisions = (e < 0.0).swapaxes(-1, -2).reshape(len(e), -1)
+    return np.packbits(decisions, axis=-1)
 
 
 def _alternating_unit_vector(dimension: int) -> np.ndarray:
@@ -433,6 +437,15 @@ def _solve_network(plan: _TaskPlan, channels: np.ndarray) -> dict[int, np.ndarra
 # not its results
 _BATCH_TRIALS = 256
 
+# the packet stage takes a task's surviving trials a chunk of at most this
+# many slicer values at a time (at least one trial), since a packet of B
+# bits puts B values on the slicer's axes: 4 packets of 2304 bits, small
+# enough that a chunk's arrays stay in cache (README, engine step 3)
+_CHUNK_VALUES = 4 * 2304
+
+# bits set in each byte value
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
 # numpy's SeedSequence hash on 32-bit words (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
 _POOL_WORDS = 4
@@ -531,10 +544,15 @@ def _run_task(
     measured point: each sender's channel @ composite (@ rep in diversity
     mode) a_s, the desired node's equalizer W, each other sender's
     A_s = W a_s, the SINR terms, the capacities and the noise factor.  Then
-    each trial draws its packet from its stream: ceil(packet_bits / 8)
-    bytes per sender from one (senders, bytes) draw, then the (D, N)
-    normals of its D = K * bits-per-symbol slicer axes, into one buffer per
-    task.
+    each trial draws its packet from its stream: ceil(senders * bytes / 8)
+    raw 64-bit words, whose first senders * bytes little-endian bytes are
+    each sender's ceil(packet_bits / 8) bytes in turn (the bytes
+    integers(0, 256, (senders, bytes), uint8) would draw), then the (D, N)
+    normals of its D = K * bits-per-symbol slicer axes.  The surviving
+    trials go through the packet stage a chunk at a time, at most
+    _CHUNK_VALUES slicer values: modulate, received_signal and detect each
+    run once per chunk, and the packed decisions are XORed against the
+    desired sender's bytes and counted by a popcount table.
 
     A numerical failure in the solve, the normalization or the equalizer
     erases its trials: one lost packet each, NaN capacity.  The failing
@@ -562,25 +580,39 @@ def _run_task(
     noise_gain = np.sum(np.abs(pinv) ** 2, axis=-1)
     interference = sum((np.sum(np.abs(a) ** 2, axis=-1) for a in leaks), np.zeros_like(noise_gain))
     sigma2 = 1.0 / (10.0 ** (link.snr_db[point_idx] / 10.0))
-    factor = _noise_factor(pinv, sigma2, scheme.bits_per_symbol)
-    shape = (len(sent), link.streams, link.symbols_per_stream)
-    packed_shape = (len(sent), (link.packet_bits + 7) // 8)
-    normals = np.empty((link.streams * scheme.bits_per_symbol, link.symbols_per_stream))
     caps = np.full(len(rngs), math.nan)
     caps[alive] = capacity(effective_snr(interference, noise_gain, sigma2))
+
+    b = scheme.bits_per_symbol
+    axes = link.streams * b
+    factor = _noise_factor(pinv, sigma2, b)
+    leak_axes = np.empty((len(alive), len(leaks), axes, axes))
+    for s, a in enumerate(leaks):
+        leak_axes[:, s] = _real_axes(a, b)
+    senders, packet_bytes = len(sent), (link.packet_bits + 7) // 8
+    chunk = max(1, _CHUNK_VALUES // link.packet_bits)
+    raw = np.empty((chunk, -(-senders * packet_bytes // 8)), dtype="<u8")
+    normals = np.empty((chunk, axes, link.symbols_per_stream))
+    # the decisions pad the last byte with 0s, the drawn bytes with random bits
+    last_byte = 0xFF & 0xFF << (-link.packet_bits % 8)
     bit_errors = symbol_errors = packet_errors = 0
-    for row, k in enumerate(alive.tolist()):
-        packed = rngs[k].integers(0, 256, size=packed_shape, dtype=np.uint8)
-        bits = np.unpackbits(packed, axis=1, count=link.packet_bits)
-        symbols = modulate(bits.reshape(-1), scheme).reshape(shape)
-        rngs[k].standard_normal(out=normals)
-        e = received_signal(symbols, [a[row] for a in leaks], factor[row], normals)
-        # a symbol is wrong exactly when one of its bits is
-        wrong = detect(e) != bits[0]
-        wrong_bits = int(np.count_nonzero(wrong))
-        bit_errors += wrong_bits
-        symbol_errors += int(np.count_nonzero(wrong.reshape(-1, scheme.bits_per_symbol).any(axis=1)))
-        packet_errors += wrong_bits > 0
+    for lo in range(0, len(alive), chunk):
+        trials = alive[lo : lo + chunk].tolist()
+        n = len(trials)
+        for i, k in enumerate(trials):
+            raw[i] = rngs[k].bit_generator.random_raw(raw.shape[1])
+            rngs[k].standard_normal(out=normals[i])
+        packed = raw[:n].view(np.uint8)[:, : senders * packet_bytes].reshape(n, senders, -1)
+        bits = np.unpackbits(packed, axis=-1, count=link.packet_bits)
+        symbols = modulate(bits.reshape(n, senders, link.streams, -1), scheme)
+        e = received_signal(symbols, leak_axes[lo : lo + n], factor[lo : lo + n], normals[:n])
+        wrong = detect(e) ^ packed[:, 0]
+        wrong[:, -1] &= last_byte
+        errors = int(_POPCOUNT.take(wrong).sum())
+        bit_errors += errors
+        # a QPSK symbol is wrong exactly when one of its two bits is
+        symbol_errors += errors if b == 1 else int(_POPCOUNT.take((wrong | wrong >> 1) & 0x55).sum())
+        packet_errors += int(np.count_nonzero(wrong.any(axis=1)))
     erased = len(rngs) - len(alive)
     stats = TrialStats(
         bits_sent=len(alive) * link.packet_bits,

@@ -1,4 +1,5 @@
-"""References for the packet stage: the full-block path and an exact oracle.
+"""References for the packet stage: the full-block path, the per-trial
+stage and an exact oracle.
 
 The full-block path is how a trial's packet went through the link before
 the stage drew only the slicer's axes: `2 * M * N` complex-noise normals per
@@ -7,6 +8,13 @@ zero-forcing combiner applied antenna by antenna and a sign slicer.  It
 draws its bits and noise on its own stream contract (bits from
 `integers(0, 2)`, then `(2, M, N)` normals) and stays here, in the tests,
 to check the stage against.
+
+The per-trial stage is how a trial's packet went through the slicer's axes
+before the stage took a chunk of trials at once: its bytes from one
+`integers(0, 256, (senders, bytes), uint8)` call, complex symbols, the
+known part summed row by row in complex arithmetic, and the decisions
+compared bit by bit.  It draws on run_trials' stream contract, so its
+counters must equal the chunked stage's.
 
 The oracle is quasi-analytic (Jeruchim, Balaban & Shanmugan, *Simulation of
 Communication Systems*, 2nd ed., 2000): once a trial's channels, composites
@@ -26,7 +34,31 @@ from scipy.special import erfc
 
 from beamlink import linksim
 from beamlink.beamformer import SolveError
-from beamlink.linksim import LinkConfig, TrialStats, equalizers, modulate
+from beamlink.linksim import LinkConfig, TrialStats, equalizers
+
+# complex constellation points; index k is the symbol's bits read msb-first
+POINTS = {
+    "bpsk": np.array([1.0, -1.0], dtype=complex),
+    "qpsk": np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j], dtype=complex) / math.sqrt(2.0),
+}
+
+
+def complex_modulate(bits: np.ndarray, scheme) -> np.ndarray:
+    """0/1 bits, read b at a time msb-first along the last axis, to complex
+    unit-energy symbols."""
+    groups = np.asarray(bits, dtype=np.uint8).reshape(*np.shape(bits)[:-1], -1, scheme.bits_per_symbol)
+    index = groups[..., 0]
+    for b in range(1, scheme.bits_per_symbol):
+        index = (index << 1) | groups[..., b]
+    return POINTS[scheme.kind].take(index)
+
+
+def complex_symbols(coordinates: np.ndarray) -> np.ndarray:
+    """The complex symbols of modulate's (..., D/K, N) coordinates: Re x
+    for BPSK, (Im x, Re x) for QPSK."""
+    if coordinates.shape[-2] == 1:
+        return coordinates[..., 0, :] + 0j
+    return coordinates[..., 1, :] + 1j * coordinates[..., 0, :]
 
 
 def full_block_received_signal(
@@ -109,7 +141,7 @@ def full_block_run(scenario, link: LinkConfig, n_trials: int, master_seed: int):
                 continue
             sent, w = solved
             bits = rng.integers(0, 2, size=(len(sent), link.packet_bits))
-            symbols = modulate(bits.reshape(-1), scheme).reshape(shape)
+            symbols = complex_modulate(bits, scheme).reshape(shape)
             normals = rng.standard_normal((2, m, link.symbols_per_stream))
             noise = (normals[0] + 1j * normals[1]) * math.sqrt(sigma2 / 2.0)
             y = full_block_received_signal(dict(enumerate(sent)), dict(enumerate(symbols)), noise)
@@ -127,14 +159,63 @@ def full_block_run(scenario, link: LinkConfig, n_trials: int, master_seed: int):
     return stats, mean, var
 
 
+def per_trial_run(scenario, link: LinkConfig, n_trials: int, master_seed: int):
+    """Every trial of every SNR point through the per-trial stage, one at a
+    time: (counters, capacity samples of every point in turn)."""
+    plan = linksim._plan(scenario, link)
+    scheme, streams = link.modulation, link.streams
+    b, per_stream = scheme.bits_per_symbol, link.symbols_per_stream
+    shape = (len(plan.senders), streams, per_stream)
+    stats, caps = TrialStats(), []
+    for point, snr_db in enumerate(link.snr_db):
+        sigma2 = 1.0 / (10.0 ** (snr_db / 10.0))
+        for trial in range(n_trials):
+            rng = trial_stream(master_seed, point, trial)
+            solved = trial_link(plan, rng)
+            if solved is None:
+                stats = stats + TrialStats(packets_sent=1, packet_errors=1, erasures=1)
+                caps.append(math.nan)
+                continue
+            sent, w = solved
+            leaks = [(w[None] @ a[None])[0] for a in sent[1:]]
+            noise_gain = np.sum(np.abs(w) ** 2, axis=-1)
+            interference = sum((np.sum(np.abs(a) ** 2, axis=-1) for a in leaks), np.zeros(streams))
+            caps.append(linksim.capacity(linksim.effective_snr(interference, noise_gain, sigma2)))
+            packed = rng.integers(0, 256, size=(len(sent), (link.packet_bits + 7) // 8), dtype=np.uint8)
+            bits = np.unpackbits(packed, axis=1, count=link.packet_bits)
+            symbols = complex_modulate(bits, scheme).reshape(shape)
+            normals = rng.standard_normal((streams * b, per_stream))
+            known = symbols[0].copy()
+            for a, x in zip(leaks, symbols[1:]):
+                for known_k, row in zip(known, a.tolist()):
+                    for a_kj, x_j in zip(row, x):
+                        known_k += a_kj * x_j
+            e = np.stack([known.real] if b == 1 else [known.imag, known.real], axis=1)
+            factor = linksim._noise_factor(w[None], sigma2, b)[0]
+            for axis, row in zip(e.reshape(-1, per_stream), factor.tolist()):
+                for f, z in zip(row, normals):
+                    axis += f * z
+            wrong = (e < 0.0).swapaxes(1, 2).reshape(-1) != bits[0]
+            stats = stats + TrialStats(
+                bits_sent=link.packet_bits,
+                bit_errors=int(wrong.sum()),
+                symbols_sent=link.packet_bits // b,
+                symbol_errors=int(wrong.reshape(-1, b).any(axis=1).sum()),
+                packets_sent=1,
+                packet_errors=int(wrong.any()),
+            )
+    return stats, np.array(caps)
+
+
 def stage_run(scenario, link: LinkConfig, n_trials: int, master_seed: int, monkeypatch):
     """run_trials on one run, with the oracle's sums from the symbols each
-    trial hands received_signal: (counters, sum p, sum p (1 - p))."""
+    chunk hands received_signal: (counters, sum p, sum p (1 - p))."""
     handed = []
     stage = linksim.received_signal
 
     def recorded(symbols, *args):
-        handed.append(symbols.copy())
+        # one (senders, K, N) block of complex symbols per trial of the chunk
+        handed.extend(complex_symbols(symbols))
         return stage(symbols, *args)
 
     monkeypatch.setattr(linksim, "received_signal", recorded)

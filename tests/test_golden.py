@@ -1,7 +1,7 @@
 """Golden CSV digests: every named experiment at a small seeded budget.
 
 Each entry of EXPERIMENTS runs at trials 3, seed 7 and its default snr grid,
-and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins eleven runs
+and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins thirteen runs
 that the trials-3 digests never reach: a batch of 100 nearly deterministic
 channels (capacity_vs_nodes with nakagami_m 1e6, which erases no trial but
 hands the slicer values up to ~6e11 whose sign, not their distance to the
@@ -19,10 +19,12 @@ third node is heard, and a disk inside another, whose default receive
 points are clamped into the small disk.  The last link sweep has a
 three-word master seed, 2^64 + 5, and 300 trials per point, so each
 point's trials split into two spans and the second span's streams start
-at trial 150.  A refactor must leave these bytes unchanged; moving a
+at trial 150.  Two more send the chain at 60 dB: one with 100-bit BPSK
+packets, which are not a whole number of bytes, and one with QPSK past the
+interferer.  A refactor must leave these bytes unchanged; moving a
 digest on purpose needs a CHANGES.md entry that says why the output
 changed.  CAPACITY_ROWS_SHA256 pins the capacity
-rows of the same sixteen runs apart from the rest of the CSV.
+rows of the first seventeen runs apart from the rest of the CSV.
 """
 from __future__ import annotations
 
@@ -133,6 +135,14 @@ LARGER_RUNS = {
         },
         "b21c4be0216190e465d393b9e54ff7c14ae993875b824ba5690bdbfc4c7252c9",
     ),
+    "custom-chain3-bits100-trials20-seed5": (
+        {"trials": 20, "seed": 5, "snr": {"start": 60.0}, "scenario": {**_CHAIN3, "packet_bits": 100}},
+        "1878bb46d2cf5a4f2328dbeffcf46f305546103b1340defdb7d472477b4a198c",
+    ),
+    "custom-chain3-qpsk-trials20-seed5": (
+        {"trials": 20, "seed": 5, "snr": {"start": 60.0}, "scenario": {**_CHAIN3, "modulation": "qpsk"}},
+        "e0953e5bd976c36364028580b48f4e10915f231ca4016f970a5c61d3497ffbfa",
+    ),
 }
 
 
@@ -174,6 +184,8 @@ CAPACITY_ROWS_SHA256 = {
         "6559e2d364ea1b73cefd50ca3d0c22a30e3c50ae8fef9136e2c941161da3548b",
     "ber_vs_dimension-bits64-trials300-seed2e64+5":
         "133a457a7bd205fe7201c3d0c60cb887e772a932c81b6e11a98665272bf95e7a",
+    "custom-chain3-bits100-trials20-seed5":
+        "03120b8986550084588bd4ecf10eb0775f6129e8cf334bbea8ec3d5328cb882e",
 }
 
 

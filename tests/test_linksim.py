@@ -24,7 +24,14 @@ from beamlink.linksim import (
 )
 from beamlink.metrics import capacity, effective_snr
 from beamlink.topology import Node, build_scenario
-from reference import full_block_detect, full_block_received_signal, trial_stream
+from reference import (
+    POINTS,
+    complex_modulate,
+    full_block_detect,
+    full_block_received_signal,
+    per_trial_run,
+    trial_stream,
+)
 
 
 def q_function(x):
@@ -52,7 +59,7 @@ def pinv_of(h):
 def argmin_bits(equalized, scheme):
     """Reference minimum-distance slicer: nearest point, then its bits."""
     tables = {"bpsk": np.array([[0], [1]]), "qpsk": np.array([[0, 0], [0, 1], [1, 0], [1, 1]])}
-    index = np.argmin(np.abs(equalized[..., None] - linksim._POINTS[scheme.kind]), axis=-1)
+    index = np.argmin(np.abs(equalized[..., None] - POINTS[scheme.kind]), axis=-1)
     return tables[scheme.kind][index.reshape(-1)].reshape(-1)
 
 
@@ -68,14 +75,24 @@ def calibration_config(snr_db, packet_bits=2304):
 
 class TestModulate:
     def test_bpsk_convention(self):
-        np.testing.assert_allclose(modulate(np.array([0, 1]), BPSK), [1.0, -1.0])
+        np.testing.assert_array_equal(modulate(np.array([0, 1]), BPSK), [[1.0, -1.0]])
 
     def test_qpsk_gray_map(self):
+        # coordinates (Im x, Re x) of each symbol, the points' exactly
         s = math.sqrt(2.0)
         got = modulate(np.array([0, 0, 0, 1, 1, 1, 1, 0]), QPSK)
-        np.testing.assert_allclose(
-            got, [(1 + 1j) / s, (-1 + 1j) / s, (-1 - 1j) / s, (1 - 1j) / s]
-        )
+        want = [(1 + 1j) / s, (-1 + 1j) / s, (-1 - 1j) / s, (1 - 1j) / s]
+        np.testing.assert_array_equal(got[1] + 1j * got[0], want)
+
+    def test_rows_are_streams(self):
+        # (..., N * b) bits give (..., b, N) coordinates, row by row
+        rng = np.random.default_rng(3)
+        for scheme in (BPSK, QPSK):
+            bits = rng.integers(0, 2, size=(2, 3, 4 * scheme.bits_per_symbol), dtype=np.uint8)
+            got = modulate(bits, scheme)
+            assert got.shape == (2, 3, scheme.bits_per_symbol, 4)
+            for index in np.ndindex(2, 3):
+                np.testing.assert_array_equal(got[index], modulate(bits[index], scheme))
 
     def test_unit_average_energy(self):
         for scheme in (BPSK, QPSK):
@@ -83,8 +100,9 @@ class TestModulate:
             all_bits = np.array(
                 [b for k in range(n) for b in map(int, format(k, f"0{scheme.bits_per_symbol}b"))]
             )
-            symbols = modulate(all_bits, scheme)
-            assert np.mean(np.abs(symbols) ** 2) == pytest.approx(1.0, rel=1e-12)
+            coordinates = modulate(all_bits, scheme)
+            energy = np.sum(coordinates**2, axis=0)
+            np.testing.assert_allclose(energy, 1.0, rtol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -139,9 +157,23 @@ class TestTrialStats:
 
 
 def axes_of(known, scheme):
-    """The (K, D/K, N) slicer axes of a known (K, N) part: Re for BPSK, (Im, Re) for QPSK."""
+    """The (..., K, D/K, N) slicer axes of a known (..., K, N) part: Re for BPSK, (Im, Re) for QPSK."""
     parts = [known.real] if scheme.kind == "bpsk" else [known.imag, known.real]
-    return np.stack(parts, axis=1)
+    return np.stack(parts, axis=-2)
+
+
+def slicer(symbols, leaks, factor, normals, scheme):
+    """received_signal on a one-trial chunk, given its complex (senders, K, N)
+    symbols and each other sender's complex (K, K) A_s: the (K, D/K, N) axes."""
+    d = len(factor)
+    real = [linksim._real_axes(np.asarray(a, dtype=complex), scheme.bits_per_symbol) for a in leaks]
+    real = np.array(real).reshape(len(leaks), d, d)
+    return received_signal(axes_of(symbols, scheme)[None], real[None], factor[None], normals[None])[0]
+
+
+def decisions(e):
+    """detect's bits for one trial's (K, D/K, N) axes, unpacked."""
+    return np.unpackbits(detect(e[None]), axis=-1, count=e.size)[0]
 
 
 class TestReceivedSignal:
@@ -149,13 +181,13 @@ class TestReceivedSignal:
 
     def test_identity_chain(self):
         x = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex)
-        e = received_signal(x[None], [], np.zeros((2, 2)), np.ones((2, 2)))
+        e = slicer(x[None], [], np.zeros((2, 2)), np.ones((2, 2)), BPSK)
         np.testing.assert_array_equal(e, axes_of(x, BPSK))
 
     def test_noise_only(self):
         factor = np.array([[0.3, 0.0], [0.1, -0.4]])
         normals = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -2.0]])
-        e = received_signal(np.zeros((1, 2, 3), dtype=complex), [], factor, normals)
+        e = slicer(np.zeros((1, 2, 3), dtype=complex), [], factor, normals, BPSK)
         np.testing.assert_allclose(e[:, 0], factor @ normals, rtol=1e-15)
 
     def test_superposition(self):
@@ -165,20 +197,20 @@ class TestReceivedSignal:
         normals = rng.normal(size=(4, 3))
         x0 = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         x1, x2 = (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)) for _ in range(2))
-        e12 = received_signal(np.stack([x0, x1 + x2]), [a], factor, normals)
-        e1 = received_signal(np.stack([x0, x1]), [a], factor, normals)
-        e2 = received_signal(np.stack([x0, x2]), [a], factor, normals)
-        e0 = received_signal(np.stack([x0, 0 * x1]), [a], factor, normals)
+        e12 = slicer(np.stack([x0, x1 + x2]), [a], factor, normals, QPSK)
+        e1 = slicer(np.stack([x0, x1]), [a], factor, normals, QPSK)
+        e2 = slicer(np.stack([x0, x2]), [a], factor, normals, QPSK)
+        e0 = slicer(np.stack([x0, 0 * x1]), [a], factor, normals, QPSK)
         np.testing.assert_allclose(e12, e1 + e2 - e0, atol=1e-12)
 
     def test_noise_block_not_mutated(self):
         # neither the symbols nor the normals buffer is ever written
         rng = np.random.default_rng(4)
-        symbols = modulate(rng.integers(0, 2, size=2 * 2 * 2 * 5), QPSK).reshape(2, 2, 5)
-        normals = rng.normal(size=(4, 5))
+        symbols = modulate(rng.integers(0, 2, size=(1, 2, 2, 2 * 5)), QPSK)
+        normals = rng.normal(size=(1, 4, 5))
         before = symbols.copy(), normals.copy()
-        for leaks in ([np.eye(2, dtype=complex)], []):
-            received_signal(symbols[: 1 + len(leaks)], leaks, np.eye(4), normals)
+        for leaks in (np.eye(4)[None, None], np.empty((1, 0, 4, 4))):
+            received_signal(symbols[:, : 1 + leaks.shape[1]], leaks, np.eye(4)[None], normals)
             np.testing.assert_array_equal(symbols, before[0])
             np.testing.assert_array_equal(normals, before[1])
 
@@ -190,7 +222,7 @@ class TestReceivedSignal:
         rng = np.random.default_rng(dimension)
         e = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(size=(dimension, dimension))
         rep = linksim._alternating_unit_vector(dimension)
-        s = modulate(rng.integers(0, 2, size=2 * 64), QPSK)[None]
+        s = complex_modulate(rng.integers(0, 2, size=2 * 64), QPSK)[None]
         noise = rng.normal(size=(dimension, 64)) + 1j * rng.normal(size=(dimension, 64))
         y = full_block_received_signal({0: e @ rep[:, None]}, {0: s}, noise)
         np.testing.assert_allclose(y, noise + e @ (rep[:, None] * s), rtol=1e-13)
@@ -199,12 +231,25 @@ class TestReceivedSignal:
         rng = np.random.default_rng(9)
         leaks = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2)]
         for scheme in (BPSK, QPSK):
-            bits = rng.integers(0, 2, size=3 * 4 * 32 * scheme.bits_per_symbol)
-            x = modulate(bits, scheme).reshape(3, 4, 32)
+            bits = rng.integers(0, 2, size=(3, 4, 32 * scheme.bits_per_symbol))
+            x = complex_modulate(bits, scheme)
             d = 4 * scheme.bits_per_symbol
-            e = received_signal(x, leaks, np.zeros((d, d)), np.zeros((d, 32)))
+            e = slicer(x, leaks, np.zeros((d, d)), np.zeros((d, 32)), scheme)
             known = x[0] + leaks[0] @ x[1] + leaks[1] @ x[2]
             np.testing.assert_allclose(e, axes_of(known, scheme), rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("scheme", [BPSK, QPSK], ids=lambda s: s.kind)
+    def test_chunk_members_match_one_trial_chunks(self, scheme):
+        # every trial of a chunk reads as in a chunk of its own, bit for bit
+        rng = np.random.default_rng(11)
+        d = 2 * scheme.bits_per_symbol
+        symbols = modulate(rng.integers(0, 2, size=(5, 3, 2, 16 * scheme.bits_per_symbol)), scheme)
+        leaks, factor = rng.normal(size=(5, 2, d, d)), rng.normal(size=(5, d, d))
+        normals = rng.normal(size=(5, d, 16))
+        chunk = received_signal(symbols, leaks, factor, normals)
+        for t in range(5):
+            one = received_signal(symbols[t : t + 1], leaks[t : t + 1], factor[t : t + 1], normals[t : t + 1])
+            assert chunk[t : t + 1].tobytes() == one.tobytes()
 
 
 class TestNoiseFactor:
@@ -258,32 +303,37 @@ class TestDetect:
         for scheme in (BPSK, QPSK):
             d = 2 * scheme.bits_per_symbol
             bits = rng.integers(0, 2, size=64 * scheme.bits_per_symbol)
-            x = modulate(bits, scheme).reshape(1, 2, -1)
-            e = received_signal(x, [], np.zeros((d, d)), np.zeros((d, x.shape[-1])))
-            np.testing.assert_array_equal(detect(e), bits)
+            x = complex_modulate(bits, scheme).reshape(1, 2, -1)
+            e = slicer(x, [], np.zeros((d, d)), np.zeros((d, x.shape[-1])), scheme)
+            np.testing.assert_array_equal(decisions(e), bits)
             # the full-block reference through a channel and its pseudoinverse
             h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             np.testing.assert_array_equal(full_block_detect(h @ x[0], pinv_of(h), scheme), bits)
 
+    def test_packed_rows_pad_with_zeros(self):
+        # one row of bytes per packet, msb-first; 12 decisions leave 4 zero pad bits
+        e = np.where(np.arange(2 * 12) % 3 == 0, -1.0, 1.0).reshape(2, 1, 1, 12)
+        np.testing.assert_array_equal(detect(e), [[0b10010010, 0b01000000]] * 2)
+
     def test_bpsk_negative_halfplane(self):
-        np.testing.assert_array_equal(detect(np.array([[[-0.3]]])), [1])
+        np.testing.assert_array_equal(decisions(np.array([[[-0.3]]])), [1])
 
     def test_on_constellation_point(self):
         s = (1 - 1j) / math.sqrt(2.0)  # bits (1, 0)
-        e = received_signal(np.array([[[s]]]), [], np.zeros((2, 2)), np.zeros((2, 1)))
-        np.testing.assert_array_equal(detect(e), [1, 0])
+        e = slicer(np.array([[[s]]]), [], np.zeros((2, 2)), np.zeros((2, 1)), QPSK)
+        np.testing.assert_array_equal(decisions(e), [1, 0])
 
     def test_bpsk_sign_decides_where_distances_tie(self):
         # |e - 1| and |e + 1| are both 1e9 in floating point; Re e < 0 decides
-        e = received_signal(np.array([[[-0.3 + 1e9j]]]), [], np.zeros((1, 1)), np.zeros((1, 1)))
-        np.testing.assert_array_equal(detect(e), [1])
+        e = slicer(np.array([[[-0.3 + 1e9j]]]), [], np.zeros((1, 1)), np.zeros((1, 1)), BPSK)
+        np.testing.assert_array_equal(decisions(e), [1])
         got = full_block_detect(np.array([[-0.3 + 1e9j]]), pinv_of([[1.0 + 0j]]), BPSK)
         np.testing.assert_array_equal(got, [1])
 
     def test_qpsk_sign_decides_where_distances_tie(self):
         # all four distances are 1e9 in floating point; Im e < 0 and Re e < 0 decide
-        e = received_signal(np.array([[[-0.3 - 1e9j]]]), [], np.zeros((2, 2)), np.zeros((2, 1)))
-        np.testing.assert_array_equal(detect(e), [1, 1])
+        e = slicer(np.array([[[-0.3 - 1e9j]]]), [], np.zeros((2, 2)), np.zeros((2, 1)), QPSK)
+        np.testing.assert_array_equal(decisions(e), [1, 1])
         got = full_block_detect(np.array([[-0.3 - 1e9j]]), pinv_of([[1.0 + 0j]]), QPSK)
         np.testing.assert_array_equal(got, [1, 1])
 
@@ -296,7 +346,7 @@ class TestDetect:
         rng = np.random.default_rng(2)
         h = (rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1)))
         bits = rng.integers(0, 2, size=32)
-        x = modulate(bits, BPSK)[None, :]
+        x = complex_modulate(bits, BPSK)[None, :]
         y = h @ x
         np.testing.assert_array_equal(full_block_detect(y, pinv_of(h), BPSK), bits)
 
@@ -566,9 +616,10 @@ class TestRunTrials:
         assert res.capacity_samples[kept].tobytes() == clean.capacity_samples[kept].tobytes()
 
     def test_trial_stream_contract(self, monkeypatch):
-        # one trial's stream: its channels, then ceil(36 / 8) = 5 bytes for
-        # each of the 3 senders from one draw, then the (D, N) = (4, 9)
-        # normals of 2 QPSK streams; nothing else is drawn
+        # one trial's stream: its channels, then ceil(3 * 5 / 8) = 2 raw
+        # 64-bit words, whose first 15 little-endian bytes are the 3 senders'
+        # ceil(36 / 8) = 5 bytes each, then the (D, N) = (4, 9) normals of 2
+        # QPSK streams; nothing else is drawn
         config = experiments.load_config(overrides={
             "trials": 1, "seed": 5, "snr": {"start": 20.0, "stop": 20.0},
             "scenario": {**TestSinr.CHAIN3, "modulation": "qpsk", "packet_bits": 36},
@@ -588,9 +639,23 @@ class TestRunTrials:
         assert stats.bits_sent == 36
         fresh = trial_stream(5, 0, 0)
         draw(plan, [fresh])
-        fresh.integers(0, 256, size=(3, 5), dtype=np.uint8)
+        fresh.bit_generator.random_raw(2)
         fresh.standard_normal((4, 9))
         assert streams[0].bit_generator.state == fresh.bit_generator.state
+
+    @pytest.mark.parametrize("rows, row_bytes", [(1, 1), (1, 7), (3, 5), (2, 13), (3, 17), (1, 288)])
+    def test_raw_words_are_integers_bytes(self, rows, row_bytes):
+        # the bytes of ceil(rows * row_bytes / 8) raw words, little-endian,
+        # are what integers(0, 256, (rows, row_bytes), uint8) draws, and the
+        # normals drawn after them are the same
+        words = -(-rows * row_bytes // 8)
+        for seed in range(20):
+            a, b = trial_stream(seed, 0, 0), trial_stream(seed, 0, 0)
+            want = a.integers(0, 256, size=(rows, row_bytes), dtype=np.uint8)
+            raw = np.asarray(b.bit_generator.random_raw(words), dtype="<u8")
+            got = raw.view(np.uint8)[: rows * row_bytes].reshape(rows, row_bytes)
+            np.testing.assert_array_equal(got, want)
+            assert a.standard_normal(9).tobytes() == b.standard_normal(9).tobytes()
 
     def test_plan_built_once_per_call(self, monkeypatch):
         calls = []
@@ -761,6 +826,51 @@ class TestRunTrials:
         r_b = run_trials([(build_scenario(nodes, measured_node=1), link)], 10, master_seed=51)
         # same seed, different measured role: different capacity draws
         assert not np.array_equal(r_a[0].capacity_samples, r_b[0].capacity_samples)
+
+
+class TestChunkedStage:
+    """The packet stage's counters, a chunk of trials at a time, against the
+    per-trial stage of tests/reference.py, which draws its bytes with
+    integers and compares its decisions bit by bit."""
+
+    # the golden runs' 3-node chain: node 2 is heard at the measured receive point
+    CHAIN3 = {"node_count": 3, "node_spacing": 5.0, "range_radius": 12.0}
+    CASES = {
+        "bpsk-multiplexing-interference": {**CHAIN3, "packet_bits": 100},
+        "qpsk-multiplexing-interference": {**CHAIN3, "modulation": "qpsk", "packet_bits": 36},
+        "bpsk-diversity-interference": {**CHAIN3, "dimension": 4, "transmission_mode": "diversity",
+                                        "packet_bits": 64},
+        "qpsk-diversity-single-link": {"node_count": 1, "transmission_mode": "diversity",
+                                       "modulation": "qpsk", "packet_bits": 44},
+        "bpsk-multiplexing-no-interference": {**CHAIN3, "include_interference": False,
+                                              "packet_bits": 100},
+        "qpsk-multiplexing-4-streams": {"node_count": 1, "dimension": 4, "modulation": "qpsk",
+                                        "packet_bits": 2304},
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_counters_match_per_trial_stage(self, name, monkeypatch):
+        # chunks of 3 trials; trial 4 is erased, so the chunk of surviving
+        # trials 3, 5, 6 has a gap in its middle
+        config = experiments.load_config(overrides={
+            "trials": 10, "seed": 31, "snr": {"start": 10.0, "stop": 40.0, "step": 30.0},
+            "scenario": self.CASES[name],
+        })
+        ((*_, scenario, link),) = config.runs
+        monkeypatch.setattr(linksim, "_CHUNK_VALUES", 3 * link.packet_bits)
+        draw = linksim._TaskPlan.draw
+
+        def zero_trial_4(p, rngs):
+            zeroed = [rng.bit_generator.seed_seq.spawn_key[1] == 4 for rng in rngs]
+            return draw(p, rngs) * np.where(zeroed, 0.0, 1.0)[:, None, None, None]
+
+        monkeypatch.setattr(linksim._TaskPlan, "draw", zero_trial_4)
+        results = run_trials([(scenario, link)], n_trials=10, master_seed=31)
+        want_stats, want_caps = per_trial_run(scenario, link, 10, 31)
+        assert sum((r.stats for r in results), TrialStats()) == want_stats
+        assert want_stats.erasures == 2 and 0 < want_stats.bit_errors < want_stats.bits_sent
+        caps = np.concatenate([r.capacity_samples for r in results])
+        assert caps.tobytes() == want_caps.tobytes()
 
 
 class TestTrialStreams:
