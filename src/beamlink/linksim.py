@@ -3,16 +3,18 @@
 Each trial draws fresh channels for every overlapping pair, solves the
 coupled drivers, composes per-node beamformers, sends one packet from the
 measured node, and detects it at that node's receive point with every other
-covering node contributing interference.  Trials are independent: trial t
-of SNR-sweep point p uses the random stream spawned from
-(master_seed, spawn_key=(p, t)), so results are bit-identical for any
-worker count or execution order.  A task hashes the seed words of all its
-trials at once, to the same streams numpy's SeedSequence gives.
+covering node contributing interference.  The trials of SNR-sweep point
+p are counted in blocks of _BATCH_TRIALS from trial 0, and block b draws
+each kind of draw (channels, bits, noise) from its own stream, spawned from
+(master_seed, spawn_key=(p, b, kind)) and filled in trial order.  So every
+draw of a trial sits at a position fixed by its index: results are
+bit-identical for any worker count, execution order, chunk size or run
+trial count, and an erased trial moves no other trial's draws.
 
 What does not depend on the draws (moments, rotator, which channels to
 draw and their path amplitudes, which nodes send at the measured point) is
 worked out once per run.  The tasks of all the runs (one run, one SNR
-point, one span of trials each) go to one scheduler, which runs them here
+point, one block of trials each) go to one scheduler, which runs them here
 for one process or on one process pool.  A task solves the pairs and the
 link algebra of all its trials as stacks, then sends one packet per trial,
 a few trials at a time: the slicer reads e = sum_s A_s x_s + W n behind the
@@ -25,15 +27,13 @@ stacked steps run again on the rest.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import PCG64, Generator
-from numpy.random.bit_generator import ISeedSequence
+from numpy.random import PCG64, Generator, SeedSequence
 
 from beamlink.beamformer import (
     SolveError,
@@ -319,7 +319,7 @@ class _TaskPlan:
     the measured receive point) for each node that transmits there: the
     desired node first, then, when the link includes interference, every
     other node heard there by ascending id.  A heard node that does not
-    send still has its channel drawn, so the per-trial streams do not
+    send still has its channel drawn, so the channel stream does not
     depend on include_interference.
     """
 
@@ -332,15 +332,14 @@ class _TaskPlan:
     amplitudes: np.ndarray  # (draws, 1, 1): sqrt(path gain * tx power)
     repetition: np.ndarray | None  # (M,) in diversity mode, None for multiplexing
 
-    def draw(self, rngs: Sequence[Generator]) -> np.ndarray:
-        """The (trials, draws, M, M) channels of one trial per generator:
-        trial i's come first on rngs[i], from one sample_channel call for
-        the whole stack."""
+    def draw(self, rng: Generator, trials: int) -> np.ndarray:
+        """The (trials, draws, M, M) channels of that many trials in turn,
+        from one sample_channel call on rng."""
         if self.moments is None:
             eye = self.amplitudes * np.eye(self.dimension, dtype=complex)
-            return np.repeat(eye[None], len(rngs), axis=0)
+            return np.repeat(eye[None], trials, axis=0)
         return self.amplitudes * sample_channel(
-            self.moments, self.dimension, rngs, (len(self.amplitudes),)
+            self.moments, self.dimension, rng, (trials, len(self.amplitudes))
         )
 
 
@@ -433,101 +432,30 @@ def _solve_network(plan: _TaskPlan, channels: np.ndarray) -> dict[int, np.ndarra
     return {node_id: composite * scale for node_id, composite in composites.items()}
 
 
-# at most this many trials are solved as one stack: bounds a task's memory,
-# not its results
+# a task is one block of this many trials (fewer in a point's last block),
+# counted from trial 0 and solved as one stack.  The block keys the task's
+# streams, so this size is part of every result; it also bounds a task's
+# memory
 _BATCH_TRIALS = 256
 
-# the packet stage takes a task's surviving trials a chunk of at most this
-# many slicer values at a time (at least one trial), since a packet of B
-# bits puts B values on the slicer's axes: 4 packets of 2304 bits, small
-# enough that a chunk's arrays stay in cache (README, engine step 3)
+# the packet stage takes a task's trials a chunk of at most this many
+# slicer values at a time (at least one trial), since a packet of B bits
+# puts B values on the slicer's axes: 4 packets of 2304 bits, small enough
+# that a chunk's arrays stay in cache (README, engine step 3).  Each kind of
+# draw has its own stream, filled trial by trial, so the chunk size moves
+# no draw and bounds only memory
 _CHUNK_VALUES = 4 * 2304
 
 # bits set in each byte value
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
-# numpy's SeedSequence hash on 32-bit words (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_POOL_WORDS = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-
-def _hashmix(value, const: int, mult: int):
-    """SeedSequence's hashmix of a word (an int, or a uint64 array of
-    words): returns the hashed word and the next hash constant."""
-    following = const * mult & _MASK32
-    value = (value ^ const) * following & _MASK32
-    return value ^ value >> 16, following
-
-
-def _mix(x, y):
-    result = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return result ^ result >> 16
-
-
-def _words(n: int) -> list[int]:
-    """A non-negative int as SeedSequence reads it: 32-bit words, least
-    significant first, and [0] for 0."""
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-class _TrialSeed(ISeedSequence):
-    """SeedSequence(entropy, spawn_key=spawn_key) with its PCG64 state
-    words already hashed; it answers no other request."""
-
-    def __init__(self, entropy: int, spawn_key: tuple[int, int], state: np.ndarray):
-        self.entropy, self.spawn_key, self._state = entropy, spawn_key, state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a trial seed holds only PCG64's four 64-bit state words")
-        return self._state
-
-
-def _trial_rngs(master_seed: int, point_idx: int, start: int, stop: int) -> list[Generator]:
-    """default_rng(SeedSequence(master_seed, spawn_key=(point_idx, t))) for
-    t in [start, stop), bit for bit, from one pass of the seed hash.
-
-    The entropy words are the seed's words padded with zeros to the pool
-    size, point_idx's words, then t's one word.  All but the last are the
-    same for every trial, so they are mixed once, as Python ints; t is
-    mixed for every trial at once, as a uint64 array of 32-bit words.
-    """
-    if stop > 1 << 32:
-        raise ValueError(f"trial index {stop - 1} does not fit one 32-bit word")
-    master_seed = operator.index(master_seed)
-    words = _words(master_seed)
-    words += [0] * (_POOL_WORDS - len(words)) + _words(point_idx)
-    const, pool = _INIT_A, []
-    for word in words[:_POOL_WORDS]:
-        hashed, const = _hashmix(word, const, _MULT_A)
-        pool.append(hashed)
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in [*words[_POOL_WORDS:], np.arange(start, stop, dtype=np.uint64)]:
-        for dst in range(_POOL_WORDS):
-            hashed, const = _hashmix(word, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], hashed)
-    # generate_state(4, uint64): eight words from the pool in turn, paired
-    # low word first
-    const, state = _INIT_B, []
-    for i in range(8):
-        hashed, const = _hashmix(pool[i % _POOL_WORDS], const, _MULT_B)
-        state.append(hashed)
-    seeds = np.stack([low | high << 32 for low, high in zip(state[::2], state[1::2])], axis=1)
+def _block_streams(master_seed: int, point_idx: int, block: int) -> list[Generator]:
+    """The channel, bits and noise streams of one block of trials: kind k's
+    is keyed SeedSequence(master_seed, spawn_key=(point_idx, block, k))."""
     return [
-        Generator(PCG64(_TrialSeed(master_seed, (point_idx, t), seed)))
-        for t, seed in zip(range(start, stop), seeds)
+        Generator(PCG64(SeedSequence(master_seed, spawn_key=(point_idx, block, kind))))
+        for kind in range(3)
     ]
 
 
@@ -536,32 +464,37 @@ def _run_task(
 ) -> tuple[TrialStats, np.ndarray]:
     """Counters and capacity samples of trials [start, stop) of one SNR point.
 
-    Trial t's stream is default_rng(SeedSequence(master_seed,
-    spawn_key=(point_idx, t))); the task hashes the seed words of all its
-    trials in one pass (_trial_rngs), and one sample_channel call draws
-    every trial's channels, each first on its own stream.  Every pair of
-    every trial is solved as one stack, and so is the link algebra at the
-    measured point: each sender's channel @ composite (@ rep in diversity
-    mode) a_s, the desired node's equalizer W, each other sender's
-    A_s = W a_s, the SINR terms, the capacities and the noise factor.  Then
-    each trial draws its packet from its stream: ceil(senders * bytes / 8)
-    raw 64-bit words, whose first senders * bytes little-endian bytes are
-    each sender's ceil(packet_bits / 8) bytes in turn (the bytes
-    integers(0, 256, (senders, bytes), uint8) would draw), then the (D, N)
-    normals of its D = K * bits-per-symbol slicer axes.  The surviving
-    trials go through the packet stage a chunk at a time, at most
-    _CHUNK_VALUES slicer values: modulate, received_signal and detect each
-    run once per chunk, and the packed decisions are XORed against the
-    desired sender's bytes and counted by a popcount table.
+    The trials are one block: start is a multiple of _BATCH_TRIALS, and
+    block start // _BATCH_TRIALS takes each kind of draw from its own
+    stream (_block_streams), in trial order.  The channel stream (kind 0)
+    gives every trial's channels in one sample_channel call.  The bits
+    stream (kind 1) gives each trial ceil(senders * bytes / 8) raw 64-bit
+    words, whose first senders * bytes little-endian bytes are each
+    sender's ceil(packet_bits / 8) bytes in turn.  The noise stream (kind
+    2) gives each trial the (D, N) normals of its D = K * bits-per-symbol
+    slicer axes.  Every trial draws, erased or not, so a trial's draws sit
+    at positions fixed by its index within the block.
+
+    Every pair of every trial is solved as one stack, and so is the link
+    algebra at the measured point: each sender's channel @ composite
+    (@ rep in diversity mode) a_s, the desired node's equalizer W, each
+    other sender's A_s = W a_s, the SINR terms, the capacities and the
+    noise factor.  The packet stage then takes the trials a chunk of at most
+    _CHUNK_VALUES slicer values at a time: one random_raw and one
+    standard_normal call draw the chunk's words and normals, the surviving
+    trials' rows are kept, modulate, received_signal and detect each run
+    once, and the packed decisions are XORed against the desired sender's
+    bytes and counted by a popcount table.
 
     A numerical failure in the solve, the normalization or the equalizer
     erases its trials: one lost packet each, NaN capacity.  The failing
     step's SolveError marks them; the stacked steps run again on the rest,
     which gives every other trial the result it would get alone.
     """
-    rngs = _trial_rngs(master_seed, point_idx, start, stop)
-    channels = plan.draw(rngs)
-    alive = np.arange(len(rngs))
+    n = stop - start
+    channel_rng, bits_rng, noise_rng = _block_streams(master_seed, point_idx, start // _BATCH_TRIALS)
+    channels = plan.draw(channel_rng, n)
+    alive = np.arange(n)
     while True:
         try:
             composites = _solve_network(plan, channels[alive])
@@ -580,7 +513,7 @@ def _run_task(
     noise_gain = np.sum(np.abs(pinv) ** 2, axis=-1)
     interference = sum((np.sum(np.abs(a) ** 2, axis=-1) for a in leaks), np.zeros_like(noise_gain))
     sigma2 = 1.0 / (10.0 ** (link.snr_db[point_idx] / 10.0))
-    caps = np.full(len(rngs), math.nan)
+    caps = np.full(n, math.nan)
     caps[alive] = capacity(effective_snr(interference, noise_gain, sigma2))
 
     b = scheme.bits_per_symbol
@@ -590,22 +523,25 @@ def _run_task(
     for s, a in enumerate(leaks):
         leak_axes[:, s] = _real_axes(a, b)
     senders, packet_bytes = len(sent), (link.packet_bits + 7) // 8
+    words = -(-senders * packet_bytes // 8)
     chunk = max(1, _CHUNK_VALUES // link.packet_bits)
-    raw = np.empty((chunk, -(-senders * packet_bytes // 8)), dtype="<u8")
     normals = np.empty((chunk, axes, link.symbols_per_stream))
     # the decisions pad the last byte with 0s, the drawn bytes with random bits
     last_byte = 0xFF & 0xFF << (-link.packet_bits % 8)
     bit_errors = symbol_errors = packet_errors = 0
-    for lo in range(0, len(alive), chunk):
-        trials = alive[lo : lo + chunk].tolist()
-        n = len(trials)
-        for i, k in enumerate(trials):
-            raw[i] = rngs[k].bit_generator.random_raw(raw.shape[1])
-            rngs[k].standard_normal(out=normals[i])
-        packed = raw[:n].view(np.uint8)[:, : senders * packet_bytes].reshape(n, senders, -1)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        raw = bits_rng.bit_generator.random_raw((hi - lo, words)).astype("<u8", copy=False)
+        noise_rng.standard_normal(out=normals[: hi - lo])
+        # the chunk's survivors: rows keep of the draws, [i, j) of alive
+        i, j = np.searchsorted(alive, (lo, hi))
+        if i == j:
+            continue
+        keep = slice(hi - lo) if j - i == hi - lo else alive[i:j] - lo
+        packed = raw[keep].view(np.uint8)[:, : senders * packet_bytes].reshape(j - i, senders, -1)
         bits = np.unpackbits(packed, axis=-1, count=link.packet_bits)
-        symbols = modulate(bits.reshape(n, senders, link.streams, -1), scheme)
-        e = received_signal(symbols, leak_axes[lo : lo + n], factor[lo : lo + n], normals[:n])
+        symbols = modulate(bits.reshape(j - i, senders, link.streams, -1), scheme)
+        e = received_signal(symbols, leak_axes[i:j], factor[i:j], normals[keep])
         wrong = detect(e) ^ packed[:, 0]
         wrong[:, -1] &= last_byte
         errors = int(_POPCOUNT.take(wrong).sum())
@@ -613,13 +549,13 @@ def _run_task(
         # a QPSK symbol is wrong exactly when one of its two bits is
         symbol_errors += errors if b == 1 else int(_POPCOUNT.take((wrong | wrong >> 1) & 0x55).sum())
         packet_errors += int(np.count_nonzero(wrong.any(axis=1)))
-    erased = len(rngs) - len(alive)
+    erased = n - len(alive)
     stats = TrialStats(
         bits_sent=len(alive) * link.packet_bits,
         bit_errors=bit_errors,
         symbols_sent=len(alive) * link.packet_bits // scheme.bits_per_symbol,
         symbol_errors=symbol_errors,
-        packets_sent=len(rngs),
+        packets_sent=n,
         packet_errors=packet_errors + erased,
         erasures=erased,
     )
@@ -636,13 +572,14 @@ def run_trials(
     SNR point of each run, run-major (run 0's points, then run 1's).
 
     Each run's draw plan is built once.  Each SNR point's trials are split
-    into spans of at most _BATCH_TRIALS, and every (run, SNR point, span)
-    task runs in this process when one process is used and otherwise on
-    one pool of min(workers, tasks, CPU count) processes.  Every run
-    derives its per-trial streams from (master_seed, point index, trial
-    index), so the runs share them.  Counters merge by integer addition in
-    task order and capacity samples land positionally, so the result is
-    identical for every worker count.
+    into blocks of _BATCH_TRIALS counted from trial 0, and every (run, SNR
+    point, block) task runs in this process when one process is used and
+    otherwise on one pool of min(workers, tasks, CPU count) processes.
+    Every run derives its streams from (master_seed, point index, block
+    index, kind of draw) (_run_task), so the runs share them, and a trial
+    reads the same at any run trial count.  Counters merge by integer
+    addition in task order and capacity samples land positionally, so the
+    result is identical for every worker count.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -653,8 +590,7 @@ def run_trials(
 
     plans = [_plan(scenario, link) for scenario, link in runs]
     points = [(r, p) for r, (_, link) in enumerate(runs) for p in range(len(link.snr_db))]
-    bounds = np.linspace(0, n_trials, -(-n_trials // _BATCH_TRIALS) + 1, dtype=int)
-    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    spans = [(a, min(a + _BATCH_TRIALS, n_trials)) for a in range(0, n_trials, _BATCH_TRIALS)]
     tasks = [(i, a, b) for i in range(len(points)) for a, b in spans]
     args = [(plans[r], runs[r][1], master_seed, p, a, b) for r, p in points for a, b in spans]
     # the pool starts all its processes at once, so never more than the CPUs

@@ -5,16 +5,17 @@ The full-block path is how a trial's packet went through the link before
 the stage drew only the slicer's axes: `2 * M * N` complex-noise normals per
 packet, the `(M, N)` received block summed sender by sender, then the
 zero-forcing combiner applied antenna by antenna and a sign slicer.  It
-draws its bits and noise on its own stream contract (bits from
-`integers(0, 2)`, then `(2, M, N)` normals) and stays here, in the tests,
-to check the stage against.
+takes its channels where run_trials does but draws its bits and noise on
+its own contract (bits from `integers(0, 2)` on the block's bits stream,
+`(2, M, N)` normals on its noise stream) and stays here, in the tests, to
+check the stage against.
 
 The per-trial stage is how a trial's packet went through the slicer's axes
-before the stage took a chunk of trials at once: its bytes from one
-`integers(0, 256, (senders, bytes), uint8)` call, complex symbols, the
-known part summed row by row in complex arithmetic, and the decisions
-compared bit by bit.  It draws on run_trials' stream contract, so its
-counters must equal the chunked stage's.
+before the stage took a chunk of trials at once: one trial at a time, its
+raw words and normals drawn by calls of its own, complex symbols, the known
+part summed row by row in complex arithmetic, and the decisions compared
+bit by bit.  It draws on run_trials' block contract, one trial after the
+other, so its counters must equal the chunked stage's.
 
 The oracle is quasi-analytic (Jeruchim, Balaban & Shanmugan, *Simulation of
 Communication Systems*, 2nd ed., 2000): once a trial's channels, composites
@@ -91,10 +92,11 @@ def full_block_detect(y: np.ndarray, pinv: np.ndarray, scheme) -> np.ndarray:
 
 
 def trial_link(plan, rng) -> tuple[list[np.ndarray], np.ndarray] | None:
-    """One trial's channels drawn from rng, solved alone: each sender's
-    effective channel a_s (through the repetition vector in diversity mode)
-    and the combiner W, or None where the trial is erased."""
-    channels = plan.draw([rng])
+    """One trial's channels, the next on the channel stream rng, solved
+    alone: each sender's effective channel a_s (through the repetition
+    vector in diversity mode) and the combiner W, or None where the trial is
+    erased."""
+    channels = plan.draw(rng, 1)
     try:
         composites = linksim._solve_network(plan, channels)
         effective = [channels[:, d] @ composites[node_id] for node_id, d in plan.senders]
@@ -119,9 +121,22 @@ def bit_error_probabilities(sent, w, symbols, sigma2: float, scheme) -> np.ndarr
     return np.stack(p, axis=-1).reshape(-1)
 
 
-def trial_stream(master_seed: int, point: int, trial: int) -> np.random.Generator:
-    """The stream run_trials gives trial `trial` of SNR point `point`."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(point, trial)))
+def block_streams(master_seed: int, point: int, block: int) -> list[np.random.Generator]:
+    """The channel, bits and noise streams run_trials gives block `block` of
+    SNR point `point`, as numpy documents them."""
+    seeds = [np.random.SeedSequence(master_seed, spawn_key=(point, block, kind)) for kind in range(3)]
+    return [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+
+
+def trial_streams(master_seed: int, point: int, n_trials: int):
+    """Each trial's (channel, bits, noise) streams in trial order: its
+    block's, which stand at the trial's draws once every earlier trial of
+    the block has drawn its own."""
+    size = linksim._BATCH_TRIALS
+    for start in range(0, n_trials, size):
+        streams = block_streams(master_seed, point, start // size)
+        for _ in range(start, min(start + size, n_trials)):
+            yield streams
 
 
 def full_block_run(scenario, link: LinkConfig, n_trials: int, master_seed: int):
@@ -133,16 +148,15 @@ def full_block_run(scenario, link: LinkConfig, n_trials: int, master_seed: int):
     stats, mean, var = TrialStats(), 0.0, 0.0
     for point, snr_db in enumerate(link.snr_db):
         sigma2 = 10.0 ** (-snr_db / 10.0)
-        for trial in range(n_trials):
-            rng = trial_stream(master_seed, point, trial)
-            solved = trial_link(plan, rng)
+        for channel_rng, bits_rng, noise_rng in trial_streams(master_seed, point, n_trials):
+            solved = trial_link(plan, channel_rng)
             if solved is None:
                 stats = stats + TrialStats(packets_sent=1, packet_errors=1, erasures=1)
                 continue
             sent, w = solved
-            bits = rng.integers(0, 2, size=(len(sent), link.packet_bits))
+            bits = bits_rng.integers(0, 2, size=(len(sent), link.packet_bits))
             symbols = complex_modulate(bits, scheme).reshape(shape)
-            normals = rng.standard_normal((2, m, link.symbols_per_stream))
+            normals = noise_rng.standard_normal((2, m, link.symbols_per_stream))
             noise = (normals[0] + 1j * normals[1]) * math.sqrt(sigma2 / 2.0)
             y = full_block_received_signal(dict(enumerate(sent)), dict(enumerate(symbols)), noise)
             wrong = full_block_detect(y, w, scheme) != bits[0]
@@ -166,12 +180,16 @@ def per_trial_run(scenario, link: LinkConfig, n_trials: int, master_seed: int):
     scheme, streams = link.modulation, link.streams
     b, per_stream = scheme.bits_per_symbol, link.symbols_per_stream
     shape = (len(plan.senders), streams, per_stream)
+    packet_bytes = (link.packet_bits + 7) // 8
+    words = -(-len(plan.senders) * packet_bytes // 8)
     stats, caps = TrialStats(), []
     for point, snr_db in enumerate(link.snr_db):
         sigma2 = 1.0 / (10.0 ** (snr_db / 10.0))
-        for trial in range(n_trials):
-            rng = trial_stream(master_seed, point, trial)
-            solved = trial_link(plan, rng)
+        for channel_rng, bits_rng, noise_rng in trial_streams(master_seed, point, n_trials):
+            solved = trial_link(plan, channel_rng)
+            # an erased trial draws its words and normals all the same
+            raw = np.asarray(bits_rng.bit_generator.random_raw(words), dtype="<u8")
+            normals = noise_rng.standard_normal((streams * b, per_stream))
             if solved is None:
                 stats = stats + TrialStats(packets_sent=1, packet_errors=1, erasures=1)
                 caps.append(math.nan)
@@ -181,10 +199,9 @@ def per_trial_run(scenario, link: LinkConfig, n_trials: int, master_seed: int):
             noise_gain = np.sum(np.abs(w) ** 2, axis=-1)
             interference = sum((np.sum(np.abs(a) ** 2, axis=-1) for a in leaks), np.zeros(streams))
             caps.append(linksim.capacity(linksim.effective_snr(interference, noise_gain, sigma2)))
-            packed = rng.integers(0, 256, size=(len(sent), (link.packet_bits + 7) // 8), dtype=np.uint8)
+            packed = raw.view(np.uint8)[: len(sent) * packet_bytes].reshape(len(sent), -1)
             bits = np.unpackbits(packed, axis=1, count=link.packet_bits)
             symbols = complex_modulate(bits, scheme).reshape(shape)
-            normals = rng.standard_normal((streams * b, per_stream))
             known = symbols[0].copy()
             for a, x in zip(leaks, symbols[1:]):
                 for known_k, row in zip(known, a.tolist()):
@@ -225,8 +242,8 @@ def stage_run(scenario, link: LinkConfig, n_trials: int, master_seed: int, monke
     mean = var = 0.0
     for point, snr_db in enumerate(link.snr_db):
         sigma2 = 10.0 ** (-snr_db / 10.0)
-        for trial in range(n_trials):
-            solved = trial_link(plan, trial_stream(master_seed, point, trial))
+        for channel_rng, *_ in trial_streams(master_seed, point, n_trials):
+            solved = trial_link(plan, channel_rng)
             if solved is not None:
                 p = bit_error_probabilities(*solved, next(symbols), sigma2, link.modulation)
                 mean, var = mean + p.sum(), var + (p * (1.0 - p)).sum()

@@ -125,19 +125,6 @@ class TestSampleChannel:
         np.testing.assert_array_equal(stacked.reshape(15, 2, 2), singles)
         assert one_call.standard_normal() == in_turn.standard_normal()
 
-    def test_generator_sequence_stacks_each_members_draw(self):
-        # member i of a stack drawn from a sequence of generators is what
-        # generator i alone gives, and each stream ends where it would
-        mom = derive_moments(NakagamiParams(m=2.0, omega=1.0))
-        stacked_rngs = [np.random.default_rng(s) for s in range(4)]
-        alone_rngs = [np.random.default_rng(s) for s in range(4)]
-        stacked = sample_channel(mom, 3, stacked_rngs, (5,))
-        assert stacked.shape == (4, 5, 3, 3)
-        alone = np.stack([sample_channel(mom, 3, rng, (5,)) for rng in alone_rngs])
-        assert stacked.tobytes() == alone.tobytes()
-        for a, b in zip(stacked_rngs, alone_rngs):
-            assert a.bit_generator.state == b.bit_generator.state
-
     def test_hardened_channel_nearly_constant(self):
         mom = derive_moments(NakagamiParams(m=1e6, omega=1.0))
         h = sample_channel(mom, 2, np.random.default_rng(5))

@@ -4,22 +4,22 @@ Each entry of EXPERIMENTS runs at trials 3, seed 7 and its default snr grid,
 and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins thirteen runs
 that the trials-3 digests never reach: a batch of 100 nearly deterministic
 channels (capacity_vs_nodes with nakagami_m 1e6, which erases no trial but
-hands the slicer values up to ~6e11 whose sign, not their distance to the
+hands the slicer values up to ~5e10 whose sign, not their distance to the
 constellation, decides the bit; test_erasing_run_on_a_pool erases one of
 its 8-node trials on purpose), a 20-trial link sweep, a
 20-trial QPSK link sweep, a multiplexing link sweep (2 and 4 streams
 of 8-bit packets) under per_formula "literal", whose per_model values
-(6e-10 to 0.09) are not clamped, and a 3-node chain, with and without
+(5e-8 to 0.09) are not clamped, and a 3-node chain, with and without
 interference, where a node outside the measured pair is heard at its
 receive point.  Two more send diversity past interferers: a 30-trial
-distance sweep (PER 0.9 / 0.2 / 0.0) and the chain at M = 4 and 80 dB,
+distance sweep (PER 0.93 / 0.23 / 0.0) and the chain at M = 4 and 80 dB,
 where both other nodes are heard.  Two more lay out explicit nodes: a
 triangle of three overlapping pairs with own_point_distance set, where the
 third node is heard, and a disk inside another, whose default receive
 points are clamped into the small disk.  The last link sweep has a
 three-word master seed, 2^64 + 5, and 300 trials per point, so each
-point's trials split into two spans and the second span's streams start
-at trial 150.  Two more send the chain at 60 dB: one with 100-bit BPSK
+point's trials split into two blocks and the second block's streams start
+at trial 256.  Two more send the chain at 60 dB: one with 100-bit BPSK
 packets, which are not a whole number of bytes, and one with QPSK past the
 interferer.  A refactor must leave these bytes unchanged; moving a
 digest on purpose needs a CHANGES.md entry that says why the output
@@ -30,18 +30,17 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from beamlink import experiments, linksim
 from beamlink.experiments import EXPERIMENTS, emit_csv, load_config, run_experiment
 
 GOLDEN_SHA256 = {
-    "capacity_vs_nodes": "82a35bcc12338cf7e272a4bf7d8979465255d03cf976e8d968b996a32b1af27f",
-    "per_vs_distance": "1f4726b6656bb045ad364567ca7782ed2d3a8d4b69ea7234902d8527912c9fe9",
-    "per_vs_modulation": "59a98fd55beee35c910cc577c6ddcec422301c16e1cccded2bfb71a19511663e",
-    "ber_vs_dimension": "8fb0c54a996dd50400e1b06a00621fb3848a6a34642db8341973065b2c85007c",
-    "custom": "8e5ad44176e8978a3660254227baf2deb3516b904f510c4a5746d150b00ee7b7",
+    "capacity_vs_nodes": "bfbd9f27552b94d968566ffc02e3bb8db4cf674f6bc4f3aedb2dce482b448539",
+    "per_vs_distance": "d8f4314a123d81686ef74a3db17724ad206cd1711b3a5b1bc68b1fcf2bcc0751",
+    "per_vs_modulation": "36c96046ca1291169bf66d9a43fd1e04d483d310dd63927b01f05c4a6d25b659",
+    "ber_vs_dimension": "47e9d48c195f83d80e6bec2dffe9143472a3c8bac66be0eb57487fedcd7c2c65",
+    "custom": "f134da9cd90d1390ca13c921cf36d1a0d804ddbfd29095839c7513c4b8aff464",
 }
 
 # nodes 0, 1, 2 on a 5 m chain with 12 m disks: node 2 covers the receive
@@ -73,11 +72,11 @@ _CONTAINED = {
 LARGER_RUNS = {
     "capacity_vs_nodes-m1e6-trials100-seed3": (
         {"experiment": "capacity_vs_nodes", "trials": 100, "seed": 3, "scenario": {"nakagami_m": 1e6}},
-        "255a367447100118f5ccbe1c573be1e2b0fddea04d8f963f4292fe36650091a4",
+        "68d4aad3c00ef5e052d1224152d88aa060b2e17f13cc51a8ff67b388700b6d0a",
     ),
     "ber_vs_dimension-trials20-seed7": (
         {"experiment": "ber_vs_dimension", "trials": 20, "seed": 7},
-        "b3bbb5fa17ec0e28ba99ede76d8caea6deabf91bdd3ebe7ceb9b933491f56b5b",
+        "7b351d969c846843d37a5c34c1fad449f85f095e52dd3dae49c1541f6275d87d",
     ),
     "ber_vs_dimension-multiplexing-bits8-literal-trials30-seed2": (
         {
@@ -86,15 +85,15 @@ LARGER_RUNS = {
             "seed": 2,
             "scenario": {"transmission_mode": "multiplexing", "packet_bits": 8, "per_formula": "literal"},
         },
-        "ac2cd4549369c68e826f6a6511825172bea9ef6c5f4a37f7c8186c961a7522fb",
+        "34fbb4d657a7305b7ff03889e1695daefa930ea8216c7e95d7299c2ee6086bed",
     ),
     "ber_vs_dimension-qpsk-trials20-seed4": (
         {"experiment": "ber_vs_dimension", "trials": 20, "seed": 4, "scenario": {"modulation": "qpsk"}},
-        "b1fb73e0bd921351b51bf1f3a28e35bdda8d63a8739765ff61f6ff16268cf9cd",
+        "5dee024e0ae37f98287725f7a2071d0ac66342cf0452808fbe5112f76c325b5a",
     ),
     "custom-chain3-interference-trials20-seed5": (
         {"trials": 20, "seed": 5, "snr": {"start": 20.0}, "scenario": _CHAIN3},
-        "df20ec311e1b30eaa89fcf944d6affd510546f1d17fc80573b28553024009fcd",
+        "ed502d4c495846ae10edc51d639974891041119b846027798beec42d7db65abb",
     ),
     "custom-chain3-no-interference-trials20-seed5": (
         {
@@ -103,11 +102,11 @@ LARGER_RUNS = {
             "snr": {"start": 20.0},
             "scenario": {**_CHAIN3, "include_interference": False},
         },
-        "9b3994bc8e3d7354702f81e857535e731c993125db4110d86c0533a44bfb4572",
+        "51f3a0af2802b7653869643f717720a4545aaae43b1e65848814c723cd4e723d",
     ),
     "per_vs_distance-trials30-seed11": (
         {"experiment": "per_vs_distance", "trials": 30, "seed": 11},
-        "86811677dc276eb2dd1806f683ba1de33f6ed3aecf41713b1b9a6a13f907aeeb",
+        "ec921d7147f58705308422deac5d5b66f6e4ba96d939ed00f463dfeb10d1561d",
     ),
     "custom-chain3-diversity-m4-trials20-seed6": (
         {
@@ -116,15 +115,15 @@ LARGER_RUNS = {
             "snr": {"start": 80.0},
             "scenario": {**_CHAIN3, "dimension": 4, "transmission_mode": "diversity", "packet_bits": 64},
         },
-        "49cc7976e0abd3cc79e0b94bb6bfcc8405b808547fbe80e7b5d6a5fd8d422b04",
+        "e5984ce810e0f999ed3eca07b5bc5396d47f16a60b371cdb243232b183d3ed63",
     ),
     "custom-triangle-own-point-trials20-seed9": (
         {"trials": 20, "seed": 9, "snr": {"start": 30.0}, "scenario": _TRIANGLE},
-        "c1fbfc45e4dd7fc6efc8e4b75fbef3f9b240de23e15caa0229ed22fd8b5230cd",
+        "7312255f9e4a71e270f37040f4cde7b423549707306fde1266bd0c9126d4b574",
     ),
     "custom-contained-disk-trials20-seed4": (
         {"trials": 20, "seed": 4, "snr": {"start": 20.0}, "scenario": _CONTAINED},
-        "61fb2e7b89aeb90f427af5fd9f64df273b6c8334e2fa769928a6707fc5b0e9fa",
+        "51f6f5a1322d3a61379c469683c9c1486ea47a43099a148a60145ddb017ab831",
     ),
     "ber_vs_dimension-bits64-trials300-seed2e64+5": (
         {
@@ -133,59 +132,59 @@ LARGER_RUNS = {
             "seed": 2**64 + 5,
             "scenario": {"packet_bits": 64},
         },
-        "b21c4be0216190e465d393b9e54ff7c14ae993875b824ba5690bdbfc4c7252c9",
+        "030863b97815589128e290cd981569645c2dcb6acbcded9f2aab2650a9c65497",
     ),
     "custom-chain3-bits100-trials20-seed5": (
         {"trials": 20, "seed": 5, "snr": {"start": 60.0}, "scenario": {**_CHAIN3, "packet_bits": 100}},
-        "1878bb46d2cf5a4f2328dbeffcf46f305546103b1340defdb7d472477b4a198c",
+        "484412397c4f4c8fa1d7bfba4a9236e035945cd8be48d60e697972bab0de629d",
     ),
     "custom-chain3-qpsk-trials20-seed5": (
         {"trials": 20, "seed": 5, "snr": {"start": 60.0}, "scenario": {**_CHAIN3, "modulation": "qpsk"}},
-        "e0953e5bd976c36364028580b48f4e10915f231ca4016f970a5c61d3497ffbfa",
+        "476404653e4c3fd6b68050affab8219e32d49261f81bdce340adf81b5ad3ef1a",
     ),
 }
 
 
 # sha256 of each golden CSV's capacity rows (metric == capacity, in file
-# order) as the full-block packet stage wrote them: drawing the packet from
-# the slicer's axes moved every digest above but must leave the capacity
-# rows and the erasures alone, since the channels still come first in each
-# trial's stream and no golden run erases a trial
+# order), which read only the channels: a change to the packet's bits or
+# noise moves the digests above but must leave these rows and the erasures
+# alone, since the channels have a stream of their own in each block and
+# no golden run erases a trial
 CAPACITY_ROWS_SHA256 = {
     "capacity_vs_nodes":
-        "a3bc973a9cf8e67a1611737522ce1caf70647dc322f0324849140dac758e98f2",
+        "42456b989c85a67cd8b9779356916b24951de9c24d4ffb6e2fed82ae8b496ccf",
     "per_vs_distance":
-        "2cae50f156276d4f08b69ed27a69205e26530d51f59131da0dc6c52505e15264",
+        "9c45c1debaa7bed0939d3be92cf2c57ceb2f79a220d06fbc45ff3963a5c0ee8b",
     "per_vs_modulation":
-        "45b0fdbfd06d38bfbbf480983e1eede551256bbf70828f4c1383457aa12354ad",
+        "822d266c660e7301c96ae536f428c31b9c8cb2fb97f2be579f405d39c538a608",
     "ber_vs_dimension":
-        "0e9a2584691b8fe051d6ce05f503de008e22176284bd20a1ee44a5a6654c9457",
+        "7f9d799f2d8eec9a1c31c637639055a3160243bdab0d09f02486a33928a7e941",
     "custom":
-        "802990e9a44877f5832e9ffaa2aee029c5a40126162deff85576d77f5913b1d0",
+        "fc74ab76c37d932d9560510702308ef97aa1353950e826c066e40edd17ed9ef0",
     "capacity_vs_nodes-m1e6-trials100-seed3":
-        "e5120d2a587fc309bbbd3e9fd0b6508988ecc588ffcc07496b3b57d08d4f4f6c",
+        "8283b07776499d0a00f7f7715eebb5a69d0a84026c3623d990e72032f14cb62b",
     "ber_vs_dimension-trials20-seed7":
-        "2e27f5a633e9a151d06df9077d101e856d644e190d814137ced3da3f632db119",
+        "9fdd660016b43bfb2d868e6b8cfa0e2df22b51a98b378afaaf1a6ad7ae1a5b59",
     "ber_vs_dimension-multiplexing-bits8-literal-trials30-seed2":
-        "a740daeebf269a1dde271a97e56395bbf2d77a067a9b33b3f44b98eef22ab237",
+        "76a03217052bedeb74dfc48406eea60246f4ba086c4cca2732bf24dee20e17df",
     "ber_vs_dimension-qpsk-trials20-seed4":
-        "d2e6adccda9689947e2cfd960f0330c28169a762e548ffa414a8cb36be1d0540",
+        "ca397a2312ce9d92a08a00a5736e5c0487f41650a6745844a9518bde6239fab0",
     "custom-chain3-interference-trials20-seed5":
-        "ff3feafef35ac7af6625cfe194d5667de404d5e3b3508230ffd6ee6216cdb134",
+        "13151501363d5e81f1b53c797ce76c5e84b1965a38eec7cca1754ae392d1b219",
     "custom-chain3-no-interference-trials20-seed5":
-        "a1e067469fe424f6d40b67b3f5a4eee1cdac1aa2d47fd56525efd99f028e5258",
+        "3b4536b8ec732d507b5302593f642fd7d0db58584571628775f0aebec68b7304",
     "per_vs_distance-trials30-seed11":
-        "989ee5713a1bc987f459e281dd285863008bf087d3e684d801df86fe68044b59",
+        "fad6ca59d8ac9eeb98016efc9f7345dbfc8762a39de77276e63216c06fd4c795",
     "custom-chain3-diversity-m4-trials20-seed6":
-        "5f95eef5f02deebc3753a9d9758d0f12c4d31999dc715cdaa0524dcecda05299",
+        "938442186f40918f3f388ea0287a19ba0eb79edf16fbb47eb205bdef8f93e077",
     "custom-triangle-own-point-trials20-seed9":
-        "1e21b1f845df9b487982f17af13ebeeefe48dfc6b9fc5457a26ad254cd3dce90",
+        "56826b89d6ac605af2ac61d894761f78669d9c9b72838c114dc7ed7355ba4fc1",
     "custom-contained-disk-trials20-seed4":
-        "6559e2d364ea1b73cefd50ca3d0c22a30e3c50ae8fef9136e2c941161da3548b",
+        "0186eaaacb1f05b1790875b7075ffa2a5b7a07d414706664554af5c391dc7429",
     "ber_vs_dimension-bits64-trials300-seed2e64+5":
-        "133a457a7bd205fe7201c3d0c60cb887e772a932c81b6e11a98665272bf95e7a",
+        "4b0df8509b4c619c89096f98161f915bb99dc9d593b1e6bedc8e36ff5e206778",
     "custom-chain3-bits100-trials20-seed5":
-        "03120b8986550084588bd4ecf10eb0775f6129e8cf334bbea8ec3d5328cb882e",
+        "0c1321f5f911a4b267061ec7b09e2050012d6df9f4b3c5c2c4210f480308f0b9",
 }
 
 
@@ -218,27 +217,23 @@ def test_larger_run_digest(tmp_path, name):
     assert _digest(overrides, tmp_path / f"{name}.csv") == digest
 
 
-def test_erasing_run_on_a_pool(tmp_path, monkeypatch, real_pool):
+def test_erasing_run_on_a_pool(tmp_path, monkeypatch, real_pool, zero_channels):
     # every sweep value's tasks share one pool of processes, each of the 3
-    # values in spans of 25 trials; trial 60 of the 8-node value (7 pairs)
+    # values in blocks of 30 trials; trial 60 of the 8-node value (7 pairs)
     # draws all-zero channels, and its erasure must land where the 1-worker
     # run puts it
     monkeypatch.setattr(linksim, "_BATCH_TRIALS", 30)
-    draw = linksim._TaskPlan.draw
+    overrides = LARGER_RUNS["capacity_vs_nodes-m1e6-trials100-seed3"][0]
 
-    def zero_trial_60_of_8_nodes(p, rngs):
-        zeroed = [len(p.pairs) == 7 and rng.bit_generator.seed_seq.spawn_key == (0, 60)
-                  for rng in rngs]
-        return draw(p, rngs) * np.where(zeroed, 0.0, 1.0)[:, None, None, None]
+    def csv_bytes(name, workers):
+        emit_csv(run_experiment(load_config(overrides={**overrides, "workers": workers})), str(tmp_path / name))
+        return (tmp_path / name).read_bytes()
 
-    monkeypatch.setattr(linksim._TaskPlan, "draw", zero_trial_60_of_8_nodes)
-    name = "capacity_vs_nodes-m1e6-trials100-seed3"
-    overrides, digest = LARGER_RUNS[name]
-    emit_csv(run_experiment(load_config(overrides=overrides)), str(tmp_path / "w1.csv"))
-    emit_csv(run_experiment(load_config(overrides={**overrides, "workers": 3})), str(tmp_path / "w3.csv"))
-    one_worker = (tmp_path / "w1.csv").read_bytes()
-    assert hashlib.sha256(one_worker).hexdigest() != digest  # the erasure shows
-    assert (tmp_path / "w3.csv").read_bytes() == one_worker
+    clean = csv_bytes("clean.csv", 1)
+    zero_channels(lambda plan, p, t: len(plan.pairs) == 7 and (p, t) == (0, 60))
+    one_worker = csv_bytes("w1.csv", 1)
+    assert one_worker != clean  # the erasure shows
+    assert csv_bytes("w3.csv", 3) == one_worker
     assert real_pool == [(3, 12)]
 
 

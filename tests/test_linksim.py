@@ -8,7 +8,6 @@ from scipy.stats import norm as scipy_norm
 
 from beamlink import experiments, linksim
 from beamlink.beamformer import SolveError
-from beamlink.channel import NakagamiParams
 from beamlink.linksim import (
     BPSK,
     QPSK,
@@ -26,11 +25,11 @@ from beamlink.metrics import capacity, effective_snr
 from beamlink.topology import Node, build_scenario
 from reference import (
     POINTS,
+    block_streams,
     complex_modulate,
     full_block_detect,
     full_block_received_signal,
     per_trial_run,
-    trial_stream,
 )
 
 
@@ -424,7 +423,7 @@ def test_composites_carry_unit_total_power():
     )
     plan = linksim._plan(sc, LinkConfig(snr_db=(5.0,), packet_bits=32))
     rng = np.random.default_rng(8)
-    composites = linksim._solve_network(plan, plan.draw([rng] * 20))
+    composites = linksim._solve_network(plan, plan.draw(rng, 20))
     power = sum(np.sum(np.abs(c) ** 2, axis=(1, 2)) for c in composites.values())
     np.testing.assert_allclose(power, 1.0, rtol=0.0, atol=1e-12)
 
@@ -446,8 +445,7 @@ class TestSinr:
         plan = linksim._plan(scenario, link)
         assert len(plan.senders) == 3
         # trial 0 of point 0, drawn as run_trials draws it
-        rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0, 0)))
-        channels = plan.draw([rng])
+        channels = plan.draw(block_streams(5, 0, 0)[0], 1)
         composites = linksim._solve_network(plan, channels)
         sent = [channels[0, d] @ composites[node_id][0] for node_id, d in plan.senders]
         if plan.repetition is not None:
@@ -524,31 +522,25 @@ class TestRunTrials:
     def test_worker_count_invariance(self, monkeypatch, real_pool):
         sc = two_node_scenario()
         link = LinkConfig(snr_db=(3.0, 9.0), packet_bits=96)
-        serial = run_trials([(sc, link)], n_trials=13, master_seed=7, workers=1)
-        # spans of at most 5 trials: 3 per point, merged across processes
+        # blocks of 5 trials: 3 per point, merged across processes
         monkeypatch.setattr(linksim, "_BATCH_TRIALS", 5)
+        serial = run_trials([(sc, link)], n_trials=13, master_seed=7, workers=1)
         parallel = run_trials([(sc, link)], n_trials=13, master_seed=7, workers=3)
         assert real_pool == [(3, 6)]
         for a, b in zip(serial, parallel):
             assert a.stats == b.stats
             np.testing.assert_array_equal(a.capacity_samples, b.capacity_samples)
 
-    def test_worker_count_invariance_with_erasures(self, monkeypatch, real_pool):
+    def test_worker_count_invariance_with_erasures(self, monkeypatch, real_pool, zero_channels):
         # trials 15, 29 and 33 draw all-zero channels at both points, so
         # their pair solves are singular and they are erased
         nodes = [Node(id=i, position=np.array([10.0 * i, 0.0]), range_radius=6.0) for i in range(8)]
         sc = build_scenario(nodes)
         link = LinkConfig(snr_db=(5.0, 9.0), packet_bits=32)
-        draw = linksim._TaskPlan.draw
-
-        def zero_three_trials(p, rngs):
-            zeroed = [rng.bit_generator.seed_seq.spawn_key[1] in (15, 29, 33) for rng in rngs]
-            return draw(p, rngs) * np.where(zeroed, 0.0, 1.0)[:, None, None, None]
-
-        monkeypatch.setattr(linksim._TaskPlan, "draw", zero_three_trials)
-        serial = run_trials([(sc, link)], n_trials=37, master_seed=15, workers=1)
-        # spans (0, 12), (12, 24), (24, 37): the erasures fall in the last two
+        zero_channels(lambda plan, p, t: t in (15, 29, 33))
+        # blocks (0, 13), (13, 26), (26, 37): the erasures fall in the last two
         monkeypatch.setattr(linksim, "_BATCH_TRIALS", 13)
+        serial = run_trials([(sc, link)], n_trials=37, master_seed=15, workers=1)
         parallel = run_trials([(sc, link)], n_trials=37, master_seed=15, workers=3)
         assert real_pool == [(3, 6)]
         for a, b in zip(serial, parallel):
@@ -556,41 +548,58 @@ class TestRunTrials:
             assert (a.snr_db, a.stats) == (b.snr_db, b.stats)
             np.testing.assert_array_equal(a.capacity_samples, b.capacity_samples)
 
-    def test_batch_size_invariance(self, monkeypatch):
-        # the stacked solve is bit-identical member by member, so how a
-        # task's trials are split into batches cannot change any result
-        sc = build_scenario(
-            [Node(id=i, position=np.array([10.0 * i, 0.0]), range_radius=6.0) for i in range(4)]
-        )
-        link = LinkConfig(snr_db=(5.0,), packet_bits=32, fading=NakagamiParams(m=1e6, omega=1.0))
-        whole = run_trials([(sc, link)], n_trials=40, master_seed=2)
-        monkeypatch.setattr(linksim, "_BATCH_TRIALS", 1)
-        split = run_trials([(sc, link)], n_trials=40, master_seed=2)
-        assert whole[0].stats == split[0].stats
-        np.testing.assert_array_equal(whole[0].capacity_samples, split[0].capacity_samples)
+    def test_chunk_size_invariance(self, monkeypatch, tmp_path):
+        # chunks of one packet write the bytes of the default chunks, on a
+        # QPSK run past an interferer whose second block holds 4 chunks
+        def csv_bytes(name):
+            config = experiments.load_config(overrides={
+                "trials": 270, "seed": 3, "snr": {"start": 30.0, "stop": 30.0},
+                "scenario": {**TestSinr.CHAIN3, "modulation": "qpsk", "packet_bits": 2304},
+            })
+            experiments.emit_csv(experiments.run_experiment(config), str(tmp_path / name))
+            return (tmp_path / name).read_bytes()
 
-    def test_singular_trial_erased_alone_in_its_batch(self, monkeypatch):
+        default = csv_bytes("default.csv")
+        monkeypatch.setattr(linksim, "_CHUNK_VALUES", 1)
+        assert csv_bytes("one-packet.csv") == default
+
+    def test_trial_count_invariance(self, zero_channels):
+        # trial 257, in block 1, reads the same in a run of 260 trials as in
+        # one of 300: its capacity sample and, with every other trial
+        # erased, its counters
+        sc = single_node_scenario()
+        link = LinkConfig(snr_db=(0.0,), dimension=2, modulation=QPSK, packet_bits=64)
+        short, long = (run_trials([(sc, link)], n, master_seed=8)[0] for n in (260, 300))
+        assert short.capacity_samples.tobytes() == long.capacity_samples[:260].tobytes()
+        zero_channels(lambda plan, p, t: t != 257)
+        short, long = (run_trials([(sc, link)], n, master_seed=8)[0].stats for n in (260, 300))
+        assert (short.erasures, long.erasures) == (259, 299)
+        assert 0 < short.symbol_errors <= short.bit_errors < short.bits_sent == 64
+        assert (short.bit_errors, short.symbol_errors, short.packet_errors - short.erasures) == (
+            long.bit_errors, long.symbol_errors, long.packet_errors - long.erasures
+        )
+
+    def test_singular_trial_erased_alone_in_its_batch(self, zero_channels):
         # trial 3's channel is zeroed, so its h_eff is singular: it alone is
-        # erased, and every other trial reads as in a task without it
+        # erased, and every other trial reads as in the block without the
+        # zeroed channel.  Erasing every trial but 3 leaves trial 3's own
+        # counters, so the two erasing runs add up to the clean one
         sc = single_node_scenario()
         link = LinkConfig(snr_db=(5.0,), dimension=2, packet_bits=64)
         plan = linksim._plan(sc, link)
-        draw = linksim._TaskPlan.draw
-
-        def zero_trial_3(p, rngs):
-            zeroed = [rng.bit_generator.seed_seq.spawn_key == (0, 3) for rng in rngs]
-            return draw(p, rngs) * np.where(zeroed, 0.0, 1.0)[:, None, None, None]
-
-        monkeypatch.setattr(linksim._TaskPlan, "draw", zero_trial_3)
+        clean_stats, clean_caps = linksim._run_task(plan, link, 9, 0, 0, 6)
+        zero_channels(lambda plan, p, t: t == 3)
         stats, caps = linksim._run_task(plan, link, 9, 0, 0, 6)
-        head_stats, head_caps = linksim._run_task(plan, link, 9, 0, 0, 3)
-        tail_stats, tail_caps = linksim._run_task(plan, link, 9, 0, 4, 6)
-        assert head_stats.erasures == tail_stats.erasures == 0
-        erased = TrialStats(packets_sent=1, packet_errors=1, erasures=1)
-        assert stats == head_stats + erased + tail_stats
-        assert caps.tobytes() == np.concatenate([head_caps, [math.nan], tail_caps]).tobytes()
+        zero_channels(lambda plan, p, t: t != 3)
+        only_3, _ = linksim._run_task(plan, link, 9, 0, 0, 6)
+        assert np.flatnonzero(np.isnan(caps)).tolist() == [3]
+        kept = np.arange(6) != 3
+        assert caps[kept].tobytes() == clean_caps[kept].tobytes()
+        assert (stats.erasures, only_3.erasures) == (1, 5)
+        erased = TrialStats(packets_sent=6, packet_errors=6, erasures=6)
+        assert stats + only_3 == clean_stats + erased
 
-    def test_singular_pair_erases_only_its_trial(self, monkeypatch):
+    def test_singular_pair_erases_only_its_trial(self, zero_channels):
         # in a 4-node line, trial 5's draws of pair (1, 2) are zeroed: the one
         # solve over every pair of every trial erases trial 5 alone
         sc = build_scenario(
@@ -599,16 +608,7 @@ class TestRunTrials:
         link = LinkConfig(snr_db=(5.0,), packet_bits=32)
         (clean,) = run_trials([(sc, link)], n_trials=12, master_seed=4)
         assert linksim._plan(sc, link).pairs[1] == (1, 2)
-        draw = linksim._TaskPlan.draw
-
-        def zero_pair_1_of_trial_5(p, rngs):
-            channels = draw(p, rngs)
-            for trial, rng in zip(channels, rngs):
-                if rng.bit_generator.seed_seq.spawn_key == (0, 5):
-                    trial[4:8] = 0.0
-            return channels
-
-        monkeypatch.setattr(linksim._TaskPlan, "draw", zero_pair_1_of_trial_5)
+        zero_channels(lambda plan, p, t: t == 5, draws=slice(4, 8))
         (res,) = run_trials([(sc, link)], n_trials=12, master_seed=4)
         assert clean.stats.erasures == 0 and res.stats.erasures == 1
         assert np.flatnonzero(np.isnan(res.capacity_samples)).tolist() == [5]
@@ -616,32 +616,36 @@ class TestRunTrials:
         assert res.capacity_samples[kept].tobytes() == clean.capacity_samples[kept].tobytes()
 
     def test_trial_stream_contract(self, monkeypatch):
-        # one trial's stream: its channels, then ceil(3 * 5 / 8) = 2 raw
-        # 64-bit words, whose first 15 little-endian bytes are the 3 senders'
-        # ceil(36 / 8) = 5 bytes each, then the (D, N) = (4, 9) normals of 2
-        # QPSK streams; nothing else is drawn
+        # block 1 of point 1, trials 3 and 4 in blocks of 3: the channel
+        # stream gives both trials' channels, the bits stream ceil(3 * 5 /
+        # 8) = 2 raw 64-bit words per trial, whose first 15 little-endian
+        # bytes are the 3 senders' ceil(36 / 8) = 5 bytes each, and the
+        # noise stream the (D, N) = (4, 9) normals of 2 QPSK streams per
+        # trial; nothing else is drawn
         config = experiments.load_config(overrides={
-            "trials": 1, "seed": 5, "snr": {"start": 20.0, "stop": 20.0},
+            "trials": 1, "seed": 5, "snr": {"start": 20.0, "stop": 25.0, "step": 5.0},
             "scenario": {**TestSinr.CHAIN3, "modulation": "qpsk", "packet_bits": 36},
         })
         ((*_, scenario, link),) = config.runs
         plan = linksim._plan(scenario, link)
         assert len(plan.senders) == 3
-        streams = []
-        draw = linksim._TaskPlan.draw
+        made = []
 
-        def recorded(p, rngs):
-            streams.extend(rngs)
-            return draw(p, rngs)
+        def recorded(bit_generator):
+            made.append(np.random.Generator(bit_generator))
+            return made[-1]
 
-        monkeypatch.setattr(linksim._TaskPlan, "draw", recorded)
-        stats, _ = linksim._run_task(plan, link, 5, 0, 0, 1)
-        assert stats.bits_sent == 36
-        fresh = trial_stream(5, 0, 0)
-        draw(plan, [fresh])
-        fresh.bit_generator.random_raw(2)
-        fresh.standard_normal((4, 9))
-        assert streams[0].bit_generator.state == fresh.bit_generator.state
+        monkeypatch.setattr(linksim, "Generator", recorded)
+        monkeypatch.setattr(linksim, "_BATCH_TRIALS", 3)
+        stats, _ = linksim._run_task(plan, link, 5, 1, 3, 5)
+        assert stats.bits_sent == 2 * 36
+        channel_rng, bits_rng, noise_rng = block_streams(5, 1, 1)
+        plan.draw(channel_rng, 2)
+        bits_rng.bit_generator.random_raw(2 * 2)
+        noise_rng.standard_normal((2, 4, 9))
+        assert [rng.bit_generator.state for rng in made] == [
+            rng.bit_generator.state for rng in (channel_rng, bits_rng, noise_rng)
+        ]
 
     @pytest.mark.parametrize("rows, row_bytes", [(1, 1), (1, 7), (3, 5), (2, 13), (3, 17), (1, 288)])
     def test_raw_words_are_integers_bytes(self, rows, row_bytes):
@@ -650,7 +654,7 @@ class TestRunTrials:
         # normals drawn after them are the same
         words = -(-rows * row_bytes // 8)
         for seed in range(20):
-            a, b = trial_stream(seed, 0, 0), trial_stream(seed, 0, 0)
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
             want = a.integers(0, 256, size=(rows, row_bytes), dtype=np.uint8)
             raw = np.asarray(b.bit_generator.random_raw(words), dtype="<u8")
             got = raw.view(np.uint8)[: rows * row_bytes].reshape(rows, row_bytes)
@@ -670,6 +674,7 @@ class TestRunTrials:
         assert len(calls) == 1
 
     def test_tasks_hold_at_most_a_batch(self, monkeypatch):
+        # each task is one block of trials, counted from trial 0
         spans = []
         task = linksim._run_task
 
@@ -679,9 +684,7 @@ class TestRunTrials:
 
         monkeypatch.setattr(linksim, "_run_task", recorded)
         run_trials([(single_node_scenario(), calibration_config([0.0], 32))], 600, 1, workers=1)
-        assert len(spans) > 1
-        assert max(b - a for a, b in spans) <= linksim._BATCH_TRIALS
-        assert sum(b - a for a, b in spans) == 600
+        assert spans == [(0, 256), (256, 512), (512, 600)]
 
     def test_pool_capped_at_cpu_count(self, pool_sizes):
         # a pool starts all its processes at once, so 64 workers on 2 CPUs open 2
@@ -781,15 +784,16 @@ class TestRunTrials:
         assert s.bits_sent == 96 * (40 - s.erasures)
 
     def test_interference_hurts(self):
-        # same seed, with and without the interference term: errors can only
-        # grow when interference is added (statistically, via totals)
-        sc = two_node_scenario()
-        kwargs = dict(snr_db=(12.0,), packet_bits=192, fading=NakagamiParams(1.0, 1.0))
-        with_i = run_trials([(sc, LinkConfig(**kwargs))], 150, master_seed=31)
-        without_i = run_trials(
-            [(sc, LinkConfig(**kwargs, include_interference=False))], 150, master_seed=31
-        )
-        assert with_i[0].stats.bit_errors >= without_i[0].stats.bit_errors
+        # the golden 3-node chain at 60 dB, where node 2's interference, not
+        # the noise, decides most bits: the same draws without it lose few
+        config = experiments.load_config(overrides={
+            "trials": 20, "seed": 5, "snr": {"start": 60.0, "stop": 60.0},
+            "scenario": {**TestSinr.CHAIN3, "packet_bits": 256},
+        })
+        ((*_, scenario, link),) = config.runs
+        quiet = LinkConfig(**{**vars(link), "include_interference": False})
+        (with_i,), (without_i,) = (run_trials([(scenario, lk)], 20, master_seed=5) for lk in (link, quiet))
+        assert with_i.stats.bit_errors > 10 * without_i.stats.bit_errors
 
     def test_diversity_mode_runs(self):
         sc = two_node_scenario()
@@ -849,7 +853,7 @@ class TestChunkedStage:
     }
 
     @pytest.mark.parametrize("name", CASES)
-    def test_counters_match_per_trial_stage(self, name, monkeypatch):
+    def test_counters_match_per_trial_stage(self, name, monkeypatch, zero_channels):
         # chunks of 3 trials; trial 4 is erased, so the chunk of surviving
         # trials 3, 5, 6 has a gap in its middle
         config = experiments.load_config(overrides={
@@ -858,13 +862,7 @@ class TestChunkedStage:
         })
         ((*_, scenario, link),) = config.runs
         monkeypatch.setattr(linksim, "_CHUNK_VALUES", 3 * link.packet_bits)
-        draw = linksim._TaskPlan.draw
-
-        def zero_trial_4(p, rngs):
-            zeroed = [rng.bit_generator.seed_seq.spawn_key[1] == 4 for rng in rngs]
-            return draw(p, rngs) * np.where(zeroed, 0.0, 1.0)[:, None, None, None]
-
-        monkeypatch.setattr(linksim._TaskPlan, "draw", zero_trial_4)
+        zero_channels(lambda plan, p, t: t == 4)
         results = run_trials([(scenario, link)], n_trials=10, master_seed=31)
         want_stats, want_caps = per_trial_run(scenario, link, 10, 31)
         assert sum((r.stats for r in results), TrialStats()) == want_stats
@@ -874,37 +872,27 @@ class TestChunkedStage:
 
 
 class TestTrialStreams:
-    """A task's generators are numpy's SeedSequence(seed, spawn_key=(p, t))
-    streams with the seed hash run once per task."""
+    """A block's streams are numpy's SeedSequence(seed, spawn_key=(p, b,
+    kind)) streams, for multi-word seeds and point and block indices."""
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7])
     @pytest.mark.parametrize("point", [0, 1, 15, 2**32 - 1])
     def test_state_and_draws_match_numpy(self, seed, point):
-        for start, stop in [(0, 2), (255, 257), (10**8 - 1, 10**8)]:
-            rngs = linksim._trial_rngs(seed, point, start, stop)
-            assert len(rngs) == stop - start
-            for t, rng in zip(range(start, stop), rngs):
-                fresh = trial_stream(seed, point, t)
+        for block in [0, 1, 2**32]:
+            streams = linksim._block_streams(seed, point, block)
+            for kind, (rng, fresh) in enumerate(zip(streams, block_streams(seed, point, block))):
                 assert rng.bit_generator.state == fresh.bit_generator.state
                 seed_seq = rng.bit_generator.seed_seq
-                assert (seed_seq.entropy, seed_seq.spawn_key) == (seed, (point, t))
+                assert (seed_seq.entropy, seed_seq.spawn_key) == (seed, (point, block, kind))
                 assert rng.standard_normal(3).tobytes() == fresh.standard_normal(3).tobytes()
-                assert rng.integers(0, 256, 5, dtype=np.uint8).tobytes() == (
-                    fresh.integers(0, 256, 5, dtype=np.uint8).tobytes()
-                )
+            # the three kinds are three streams
+            assert len({rng.bit_generator.random_raw() for rng in streams}) == 3
 
     @pytest.mark.parametrize("seed, error", [(-1, ValueError), (2.0, TypeError)])
     def test_seed_must_be_a_non_negative_int(self, seed, error):
         # as numpy's SeedSequence rejects them
         with pytest.raises(error):
-            linksim._trial_rngs(seed, 0, 0, 2)
-
-    def test_seed_answers_only_pcg64s_request(self):
-        (rng,) = linksim._trial_rngs(3, 0, 0, 1)
-        with pytest.raises(ValueError):
-            rng.bit_generator.seed_seq.generate_state(4)
-        with pytest.raises(ValueError):
-            rng.bit_generator.seed_seq.generate_state(8, np.uint64)
+            run_trials([(single_node_scenario(), calibration_config([0.0], 32))], 2, seed)
 
 
 class TestScheduler:
@@ -959,8 +947,8 @@ class TestScheduler:
         assert pool_sizes == [2]
 
     def test_one_worker_keeps_the_per_run_task_list(self, task_list):
-        # each run in sweep order, each snr point split into spans of at
-        # most 256 trials: the task list of one run_trials call per value
+        # each run in sweep order, each snr point split into blocks of 256
+        # trials: the task list of one run_trials call per value
         ran = task_list({"experiment": "ber_vs_dimension", "trials": 600, "workers": 1})
-        spans = [(0, 200), (200, 400), (400, 600)]
+        spans = [(0, 256), (256, 512), (512, 600)]
         assert ran == [(1, d, p, a, b) for d in (2, 4) for p in range(8) for a, b in spans]
