@@ -51,11 +51,11 @@ class SolveError(ValueError):
 
 
 class IllConditionedChannelError(SolveError):
-    """Stacked channel too close to rank deficiency to invert."""
+    """Channel too close to rank deficiency to invert."""
 
     def __init__(self, condition: float, mask=True):
         self.condition = condition
-        super().__init__(f"stacked channel ill conditioned, cond ~ {condition:.3e}", mask)
+        super().__init__(f"channel ill conditioned, cond ~ {condition:.3e}", mask)
 
 
 class NoUniqueSolutionError(SolveError):
@@ -98,19 +98,19 @@ def rank_deficient(sv: np.ndarray) -> np.ndarray:
         return (top == 0.0) | (sv[..., -1] / top <= RANK_THRESHOLD)
 
 
-def left_pseudoinverse(stacked: np.ndarray) -> np.ndarray:
-    """Moore-Penrose left inverse of the tall 2M x M stacked channel.
-
-    Computed from the SVD; a rank_deficient channel is declared ill
-    conditioned.
-    Satisfies P @ S = I to numerical tolerance on full-rank inputs.
+def left_pseudoinverse(channel: np.ndarray) -> np.ndarray:
+    """Moore-Penrose left inverse P of a tall or square channel S, by
+    numpy.linalg.pinv's formula, bit for bit: of a 2M x M stacked channel,
+    or of an M x K effective channel, the trials' zero-forcing equalizer
+    (maximum-ratio combining for one column).  P @ S = I to numerical
+    tolerance; IllConditionedChannelError's mask marks rank_deficient members.
     """
-    u, sv, vh = np.linalg.svd(stacked, full_matrices=False)
+    u, sv, vh = np.linalg.svd(channel, full_matrices=False)
     bad = rank_deficient(sv)
     if bad.any():
         cond = max(math.inf if s[-1] == 0.0 else s[0] / s[-1] for s in sv[bad])
         raise IllConditionedChannelError(cond, bad)
-    return (_herm(vh) * (1.0 / sv)[..., None, :]) @ _herm(u)
+    return _herm(vh) @ ((1.0 / sv)[..., :, None] * _herm(u))
 
 
 def solve_coupled_drivers(

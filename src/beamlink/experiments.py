@@ -122,6 +122,12 @@ MAX_NODES = 1000
 # most trials a run may hold over its snr points and sweep values: run_trials
 # keeps 8 bytes of capacity samples per trial, about 800 MB at this bound
 MAX_TRIALS = 10**8
+# most antennas: a task holds each of its up to 256 trials' channels, M^2 per
+# draw, so capacity_vs_nodes peaks at about 590 MB at this bound
+MAX_DIMENSION = 32
+# most bits a packet may hold: a chunk holds at least one packet's bits and
+# normals, so a 3-node chain peaks at about 50 MB at this bound
+MAX_PACKET_BITS = 100_000
 
 
 def _spec(default=MISSING, kind=float, *, ge=None, gt=None, le=None, choices=None, fold=False):
@@ -157,9 +163,9 @@ class _NodeEntry:
 class ScenarioConfig:
     """Physical-layer and topology settings shared by every trial of a run."""
 
-    dimension: int = _spec(2, int, ge=1)
+    dimension: int = _spec(2, int, ge=1, le=MAX_DIMENSION)
     modulation: str = _spec("bpsk", str, choices=("bpsk", "qpsk"), fold=True)
-    packet_bits: int = _spec(2304, int, ge=1)
+    packet_bits: int = _spec(2304, int, ge=1, le=MAX_PACKET_BITS)
     # the log-gamma moments lose precision beyond m ~ 1e6
     nakagami_m: float = _spec(1.0, ge=0.5, le=1e6)
     nakagami_omega: float = _spec(1.0, gt=0.0)
@@ -217,7 +223,7 @@ class ExperimentConfig:
         asdict, serialize_config, equality and hashing ignore it."""
         name, values, _ = _EXPERIMENTS[self.experiment]
         if self.scenario.nodes is not None and name in ("node_count", "node_spacing"):
-            _fail(
+            raise ConfigError(
                 f"field 'scenario.nodes' cannot be given to {self.experiment}, "
                 f"which sweeps scenario.{name}"
             )
@@ -244,7 +250,7 @@ class ExperimentConfig:
                     include_interference=sc.include_interference,
                 )
             except ValueError as e:
-                _fail(f"field 'scenario.packet_bits' must split evenly: {e}{where}")
+                raise ConfigError(f"field 'scenario.packet_bits' must split evenly: {e}{where}") from None
             # the explicit nodes, or node_count nodes node_spacing apart on the x axis
             entries = sc.nodes if sc.nodes is not None else [
                 (i, i * sc.node_spacing, 0.0, sc.range_radius, sc.tx_power)
@@ -264,7 +270,7 @@ class ExperimentConfig:
                     measured_node=sc.measured_node,
                 )
             except ScenarioError as e:  # the field specs leave only the network rules to reject
-                _fail(f"field 'scenario.{e.field}': {e}{where}")
+                raise ConfigError(f"field 'scenario.{e.field}': {e}{where}") from None
             runs.append((param_name, param_value, sc, network, link))
         return tuple(runs)
 
@@ -273,14 +279,10 @@ _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 _NODE_KEYS = tuple(f.name for f in fields(_NodeEntry))
 
 
-def _fail(msg: str) -> None:
-    raise ConfigError(msg)
-
-
 def _check_keys(mapping: dict, allowed, where: str) -> None:
     for key in mapping:
         if key not in allowed:
-            _fail(f"unknown field {key!r} in {where}; expected one of {sorted(allowed)}")
+            raise ConfigError(f"unknown field {key!r} in {where}; expected one of {sorted(allowed)}")
 
 
 def _read(f, value, name: str):
@@ -290,14 +292,14 @@ def _read(f, value, name: str):
         return None
     if kind is bool:
         if not isinstance(value, bool):
-            _fail(f"field {name!r} must be true or false, got {value!r}")
+            raise ConfigError(f"field {name!r} must be true or false, got {value!r}")
     elif kind is str:
         if spec["fold"] and isinstance(value, str):
             value = value.lower()
         if spec["choices"] is not None and value not in spec["choices"]:
-            _fail(f"field {name!r} must be one of {list(spec['choices'])}, got {value!r}")
+            raise ConfigError(f"field {name!r} must be one of {list(spec['choices'])}, got {value!r}")
         if not isinstance(value, str) or not value:
-            _fail(f"field {name!r} must be a non-empty string, got {value!r}")
+            raise ConfigError(f"field {name!r} must be a non-empty string, got {value!r}")
     elif kind is tuple:
         if (
             not isinstance(value, (list, tuple))
@@ -305,35 +307,35 @@ def _read(f, value, name: str):
             or any(isinstance(v, bool) or not isinstance(v, int) for v in value)
             or value[0] == value[1]
         ):
-            _fail(f"field {name!r} must be a pair of distinct node ids, got {value!r}")
+            raise ConfigError(f"field {name!r} must be a pair of distinct node ids, got {value!r}")
         value = (min(value), max(value))
     elif is_dataclass(kind):
         if not isinstance(value, list) or not 0 < len(value) <= MAX_NODES:
-            _fail(f"field {name!r} must be a list of 1 to {MAX_NODES} objects")
+            raise ConfigError(f"field {name!r} must be a list of 1 to {MAX_NODES} objects")
         value = tuple(
             tuple(_read_fields(kind, entry, f"{name}[{i}]").values())
             for i, entry in enumerate(value)
         )
     elif kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            _fail(f"field {name!r} must be an integer, got {value!r}")
+            raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
     else:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail(f"field {name!r} must be a number, got {value!r}")
+            raise ConfigError(f"field {name!r} must be a number, got {value!r}")
         # an integer beyond the float range reads as infinite instead of overflowing
         value = math.inf if abs(value) > sys.float_info.max else float(value)
         if not math.isfinite(value):
-            _fail(f"field {name!r} must be a finite number, got {value!r}")
+            raise ConfigError(f"field {name!r} must be a finite number, got {value!r}")
     for op, bound in spec["bounds"]:
         if not _BOUND_CHECKS[op](value, bound):
-            _fail(f"field {name!r} must be {op} {bound}, got {value!r}")
+            raise ConfigError(f"field {name!r} must be {op} {bound}, got {value!r}")
     return value
 
 
 def _read_fields(cls, raw, where: str) -> dict:
     """Every spec'd field of cls, read from the JSON object raw or defaulted."""
     if not isinstance(raw, dict):
-        _fail(f"field {where!r} must be an object")
+        raise ConfigError(f"field {where!r} must be an object")
     specs = [f for f in fields(cls) if "kind" in f.metadata]
     _check_keys(raw, {f.name for f in specs}, where)
     values = {}
@@ -341,7 +343,7 @@ def _read_fields(cls, raw, where: str) -> dict:
         if f.name in raw:
             values[f.name] = _read(f, raw[f.name], f"{where}.{f.name}" if where else f.name)
         elif f.default is MISSING:
-            _fail(f"field {where!r} is missing {f.name!r}")
+            raise ConfigError(f"field {where!r} is missing {f.name!r}")
         else:
             values[f.name] = f.default
     return values
@@ -364,30 +366,30 @@ def _resolve(raw: dict, overrides: dict | None) -> ExperimentConfig:
         top.update(layer)
         part = layer.get("scenario", {})
         if not isinstance(part, dict):
-            _fail("field 'scenario' must be an object")
+            raise ConfigError("field 'scenario' must be an object")
         scenario.update(part)
     top.pop("scenario", None)
     snr = top.pop("snr", asdict(SnrGrid()))
     if not isinstance(snr, dict):
-        _fail(f"field 'snr' must be an object with {sorted(f.name for f in fields(SnrGrid))}")
+        raise ConfigError(f"field 'snr' must be an object with {sorted(f.name for f in fields(SnrGrid))}")
     # no snr anywhere is the generic grid; one without a stop is the single point at its start
     grid = SnrGrid(**_read_fields(SnrGrid, {"stop": snr.get("start", SnrGrid.start), **snr}, "snr"))
 
     values = _read_fields(ExperimentConfig, top, "")
     if grid.stop < grid.start:
-        _fail(f"field 'snr.stop' must be >= snr.start, got {grid.stop} < {grid.start}")
+        raise ConfigError(f"field 'snr.stop' must be >= snr.start, got {grid.stop} < {grid.start}")
     # the CSV is written after every trial has run, so its path is checked now
     output = values["output"]
     if os.path.isdir(output):
-        _fail(f"field 'output' must name a file, got the directory {output!r}")
+        raise ConfigError(f"field 'output' must name a file, got the directory {output!r}")
     if not os.path.isdir(os.path.dirname(output) or os.curdir):
-        _fail(f"field 'output' must be in an existing directory, got {output!r}")
+        raise ConfigError(f"field 'output' must be in an existing directory, got {output!r}")
     if grid.count() > MAX_SNR_POINTS:
-        _fail(f"field 'snr.step' must give at most {MAX_SNR_POINTS} snr points, got {grid.count()}")
+        raise ConfigError(f"field 'snr.step' must give at most {MAX_SNR_POINTS} snr points, got {grid.count()}")
     # every snr point of every sweep value runs the full trial budget
     most = MAX_TRIALS // (grid.count() * (len(_EXPERIMENTS[experiment][1]) or 1))
     if values["trials"] > most:
-        _fail(f"field 'trials' must be <= {most} for this snr grid and sweep, got {values['trials']}")
+        raise ConfigError(f"field 'trials' must be <= {most} for this snr grid and sweep, got {values['trials']}")
     config = ExperimentConfig(
         **values,
         snr=grid,
@@ -409,13 +411,13 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Exper
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
         except FileNotFoundError:
-            _fail(f"config file not found: {path}")
+            raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as e:
-            _fail(f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}")
+            raise ConfigError(f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
         except (OSError, ValueError) as e:  # unreadable path, bad encoding, oversized integer
-            _fail(f"cannot read config file {path}: {e}")
+            raise ConfigError(f"cannot read config file {path}: {e}") from None
         if not isinstance(raw, dict):
-            _fail("config root must be a JSON object")
+            raise ConfigError("config root must be a JSON object")
     return _resolve(raw, overrides)
 
 

@@ -18,7 +18,8 @@ point, one block of trials each) go to one scheduler, which runs them here
 for one process or on one process pool.  A task solves the pairs and the
 link algebra of all its trials as stacks, then sends one packet per trial,
 a few trials at a time: the slicer reads e = sum_s A_s x_s + W n behind the
-zero-forcing combiner W, so a trial draws only the normals of the real
+zero-forcing combiner W (beamformer.left_pseudoinverse of the desired
+sender's effective channel), so a trial draws only the normals of the real
 axes the slicer reads and colors them with a factor of W n's covariance,
 and the decisions are counted as packed bytes.  A singular solve,
 normalization or equalizer erases the trials its SolveError marks, and the
@@ -39,8 +40,8 @@ from beamlink.beamformer import (
     SolveError,
     build_rotator,
     compose,
+    left_pseudoinverse,
     normalization,
-    rank_deficient,
     solve_coupled_drivers,
 )
 from beamlink.channel import (
@@ -64,13 +65,13 @@ __all__ = [
     "DetectionError",
     "modulate",
     "received_signal",
-    "equalizers",
     "detect",
     "run_trials",
 ]
 
 class DetectionError(SolveError):
-    """Effective channel too singular to equalize; mask marks those members."""
+    """Nothing raises it; perfbench/bench.py imports it.  A rank-deficient
+    equalizer raises beamformer.IllConditionedChannelError."""
 
 
 @dataclass(frozen=True)
@@ -235,25 +236,6 @@ def received_signal(
         for j in range(e.shape[1]):
             e += coefficients[:, :, j, None] * values[:, None, j]
     return e.reshape(trials, *axes, per_axis)
-
-
-def equalizers(effective: np.ndarray, repetition: np.ndarray | None) -> np.ndarray:
-    """Zero-forcing equalizers of the desired node for a stack of trials.
-
-    effective is the (trials, M, M) stack of its channel @ composite.  The
-    effective channel h_eff is that, taken through the repetition vector in
-    diversity mode; a single column reduces the pseudoinverse to
-    maximum-ratio combining.  One SVD of the stack gives both the rank
-    check and the (trials, streams, M) pseudoinverses, by
-    numpy.linalg.pinv's own formula.  Raises DetectionError whose mask
-    marks the members whose h_eff is rank deficient.
-    """
-    h_eff = effective if repetition is None else effective @ repetition[:, None]
-    u, sv, vh = np.linalg.svd(h_eff, full_matrices=False)
-    bad = rank_deficient(sv)
-    if bad.any():
-        raise DetectionError("effective channel singular; cannot equalize", bad)
-    return vh.conj().swapaxes(1, 2) @ ((1.0 / sv)[:, :, None] * u.conj().swapaxes(1, 2))
 
 
 def _real_axes(m: np.ndarray, bits_per_symbol: int) -> np.ndarray:
@@ -476,9 +458,10 @@ def _run_task(
     at positions fixed by its index within the block.
 
     Every pair of every trial is solved as one stack, and so is the link
-    algebra at the measured point: each sender's channel @ composite
-    (@ rep in diversity mode) a_s, the desired node's equalizer W, each
-    other sender's A_s = W a_s, the SINR terms, the capacities and the
+    algebra at the measured point: the (trials, senders, M, K) stack of
+    each sender's channel @ composite (@ rep in diversity mode) a_s, the
+    desired node's zero-forcing equalizer W = left_pseudoinverse(a_0), the
+    other senders' A_s = W a_s, the SINR terms, the capacities and the
     noise factor.  The packet stage then takes the trials a chunk of at most
     _CHUNK_VALUES slicer values at a time: one random_raw and one
     standard_normal call draw the chunk's words and normals, the surviving
@@ -494,24 +477,26 @@ def _run_task(
     n = stop - start
     channel_rng, bits_rng, noise_rng = _block_streams(master_seed, point_idx, start // _BATCH_TRIALS)
     channels = plan.draw(channel_rng, n)
+    scheme, rep = link.modulation, plan.repetition
     alive = np.arange(n)
     while True:
         try:
             composites = _solve_network(plan, channels[alive])
-            effective = [channels[alive, d] @ composites[node_id] for node_id, d in plan.senders]
-            pinv = equalizers(effective[0], plan.repetition)
+            # (trials, senders, M, K): each sender's channel @ composite, and
+            # in diversity mode @ rep, which its one stream goes through
+            sent = np.stack([channels[alive, d] @ composites[k] for k, d in plan.senders], axis=1)
+            if rep is not None:
+                sent = sent @ rep[:, None]
+            pinv = left_pseudoinverse(sent[:, 0])
             break
         except SolveError as exc:
             # the pair solve marks (trials, pairs), the other steps (trials,)
             alive = alive[~exc.mask.reshape(len(alive), -1).any(axis=1)]
 
-    scheme, rep = link.modulation, plan.repetition
-    # diversity sends its one stream through channel @ composite @ rep
-    sent = effective if rep is None else [e @ rep[:, None] for e in effective]
     # what W makes of each interferer, and each stream's (trials, K) SINR terms
-    leaks = [pinv @ a for a in sent[1:]]
+    leaks = pinv[:, None] @ sent[:, 1:]
     noise_gain = np.sum(np.abs(pinv) ** 2, axis=-1)
-    interference = sum((np.sum(np.abs(a) ** 2, axis=-1) for a in leaks), np.zeros_like(noise_gain))
+    interference = np.sum(np.abs(leaks) ** 2, axis=-1).sum(axis=1)
     sigma2 = 1.0 / (10.0 ** (link.snr_db[point_idx] / 10.0))
     caps = np.full(n, math.nan)
     caps[alive] = capacity(effective_snr(interference, noise_gain, sigma2))
@@ -519,10 +504,8 @@ def _run_task(
     b = scheme.bits_per_symbol
     axes = link.streams * b
     factor = _noise_factor(pinv, sigma2, b)
-    leak_axes = np.empty((len(alive), len(leaks), axes, axes))
-    for s, a in enumerate(leaks):
-        leak_axes[:, s] = _real_axes(a, b)
-    senders, packet_bytes = len(sent), (link.packet_bits + 7) // 8
+    leak_axes = _real_axes(leaks, b)
+    senders, packet_bytes = len(plan.senders), (link.packet_bits + 7) // 8
     words = -(-senders * packet_bytes // 8)
     chunk = max(1, _CHUNK_VALUES // link.packet_bits)
     normals = np.empty((chunk, axes, link.symbols_per_stream))

@@ -105,7 +105,9 @@ def effective_snr(
     """
     if not noise_variance > 0:
         raise ValueError(f"noise_variance must be > 0, got {noise_variance}")
-    return 1.0 / (np.asarray(interference) + noise_variance * np.asarray(noise_gain))
+    # an underflowed sum or overflowed quotient is an inf SINR: mean_confidence reports it
+    with np.errstate(over="ignore", divide="ignore"):
+        return 1.0 / (np.asarray(interference) + noise_variance * np.asarray(noise_gain))
 
 
 def _clamp01(x: float) -> float:
@@ -192,17 +194,21 @@ def estimate_rates(stats: "TrialStats") -> dict[str, Estimate]:
 
 
 def mean_confidence(samples: np.ndarray, z: float = Z95) -> Estimate:
-    """Mean of the finite samples with a normal-theory 95% interval.
+    """Mean of the samples with a normal-theory 95% interval.
 
-    NaN entries (erased trials) are excluded; with fewer than two finite
-    samples the interval collapses to the point.
+    NaN entries (erased trials) are excluded, and an infinite one (a
+    capacity whose SINR overflowed) raises ValueError; with fewer than two
+    samples left the interval collapses to the point.
     """
     samples = np.asarray(samples, dtype=float)
-    finite = samples[np.isfinite(samples)]
-    if finite.size == 0:
-        raise ValueError("no finite samples to summarize")
-    value = float(np.mean(finite))
-    if finite.size < 2:
+    kept = samples[~np.isnan(samples)]
+    if kept.size == 0:
+        raise ValueError("no samples to summarize: every one is NaN")
+    overflowed = np.count_nonzero(np.isinf(kept))
+    if overflowed:
+        raise ValueError(f"{overflowed} of {kept.size} samples are infinite: the SINR overflowed")
+    value = float(np.mean(kept))
+    if kept.size < 2:
         return Estimate(value=value, ci_low=value, ci_high=value)
-    half = z * float(np.std(finite, ddof=1)) / math.sqrt(finite.size)
+    half = z * float(np.std(kept, ddof=1)) / math.sqrt(kept.size)
     return Estimate(value=value, ci_low=value - half, ci_high=value + half)

@@ -34,8 +34,8 @@ import numpy as np
 from scipy.special import erfc
 
 from beamlink import linksim
-from beamlink.beamformer import SolveError
-from beamlink.linksim import LinkConfig, TrialStats, equalizers
+from beamlink.beamformer import SolveError, left_pseudoinverse
+from beamlink.linksim import LinkConfig, TrialStats
 
 # complex constellation points; index k is the symbol's bits read msb-first
 POINTS = {
@@ -96,15 +96,16 @@ def trial_link(plan, rng) -> tuple[list[np.ndarray], np.ndarray] | None:
     alone: each sender's effective channel a_s (through the repetition
     vector in diversity mode) and the combiner W, or None where the trial is
     erased."""
-    channels = plan.draw(rng, 1)
+    channels, rep = plan.draw(rng, 1), plan.repetition
     try:
         composites = linksim._solve_network(plan, channels)
-        effective = [channels[:, d] @ composites[node_id] for node_id, d in plan.senders]
-        w = equalizers(effective[0], plan.repetition)[0]
+        sent = [channels[:, d] @ composites[node_id] for node_id, d in plan.senders]
+        if rep is not None:
+            sent = [a @ rep[:, None] for a in sent]
+        w = left_pseudoinverse(sent[0])[0]
     except SolveError:
         return None
-    rep = plan.repetition
-    return [e[0] if rep is None else e[0] @ rep[:, None] for e in effective], w
+    return [a[0] for a in sent], w
 
 
 def bit_error_probabilities(sent, w, symbols, sigma2: float, scheme) -> np.ndarray:

@@ -111,6 +111,38 @@ class TestLeftPseudoinverse:
             left_pseudoinverse(s)
         assert exc.value.condition > 1e9
 
+    @pytest.mark.parametrize("shape", [(2, 1), (4, 1), (2, 2), (4, 4)])
+    def test_stack_matches_numpy_pinv_bit_for_bit(self, shape):
+        # the trials' zero-forcing equalizer of (64, M, M) effective channels,
+        # and of (64, M, 1) ones taken through the repetition vector in diversity mode
+        rng = np.random.default_rng(200 + shape[0] * 10 + shape[1])
+        h = rng.normal(size=(64, *shape)) + 1j * rng.normal(size=(64, *shape))
+        pinv = left_pseudoinverse(h)
+        assert pinv.shape == (64, shape[1], shape[0])
+        for member, got in zip(h, pinv):
+            assert got.tobytes() == np.linalg.pinv(member).tobytes()
+
+    def test_column_channel_is_mrc(self):
+        # one column: W = h^H / ||h||^2, maximum-ratio combining at unit gain
+        rng = np.random.default_rng(2)
+        h = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
+        w = left_pseudoinverse(h)
+        np.testing.assert_allclose(w, h.conj().T / np.vdot(h, h).real, rtol=1e-14)
+        np.testing.assert_allclose(w @ h, [[1.0]], rtol=1e-14)
+
+    def test_mask_marks_zero_and_rank_one_members(self):
+        rng = np.random.default_rng(3)
+        full = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        u = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
+        ones = np.ones((2, 2), dtype=complex)
+        zero = np.zeros((2, 2), dtype=complex)
+        members = np.stack([full[0], zero, u @ u.conj().T, ones, full[1]])
+        # no divide warning either: the test run turns warnings into errors
+        with pytest.raises(IllConditionedChannelError) as exc:
+            left_pseudoinverse(members)
+        assert exc.value.mask.tolist() == [False, True, True, True, False]
+        assert exc.value.condition == math.inf
+
 
 class TestSolveCoupledDrivers:
     def setup_method(self):

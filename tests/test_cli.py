@@ -78,6 +78,20 @@ class TestExitCodes:
         assert rc == 2
         assert captured.err.startswith("runtime error:")
 
+    def test_overflowed_sinr_exits_2(self, tmp_path, capsys):
+        # at this power and snr the interference plus noise term underflows
+        # on 155 of 200 trials; their capacity is inf, not an erasure
+        cfg = write_config(tmp_path, {
+            "trials": 200, "seed": 12345, "snr": {"start": 1000.0},
+            "scenario": {"node_count": 1, "tx_power": 1e209, "packet_bits": 32},
+        })
+        out = tmp_path / "x.csv"
+        rc = main(["--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "runtime error: 155 of 200 samples are infinite: the SINR overflowed\n"
+        assert not out.exists()
+
 
 NONFINITE_FIELDS = (
     "nakagami_omega",
@@ -161,6 +175,10 @@ BAD_INPUTS = [
         {"nodes": [{"id": i, "x": 10.0 * i, "y": 0.0, "radius": 12.0} for i in (0, 1)]},
         "scenario.nodes",
     ),
+] + [
+    # sizes whose arrays would not fit in memory (MAX_DIMENSION, MAX_PACKET_BITS)
+    ([], {"dimension": 33}, "scenario.dimension"),
+    ([], {"packet_bits": 100_001}, "scenario.packet_bits"),
 ]
 
 

@@ -1,21 +1,18 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import norm as scipy_norm
 
 from beamlink import experiments, linksim
-from beamlink.beamformer import SolveError
+from beamlink.beamformer import left_pseudoinverse
 from beamlink.linksim import (
     BPSK,
     QPSK,
-    DetectionError,
     LinkConfig,
     TrialStats,
     detect,
-    equalizers,
     modulate,
     modulation_by_name,
     received_signal,
@@ -51,8 +48,8 @@ def single_node_scenario():
 
 
 def pinv_of(h):
-    """detect's equalizer for one effective channel h."""
-    return equalizers(np.asarray(h, dtype=complex)[None], None)[0]
+    """The trials' zero-forcing equalizer of one effective channel h."""
+    return left_pseudoinverse(np.asarray(h, dtype=complex))
 
 
 def argmin_bits(equalized, scheme):
@@ -336,19 +333,6 @@ class TestDetect:
         got = full_block_detect(np.array([[-0.3 - 1e9j]]), pinv_of([[1.0 + 0j]]), QPSK)
         np.testing.assert_array_equal(got, [1, 1])
 
-    def test_singular_channel_raises(self):
-        h = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-        with pytest.raises(DetectionError):
-            pinv_of(h)
-
-    def test_column_channel_is_mrc(self):
-        rng = np.random.default_rng(2)
-        h = (rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1)))
-        bits = rng.integers(0, 2, size=32)
-        x = complex_modulate(bits, BPSK)[None, :]
-        y = h @ x
-        np.testing.assert_array_equal(full_block_detect(y, pinv_of(h), BPSK), bits)
-
     @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 1), (4, 1)])
     def test_equalizer_matches_numpy_pinv(self, shape):
         # the full-block reference equalizes with pinv's formula on its one
@@ -376,44 +360,6 @@ class TestDetect:
                 y = rng.normal(size=(shape[0], 2304)) + 1j * rng.normal(size=(shape[0], 2304))
                 want = argmin_bits(np.linalg.pinv(h) @ y, scheme)
                 np.testing.assert_array_equal(full_block_detect(y, pinv_of(h), scheme), want)
-
-
-class TestEqualizers:
-    @pytest.mark.parametrize("shape", [(2, 1), (4, 1), (2, 2), (4, 4)])
-    def test_stack_matches_numpy_pinv_bit_for_bit(self, shape):
-        rng = np.random.default_rng(200 + shape[0] * 10 + shape[1])
-        h = rng.normal(size=(64, *shape)) + 1j * rng.normal(size=(64, *shape))
-        pinv = equalizers(h, None)
-        assert pinv.shape == (64, shape[1], shape[0])
-        for member, got in zip(h, pinv):
-            assert got.tobytes() == np.linalg.pinv(member).tobytes()
-
-    @pytest.mark.parametrize("dimension", [2, 4])
-    def test_normalization_and_repetition(self, dimension):
-        # the composites arrive normalized, so h_eff is effective itself,
-        # times the repetition vector (one column) in diversity mode
-        rng = np.random.default_rng(dimension)
-        shape = (16, dimension, dimension)
-        effective = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        rep = linksim._alternating_unit_vector(dimension)
-        for repetition in (None, rep):
-            pinv = equalizers(effective, repetition)
-            for eff, got in zip(effective, pinv):
-                h_eff = eff if repetition is None else eff @ repetition[:, None]
-                assert got.tobytes() == np.linalg.pinv(h_eff).tobytes()
-
-    def test_mask_marks_zero_and_rank_one_members(self):
-        rng = np.random.default_rng(3)
-        full = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-        u = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
-        rank_one = u @ u.conj().T
-        stack = np.stack([full[0], np.zeros((2, 2), dtype=complex), rank_one, full[1]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DetectionError) as exc:
-                equalizers(stack, None)
-        assert isinstance(exc.value, SolveError)
-        assert exc.value.mask.tolist() == [False, True, True, False]
 
 
 def test_composites_carry_unit_total_power():
@@ -794,6 +740,30 @@ class TestRunTrials:
         quiet = LinkConfig(**{**vars(link), "include_interference": False})
         (with_i,), (without_i,) = (run_trials([(scenario, lk)], 20, master_seed=5) for lk in (link, quiet))
         assert with_i.stats.bit_errors > 10 * without_i.stats.bit_errors
+
+    @pytest.mark.parametrize("mode, dimension", [("multiplexing", 2), ("diversity", 4)])
+    def test_equalizer_is_a_left_inverse_on_every_trial(self, monkeypatch, mode, dimension):
+        # what _run_task hands left_pseudoinverse is every trial's a_0, and
+        # W a_0 = I holds on each to criterion 3's bound
+        handed = []
+        equalize = linksim.left_pseudoinverse
+
+        def recorded(a0):
+            handed.append((a0, equalize(a0)))
+            return handed[-1][1]
+
+        monkeypatch.setattr(linksim, "left_pseudoinverse", recorded)
+        config = experiments.load_config(overrides={
+            "trials": 20, "seed": 6, "snr": {"start": 20.0},
+            "scenario": {**TestSinr.CHAIN3, "dimension": dimension, "transmission_mode": mode,
+                         "packet_bits": 64},
+        })
+        ((*_, scenario, link),) = config.runs
+        run_trials([(scenario, link)], 20, master_seed=6)
+        ((a0, w),) = handed
+        assert a0.shape == (20, dimension, link.streams)
+        residual = np.linalg.norm(w @ a0 - np.eye(link.streams), axis=(-2, -1))
+        assert residual.max() <= 1e-10
 
     def test_diversity_mode_runs(self):
         sc = two_node_scenario()

@@ -259,6 +259,11 @@ class TestMeanConfidence:
         with pytest.raises(ValueError):
             mean_confidence(np.array([np.nan, np.nan]))
 
+    def test_infinite_sample_is_an_overflow_not_an_erasure(self):
+        # only NaN marks an erased trial; an inf capacity has no mean
+        with pytest.raises(ValueError, match="1 of 3 samples are infinite: the SINR overflowed"):
+            mean_confidence(np.array([1.0, np.nan, np.inf, 3.0]))
+
     def test_single_sample_collapses(self):
         est = mean_confidence(np.array([4.2]))
         assert est.ci_low == est.ci_high == est.value
