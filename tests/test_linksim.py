@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import norm as scipy_norm
 
 from beamlink import experiments, linksim
-from beamlink.beamformer import left_pseudoinverse
+from beamlink.beamformer import IllConditionedChannelError, left_pseudoinverse
 from beamlink.linksim import (
     BPSK,
     QPSK,
@@ -333,6 +333,12 @@ class TestDetect:
         got = full_block_detect(np.array([[-0.3 - 1e9j]]), pinv_of([[1.0 + 0j]]), QPSK)
         np.testing.assert_array_equal(got, [1, 1])
 
+    def test_singular_channel_raises(self):
+        # _run_task erases the trial on this error
+        h = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
+        with pytest.raises(IllConditionedChannelError):
+            pinv_of(h)
+
     @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 1), (4, 1)])
     def test_equalizer_matches_numpy_pinv(self, shape):
         # the full-block reference equalizes with pinv's formula on its one
@@ -360,6 +366,24 @@ class TestDetect:
                 y = rng.normal(size=(shape[0], 2304)) + 1j * rng.normal(size=(shape[0], 2304))
                 want = argmin_bits(np.linalg.pinv(h) @ y, scheme)
                 np.testing.assert_array_equal(full_block_detect(y, pinv_of(h), scheme), want)
+
+
+
+class TestEqualizers:
+    def test_mask_marks_zero_and_rank_one_members(self):
+        # the trials' equalizer on a stack of a_0: the mask picks out the
+        # trials to erase
+        rng = np.random.default_rng(3)
+        full = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        u = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
+        ones = np.ones((2, 2), dtype=complex)
+        zero = np.zeros((2, 2), dtype=complex)
+        members = np.stack([full[0], zero, u @ u.conj().T, ones, full[1]])
+        # no divide warning either: the test run turns warnings into errors
+        with pytest.raises(IllConditionedChannelError) as exc:
+            linksim.left_pseudoinverse(members)
+        assert exc.value.mask.tolist() == [False, True, True, True, False]
+        assert exc.value.condition == math.inf
 
 
 def test_composites_carry_unit_total_power():
