@@ -22,7 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from beamlink.linksim import LinkConfig, modulation_by_name, run_trials
+from beamlink.linksim import _BATCH_TRIALS, MODULATIONS, LinkConfig, run_trials
 from beamlink.channel import NakagamiParams
 from beamlink.metrics import (
     Estimate,
@@ -54,7 +54,6 @@ class ConfigError(ValueError):
 
 NODE_COUNT_SWEEP = (2, 4, 8)
 SPACING_SWEEP = (5.0, 8.0, 11.0)
-MODULATION_SWEEP = ("bpsk", "qpsk")
 DIMENSION_SWEEP = (2, 4)
 
 # each named experiment: the scenario field it sweeps, the values it takes,
@@ -84,7 +83,7 @@ _EXPERIMENTS: dict[str, tuple[str, tuple, dict]] = {
     }),
     # single fading link: order constellations by their noise margin without
     # the coordinated-pair normalization dominating the comparison.
-    "per_vs_modulation": ("modulation", MODULATION_SWEEP, {
+    "per_vs_modulation": ("modulation", tuple(MODULATIONS), {
         "snr": {"start": 0.0, "stop": 14.0, "step": 2.0},
         "trials": 400,
         "scenario": {"node_count": 1},
@@ -128,6 +127,12 @@ MAX_DIMENSION = 32
 # most bits a packet may hold: a chunk holds at least one packet's bits and
 # normals, so a 3-node chain peaks at about 50 MB at this bound
 MAX_PACKET_BITS = 100_000
+# most channel entries a task may hold: each of its up to _BATCH_TRIALS
+# trials draws M^2 complex entries per channel, at most four channels per
+# overlap and one per other node, and solving the pairs peaks near 73 bytes
+# per entry, so about 730 MB at this bound (capacity_vs_nodes at
+# MAX_DIMENSION counts 9.4 million)
+MAX_CHANNEL_ENTRIES = 10_000_000
 
 
 def _spec(default=MISSING, kind=float, *, ge=None, gt=None, le=None, choices=None, fold=False):
@@ -164,7 +169,7 @@ class ScenarioConfig:
     """Physical-layer and topology settings shared by every trial of a run."""
 
     dimension: int = _spec(2, int, ge=1, le=MAX_DIMENSION)
-    modulation: str = _spec("bpsk", str, choices=("bpsk", "qpsk"), fold=True)
+    modulation: str = _spec("bpsk", str, choices=tuple(MODULATIONS), fold=True)
     packet_bits: int = _spec(2304, int, ge=1, le=MAX_PACKET_BITS)
     # the log-gamma moments lose precision beyond m ~ 1e6
     nakagami_m: float = _spec(1.0, ge=0.5, le=1e6)
@@ -229,7 +234,7 @@ class ExperimentConfig:
             )
         sweep = [("custom", 0.0, self.scenario)] if name == "custom" else [
             # a modulation is valued by its bits per symbol
-            (name, float(modulation_by_name(v).bits_per_symbol if name == "modulation" else v),
+            (name, float(MODULATIONS[v].bits_per_symbol if name == "modulation" else v),
              replace(self.scenario, **{name: v}))
             for v in values
         ]
@@ -242,7 +247,7 @@ class ExperimentConfig:
                 link = LinkConfig(
                     snr_db=self.snr_points(),
                     dimension=sc.dimension,
-                    modulation=modulation_by_name(sc.modulation),
+                    modulation=MODULATIONS[sc.modulation],
                     packet_bits=sc.packet_bits,
                     fading=fading,
                     rotation_angle=sc.rotation_angle,
@@ -271,6 +276,14 @@ class ExperimentConfig:
                 )
             except ScenarioError as e:  # the field specs leave only the network rules to reject
                 raise ConfigError(f"field 'scenario.{e.field}': {e}{where}") from None
+            draws = 4 * len(network.overlaps) + len(nodes) if network.overlaps else 1
+            trials = min(self.trials, _BATCH_TRIALS)
+            if trials * draws * sc.dimension**2 > MAX_CHANNEL_ENTRIES:
+                raise ConfigError(
+                    f"field 'scenario' must give tasks of at most {MAX_CHANNEL_ENTRIES} channel "
+                    f"entries, got {trials * draws * sc.dimension**2}: up to {draws} draws of "
+                    f"{sc.dimension}x{sc.dimension} channels for each of {trials} trials{where}"
+                )
             runs.append((param_name, param_value, sc, network, link))
         return tuple(runs)
 

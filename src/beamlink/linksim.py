@@ -21,7 +21,8 @@ a few trials at a time: the slicer reads e = sum_s A_s x_s + W n behind the
 zero-forcing combiner W (beamformer.left_pseudoinverse of the desired
 sender's effective channel), so a trial draws only the normals of the real
 axes the slicer reads and colors them with a factor of W n's covariance,
-and the decisions are counted as packed bytes.  A singular solve,
+and its errors are the sign decisions on those axes that differ from the
+signs of the desired sender's coordinates.  A singular solve,
 normalization or equalizer erases the trials its SolveError marks, and the
 stacked steps run again on the rest.
 """
@@ -51,14 +52,14 @@ from beamlink.channel import (
     sample_channel,
     stack,
 )
-from beamlink.metrics import capacity, effective_snr
+from beamlink.metrics import capacity, effective_snr, uncoded_stream_params
 from beamlink.topology import NetworkScenario, Node, path_gain
 
 __all__ = [
     "ModulationScheme",
     "BPSK",
     "QPSK",
-    "modulation_by_name",
+    "MODULATIONS",
     "TrialStats",
     "LinkConfig",
     "PointResult",
@@ -89,12 +90,7 @@ BPSK = ModulationScheme(kind="bpsk", bits_per_symbol=1)
 QPSK = ModulationScheme(kind="qpsk", bits_per_symbol=2)
 
 
-def modulation_by_name(name: str) -> ModulationScheme:
-    schemes = {"bpsk": BPSK, "qpsk": QPSK}
-    try:
-        return schemes[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown modulation {name!r}; expected bpsk or qpsk") from None
+MODULATIONS = {"bpsk": BPSK, "qpsk": QPSK}
 
 
 @dataclass
@@ -165,11 +161,7 @@ class LinkConfig:
             raise ValueError(f"mode must be multiplexing or diversity, got {self.mode!r}")
         if self.packet_bits < 1:
             raise ValueError(f"packet_bits must be >= 1, got {self.packet_bits}")
-        if self.packet_bits % (self.streams * self.modulation.bits_per_symbol) != 0:
-            raise ValueError(
-                f"{self.packet_bits} bits do not split into {self.streams} streams "
-                f"of {self.modulation.bits_per_symbol}-bit symbols"
-            )
+        self.symbols_per_stream  # raises ValueError unless the packet splits evenly
 
     @property
     def streams(self) -> int:
@@ -177,7 +169,7 @@ class LinkConfig:
 
     @property
     def symbols_per_stream(self) -> int:
-        return self.packet_bits // (self.streams * self.modulation.bits_per_symbol)
+        return uncoded_stream_params(self.packet_bits, self.modulation.bits_per_symbol, self.streams)[0]
 
 
 @dataclass
@@ -269,19 +261,16 @@ def _noise_factor(pinv: np.ndarray, sigma2: float, bits_per_symbol: int) -> np.n
 
 
 def detect(e: np.ndarray) -> np.ndarray:
-    """Sign decisions on a chunk of slicer statistics, packed into bytes.
+    """Sign decisions on a chunk of slicer statistics.
 
     e is what received_signal returns.  BPSK decides bit = Re e < 0 and
     QPSK the bits (Im e < 0, Re e < 0).  For these Gray-mapped
     constellations that is the minimum-distance decision, and it stays
     exact where |Im e| / |Re e| is so large that the distances to the
-    points tie in floating point.  Returns each packet's decisions in the
-    order sent, msb-first, one row of bytes per packet; the bits that pad
-    the last byte are 0.
+    points tie in floating point.  Returns the decided bits in e's own
+    (trials, K, D/K, N) layout, the layout of modulate's coordinates.
     """
-    # rows are streams, each symbol's bits in turn: the transmit order
-    decisions = (e < 0.0).swapaxes(-1, -2).reshape(len(e), -1)
-    return np.packbits(decisions, axis=-1)
+    return e < 0.0
 
 
 def _alternating_unit_vector(dimension: int) -> np.ndarray:
@@ -416,8 +405,8 @@ def _solve_network(plan: _TaskPlan, channels: np.ndarray) -> dict[int, np.ndarra
 
 # a task is one block of this many trials (fewer in a point's last block),
 # counted from trial 0 and solved as one stack.  The block keys the task's
-# streams, so this size is part of every result; it also bounds a task's
-# memory
+# streams, so this size is part of every result; with
+# experiments.MAX_CHANNEL_ENTRIES it also bounds a task's memory
 _BATCH_TRIALS = 256
 
 # the packet stage takes a task's trials a chunk of at most this many
@@ -427,9 +416,6 @@ _BATCH_TRIALS = 256
 # draw has its own stream, filled trial by trial, so the chunk size moves
 # no draw and bounds only memory
 _CHUNK_VALUES = 4 * 2304
-
-# bits set in each byte value
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
 def _block_streams(master_seed: int, point_idx: int, block: int) -> list[Generator]:
@@ -465,9 +451,11 @@ def _run_task(
     noise factor.  The packet stage then takes the trials a chunk of at most
     _CHUNK_VALUES slicer values at a time: one random_raw and one
     standard_normal call draw the chunk's words and normals, the surviving
-    trials' rows are kept, modulate, received_signal and detect each run
-    once, and the packed decisions are XORed against the desired sender's
-    bytes and counted by a popcount table.
+    trials' rows are kept, and modulate, received_signal and detect each run
+    once.  A coordinate is negative exactly where its bit is 1, so a
+    decision is wrong where it differs from the sign of the desired
+    sender's coordinate; on that one (trials, K, D/K, N) array a symbol is
+    wrong where any of its D/K bits is, and a packet where any of its bits is.
 
     A numerical failure in the solve, the normalization or the equalizer
     erases its trials: one lost packet each, NaN capacity.  The failing
@@ -509,8 +497,6 @@ def _run_task(
     words = -(-senders * packet_bytes // 8)
     chunk = max(1, _CHUNK_VALUES // link.packet_bits)
     normals = np.empty((chunk, axes, link.symbols_per_stream))
-    # the decisions pad the last byte with 0s, the drawn bytes with random bits
-    last_byte = 0xFF & 0xFF << (-link.packet_bits % 8)
     bit_errors = symbol_errors = packet_errors = 0
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
@@ -525,18 +511,15 @@ def _run_task(
         bits = np.unpackbits(packed, axis=-1, count=link.packet_bits)
         symbols = modulate(bits.reshape(j - i, senders, link.streams, -1), scheme)
         e = received_signal(symbols, leak_axes[i:j], factor[i:j], normals[keep])
-        wrong = detect(e) ^ packed[:, 0]
-        wrong[:, -1] &= last_byte
-        errors = int(_POPCOUNT.take(wrong).sum())
-        bit_errors += errors
-        # a QPSK symbol is wrong exactly when one of its two bits is
-        symbol_errors += errors if b == 1 else int(_POPCOUNT.take((wrong | wrong >> 1) & 0x55).sum())
-        packet_errors += int(np.count_nonzero(wrong.any(axis=1)))
+        wrong = detect(e) != (symbols[:, 0] < 0.0)
+        bit_errors += int(np.count_nonzero(wrong))
+        symbol_errors += int(np.count_nonzero(wrong.any(axis=2)))
+        packet_errors += int(np.count_nonzero(wrong.any(axis=(1, 2, 3))))
     erased = n - len(alive)
     stats = TrialStats(
         bits_sent=len(alive) * link.packet_bits,
         bit_errors=bit_errors,
-        symbols_sent=len(alive) * link.packet_bits // scheme.bits_per_symbol,
+        symbols_sent=len(alive) * link.packet_bits // b,
         symbol_errors=symbol_errors,
         packets_sent=n,
         packet_errors=packet_errors + erased,

@@ -179,6 +179,13 @@ BAD_INPUTS = [
     # sizes whose arrays would not fit in memory (MAX_DIMENSION, MAX_PACKET_BITS)
     ([], {"dimension": 33}, "scenario.dimension"),
     ([], {"packet_bits": 100_001}, "scenario.packet_bits"),
+    # a valid network too dense for a task's channels (MAX_CHANNEL_ENTRIES):
+    # 44,850 overlaps, so up to 179,700 draws for each of 256 trials
+    (
+        ["--trials", "256", "--snr", "0:0:1"],
+        {"node_count": 300, "node_spacing": 0.01, "range_radius": 10.0, "packet_bits": 8},
+        "scenario",
+    ),
 ]
 
 

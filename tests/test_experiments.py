@@ -13,6 +13,7 @@ from beamlink import experiments
 from beamlink.experiments import (
     DIMENSION_SWEEP,
     EXPERIMENTS,
+    MAX_DIMENSION,
     MAX_NODES,
     MAX_SNR_POINTS,
     MAX_TRIALS,
@@ -25,7 +26,7 @@ from beamlink.experiments import (
     run_experiment,
     serialize_config,
 )
-from beamlink.linksim import run_trials
+from beamlink.linksim import LinkConfig, run_trials
 from beamlink.metrics import Estimate, MetricPoint, MetricSeries, packet_error_rate, uncoded_stream_params
 from beamlink.topology import build_scenario
 
@@ -326,6 +327,18 @@ class TestRuns:
         apart = replace(cfg, scenario=replace(cfg.scenario, node_spacing=20.0))
         assert all(network.overlaps for *_, network, _ in cfg.runs)
         assert not any(network.overlaps for *_, network, _ in apart.runs)
+
+    def test_default_link_is_link_configs_default(self):
+        # LinkConfig repeats ScenarioConfig's link defaults; the two must agree
+        cfg = load_config()
+        assert cfg.runs[0][4] == LinkConfig(snr_db=cfg.snr_points())
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_every_experiment_loads_at_max_dimension(self, name):
+        # MAX_CHANNEL_ENTRIES leaves room for every named sweep at the most antennas
+        scenario = {"dimension": MAX_DIMENSION, "packet_bits": 64 * MAX_DIMENSION}
+        cfg = load_config(overrides={"experiment": name, "scenario": scenario})
+        assert cfg.scenario.dimension == MAX_DIMENSION and cfg.runs
 
 
 class TestSnrGrid:
