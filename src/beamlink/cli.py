@@ -69,13 +69,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     try:
-        series = run_experiment(config)
-        emit_csv(series, config.output)
+        n_rows = emit_csv(run_experiment(config), config.output)
     except Exception as e:  # solver, estimation, or I/O failure after validation
         print(f"runtime error: {e}", file=sys.stderr)
         return 2
 
-    n_rows = sum(5 * len(s.points) for s in series)
     print(f"{config.experiment}: wrote {n_rows} rows to {config.output}")
     return 0
 

@@ -133,6 +133,10 @@ MAX_PACKET_BITS = 100_000
 # per entry, so about 730 MB at this bound (capacity_vs_nodes at
 # MAX_DIMENSION counts 9.4 million)
 MAX_CHANNEL_ENTRIES = 10_000_000
+# largest power scale (tx_power, a node's power, nakagami_omega), whose
+# inverse 1e-50 is the smallest: with the +-1000 dB snr bound, a received SNR
+# stays within 2000 dB of unit, and the equalizer's squared norms stay finite
+MAX_POWER_SCALE = 1e50
 
 
 def _spec(default=MISSING, kind=float, *, ge=None, gt=None, le=None, choices=None, fold=False):
@@ -161,7 +165,7 @@ class _NodeEntry:
     x: float = _spec(ge=-MAX_LENGTH, le=MAX_LENGTH)
     y: float = _spec(ge=-MAX_LENGTH, le=MAX_LENGTH)
     radius: float = _spec(gt=0.0, le=MAX_LENGTH)
-    power: float = _spec(1.0, gt=0.0)
+    power: float = _spec(1.0, ge=1e-50, le=MAX_POWER_SCALE)
 
 
 @dataclass(frozen=True)
@@ -173,14 +177,14 @@ class ScenarioConfig:
     packet_bits: int = _spec(2304, int, ge=1, le=MAX_PACKET_BITS)
     # the log-gamma moments lose precision beyond m ~ 1e6
     nakagami_m: float = _spec(1.0, ge=0.5, le=1e6)
-    nakagami_omega: float = _spec(1.0, gt=0.0)
+    nakagami_omega: float = _spec(1.0, ge=1e-50, le=MAX_POWER_SCALE)
     rotation_angle: float = _spec(math.pi)
     path_loss_exponent: float = _spec(3.0, ge=0.0)
     reference_distance: float = _spec(1.0, gt=0.0, le=MAX_LENGTH)
     node_count: int = _spec(2, int, ge=1, le=MAX_NODES)
     node_spacing: float = _spec(10.0, gt=0.0, le=MAX_LENGTH)
     range_radius: float = _spec(6.0, gt=0.0, le=MAX_LENGTH)
-    tx_power: float = _spec(1.0, gt=0.0)
+    tx_power: float = _spec(1.0, ge=1e-50, le=MAX_POWER_SCALE)
     per_formula: str = _spec("conventional", str, choices=("conventional", "literal"))
     transmission_mode: str = _spec("multiplexing", str, choices=("multiplexing", "diversity"))
     include_interference: bool = _spec(True, bool)
@@ -489,10 +493,8 @@ def run_experiment(config: ExperimentConfig) -> list[MetricSeries]:
                 MetricPoint(
                     snr_db=pr.snr_db,
                     capacity=mean_confidence(pr.capacity_samples),
-                    ber=rates["ber"],
-                    ser=ser,
-                    per=rates["per"],
                     per_model=per_model,
+                    **rates,
                 )
             )
         series = MetricSeries(
@@ -511,41 +513,26 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def emit_csv(series: list[MetricSeries], path: str) -> None:
-    """Write the deterministic CSV: built fully in memory, single write."""
+def emit_csv(series: list[MetricSeries], path: str) -> int:
+    """Write the deterministic CSV in one write: a row per estimate field of
+    each MetricPoint, stably sorted by snr, parameter value and metric name.
+    Returns the number of rows written, the header not counted."""
     if not series:
         raise ValueError("no series to emit")
-    rows = []
-    for s in series:
-        for p in s.points:
-            metrics = {
-                "ber": p.ber,
-                "capacity": p.capacity,
-                "per": p.per,
-                "per_model": p.per_model,
-                "ser": p.ser,
-            }
-            for name, est in metrics.items():
-                rows.append(
-                    (
-                        p.snr_db,
-                        s.param_name,
-                        s.param_value,
-                        name,
-                        est.value,
-                        est.ci_low,
-                        est.ci_high,
-                        s.trials,
-                        s.seed,
-                    )
-                )
-    rows.sort(key=lambda r: (r[0], r[2], r[3]))
-    lines = ["snr_db,param_name,param_value,metric,value,ci_low,ci_high,trials,seed"]
-    for snr, pname, pval, metric, value, lo, hi, trials, seed in rows:
-        lines.append(
-            f"{_fmt(snr)},{pname},{_fmt(pval)},{metric},{_fmt(value)},{_fmt(lo)},{_fmt(hi)},"
-            f"{trials},{seed}"
+    estimates = [f.name for f in fields(MetricPoint) if f.name != "snr_db"]
+    rows = [
+        (
+            (p.snr_db, s.param_value, name),
+            f"{_fmt(p.snr_db)},{s.param_name},{_fmt(s.param_value)},{name},{_fmt(est.value)},"
+            f"{_fmt(est.ci_low)},{_fmt(est.ci_high)},{s.trials},{s.seed}\n",
         )
-    text = "\n".join(lines) + "\n"
+        for s in series
+        for p in s.points
+        for name in estimates
+        for est in [getattr(p, name)]
+    ]
+    rows.sort(key=lambda row: row[0])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.write("snr_db,param_name,param_value,metric,value,ci_low,ci_high,trials,seed\n"
+                 + "".join(line for _, line in rows))
+    return len(rows)

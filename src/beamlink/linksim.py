@@ -32,7 +32,7 @@ import math
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
@@ -52,7 +52,7 @@ from beamlink.channel import (
     sample_channel,
     stack,
 )
-from beamlink.metrics import capacity, effective_snr, uncoded_stream_params
+from beamlink.metrics import RATES, capacity, effective_snr, uncoded_stream_params
 from beamlink.topology import NetworkScenario, Node, path_gain
 
 __all__ = [
@@ -95,8 +95,8 @@ MODULATIONS = {"bpsk": BPSK, "qpsk": QPSK}
 
 @dataclass
 class TrialStats:
-    """Additive Monte-Carlo counters; erased trials count one packet error
-    without touching the bit/symbol rows."""
+    """Additive Monte-Carlo counters, each of RATES' error counts within its
+    trials; an erased trial counts one packet error and no bits or symbols."""
 
     bits_sent: int = 0
     bit_errors: int = 0
@@ -107,26 +107,15 @@ class TrialStats:
     erasures: int = 0
 
     def __post_init__(self):
-        for sent, errors in [
-            (self.bits_sent, self.bit_errors),
-            (self.symbols_sent, self.symbol_errors),
-            (self.packets_sent, self.packet_errors),
-        ]:
+        for _, errors_field, sent_field in RATES:
+            errors, sent = getattr(self, errors_field), getattr(self, sent_field)
             if errors < 0 or sent < 0 or errors > sent:
-                raise ValueError(f"bad counter pair errors={errors} sent={sent}")
+                raise ValueError(f"bad counter pair {errors_field}={errors} {sent_field}={sent}")
         if self.erasures < 0 or self.erasures > self.packets_sent:
             raise ValueError(f"bad erasure count {self.erasures}")
 
     def __add__(self, other: "TrialStats") -> "TrialStats":
-        return TrialStats(
-            bits_sent=self.bits_sent + other.bits_sent,
-            bit_errors=self.bit_errors + other.bit_errors,
-            symbols_sent=self.symbols_sent + other.symbols_sent,
-            symbol_errors=self.symbol_errors + other.symbol_errors,
-            packets_sent=self.packets_sent + other.packets_sent,
-            packet_errors=self.packet_errors + other.packet_errors,
-            erasures=self.erasures + other.erasures,
-        )
+        return TrialStats(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
 
 @dataclass(frozen=True)

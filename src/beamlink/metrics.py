@@ -22,6 +22,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Z95",
+    "RATES",
     "Estimate",
     "MetricPoint",
     "MetricSeries",
@@ -35,6 +36,12 @@ __all__ = [
 ]
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
+# each counted rate: its name, and the TrialStats counters of its errors and trials
+RATES = (
+    ("ber", "bit_errors", "bits_sent"),
+    ("ser", "symbol_errors", "symbols_sent"),
+    ("per", "packet_errors", "packets_sent"),
+)
 
 
 @dataclass(frozen=True)
@@ -57,7 +64,8 @@ class MetricPoint:
     """All estimates for one SNR point.
 
     per is the directly counted packet error rate; per_model is the
-    analytic rate recomputed from the measured symbol error rate.
+    analytic rate recomputed from the measured symbol error rate.  Every
+    field after snr_db is an Estimate, and emit_csv writes each as a row.
     """
 
     snr_db: float
@@ -178,13 +186,10 @@ def wilson_interval(errors: int, total: int, z: float = Z95) -> tuple[float, flo
 
 
 def estimate_rates(stats: "TrialStats") -> dict[str, Estimate]:
-    """BER/SER/PER point estimates with Wilson 95% intervals from raw counts."""
+    """Each of RATES in its order: the counted rate with its Wilson 95% interval."""
     out = {}
-    for name, errors, total in [
-        ("ber", stats.bit_errors, stats.bits_sent),
-        ("ser", stats.symbol_errors, stats.symbols_sent),
-        ("per", stats.packet_errors, stats.packets_sent),
-    ]:
+    for name, errors_field, total_field in RATES:
+        errors, total = getattr(stats, errors_field), getattr(stats, total_field)
         if total <= 0:
             raise ValueError(f"cannot estimate {name}: zero denominator")
         low, high = wilson_interval(errors, total)

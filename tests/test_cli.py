@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -78,9 +80,14 @@ class TestExitCodes:
         assert rc == 2
         assert captured.err.startswith("runtime error:")
 
-    def test_overflowed_sinr_exits_2(self, tmp_path, capsys):
-        # at this power and snr the interference plus noise term underflows
-        # on 155 of 200 trials; their capacity is inf, not an erasure
+    def test_overflowing_power_exits_1_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        # at this power and snr the interference plus noise term would
+        # underflow on 155 of 200 trials, an infinite capacity; the power
+        # bound (MAX_POWER_SCALE) refuses it at load time instead
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "run_trials", no_trials)
         cfg = write_config(tmp_path, {
             "trials": 200, "seed": 12345, "snr": {"start": 1000.0},
             "scenario": {"node_count": 1, "tx_power": 1e209, "packet_bits": 32},
@@ -88,8 +95,8 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         rc = main(["--config", cfg, "--out", str(out)])
         err = capsys.readouterr().err
-        assert rc == 2
-        assert err == "runtime error: 155 of 200 samples are infinite: the SINR overflowed\n"
+        assert rc == 1
+        assert err == "config error: field 'scenario.tx_power' must be <= 1e+50, got 1e+209\n"
         assert not out.exists()
 
 
@@ -186,6 +193,21 @@ BAD_INPUTS = [
         {"node_count": 300, "node_spacing": 0.01, "range_radius": 10.0, "packet_bits": 8},
         "scenario",
     ),
+] + [
+    # power scales whose SINR would overflow, or whose subnormal power would
+    # leave NaN slicer statistics behind a written CSV (MAX_POWER_SCALE)
+    (
+        ["--trials", "200", "--seed", "12345", "--snr", "1000:1000:1"],
+        {"node_count": 1, "tx_power": 1e209},
+        "scenario.tx_power",
+    ),
+    (
+        ["--trials", "20", "--seed", "12345", "--snr", "0:0:1"],
+        {"node_count": 1, "tx_power": 1e-320},
+        "scenario.tx_power",
+    ),
+    ([], {"node_count": 1, "nakagami_omega": 1e209}, "scenario.nakagami_omega"),
+    ([], {"nodes": [{"id": 0, "x": 0.0, "y": 0.0, "radius": 6.0, "power": 1e-60}]}, "scenario.nodes[0].power"),
 ]
 
 
@@ -314,8 +336,12 @@ class TestParser:
         assert "usage" not in captured.err
 
     def test_module_entry_point(self):
+        # the child finds the package where the tests found it, installed or not
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "beamlink.cli", "--help"],
+            env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
             text=True,
             timeout=60,

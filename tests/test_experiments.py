@@ -517,6 +517,11 @@ class TestEmitCsv:
         with pytest.raises(ValueError, match="no series"):
             emit_csv([], str(tmp_path / "out.csv"))
 
+    def test_returns_the_rows_it_wrote(self, tmp_path):
+        path = tmp_path / "out.csv"
+        n_rows = emit_csv(toy_series(), str(path))
+        assert n_rows == len(path.read_text().splitlines()) - 1 == 2 * 2 * 5
+
     def test_trailing_newline(self, tmp_path):
         path = tmp_path / "out.csv"
         emit_csv(toy_series(), str(path))

@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import norm as scipy_norm
 
 from beamlink import experiments, linksim
@@ -18,7 +21,7 @@ from beamlink.linksim import (
     received_signal,
     run_trials,
 )
-from beamlink.metrics import capacity, effective_snr
+from beamlink.metrics import RATES, capacity, effective_snr
 from beamlink.topology import Node, build_scenario
 from reference import (
     POINTS,
@@ -130,7 +133,24 @@ class TestLinkConfigPacket:
             LinkConfig(snr_db=(0.0,), dimension=0)
 
 
+@st.composite
+def trial_stats(draw):
+    """A valid TrialStats: every counter drawn, then each sent count raised
+    to hold its errors, and packets_sent its erasures too."""
+    values = {f.name: draw(st.integers(0, 10**6)) for f in fields(TrialStats)}
+    for _, errors, sent in RATES:
+        values[sent] += values[errors]
+    values["packets_sent"] += values["erasures"]
+    return TrialStats(**values)
+
+
 class TestTrialStats:
+    @given(trial_stats(), trial_stats())
+    def test_addition_sums_every_field(self, a, b):
+        total = a + b
+        for f in fields(TrialStats):
+            assert getattr(total, f.name) == getattr(a, f.name) + getattr(b, f.name), f.name
+
     def test_addition(self):
         a = TrialStats(bits_sent=10, bit_errors=1, symbols_sent=10, symbol_errors=1,
                        packets_sent=1, packet_errors=1)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from beamlink.linksim import TrialStats
 from beamlink.metrics import (
+    RATES,
     Estimate,
     MetricPoint,
     capacity,
@@ -236,6 +238,13 @@ class TestEstimateRates:
     def test_zero_denominator(self):
         with pytest.raises(ValueError):
             estimate_rates(TrialStats())
+
+    def test_keys_are_the_rates_in_order_and_metric_point_fields(self):
+        stats = TrialStats(bits_sent=4, bit_errors=1, symbols_sent=2, symbol_errors=1,
+                           packets_sent=1, packet_errors=1)
+        names = [name for name, _, _ in RATES]
+        assert list(estimate_rates(stats)) == names
+        assert set(names) <= {f.name for f in fields(MetricPoint)}
 
 
 class TestMetricPoint:
