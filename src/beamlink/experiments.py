@@ -134,8 +134,8 @@ MAX_PACKET_BITS = 100_000
 # MAX_DIMENSION counts 9.4 million)
 MAX_CHANNEL_ENTRIES = 10_000_000
 # largest power scale (tx_power, a node's power, nakagami_omega), whose
-# inverse 1e-50 is the smallest: with the +-1000 dB snr bound, a received SNR
-# stays within 2000 dB of unit, and the equalizer's squared norms stay finite
+# inverse 1e-50 is the smallest: with the +-1000 dB snr bound, a transmit-
+# referenced SNR stays within 2000 dB of unit (path gain is not bounded)
 MAX_POWER_SCALE = 1e50
 
 

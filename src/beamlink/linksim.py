@@ -317,10 +317,11 @@ def _plan(scenario: NetworkScenario, link: LinkConfig) -> _TaskPlan:
     corr = moments if moments is not None else MomentDecomposition(0.0, 1.0)
     rotator = build_rotator(corr, link.dimension, link.rotation_angle)
     desired, region = scenario.measured_node, scenario.measured_region
+    by_id = {node.id: node for node in scenario.nodes}
 
     if region is None:
         # single-link calibration: no neighbors to drive, unit normalization
-        node = scenario.node_by_id(desired)
+        node = by_id[desired]
         draws = [(node, node.position + np.array([scenario.reference_distance, 0.0]))]
         pairs, heard = [], {desired: 0}
     else:
@@ -329,7 +330,7 @@ def _plan(scenario: NetworkScenario, link: LinkConfig) -> _TaskPlan:
         draws, heard = [], {}
         for overlap in scenario.overlaps:
             i, j = overlap.pair
-            node_i, node_j = scenario.node_by_id(i), scenario.node_by_id(j)
+            node_i, node_j = by_id[i], by_id[j]
             p_i, p_j = overlap.point_a, overlap.point_b
             if overlap.pair == region.pair:
                 # keep the realizations the solver sees at the measured point

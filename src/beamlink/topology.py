@@ -2,9 +2,10 @@
 
 Every pair of nodes whose range disks intersect with positive area gets an
 overlap region carrying two designated receive points, one associated with
-each node of the pair; interference_points alone decides where they sit.
-build_scenario alone assembles and checks a network and picks its measured
-link.  Path gains follow a log-distance law.
+each node of the pair.  One pass measures each node pair's distance once;
+coincidence, overlap and the receive points all read it.  build_scenario
+alone assembles and checks a network, states where the points sit and
+picks its measured link.  Path gains follow a log-distance law.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ __all__ = [
     "OverlapRegion",
     "NetworkScenario",
     "detect_overlaps",
-    "interference_points",
     "path_gain",
     "build_scenario",
 ]
@@ -102,11 +102,57 @@ class NetworkScenario:
                 f"reference_distance must be > 0, got {self.reference_distance}"
             )
 
-    def node_by_id(self, node_id: int) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(f"no node with id {node_id}")
+
+def _measure_pairs(
+    nodes: list[Node], own_point_distance: float | None = None
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """Measure every node pair once: the overlapping id pairs, sorted, and
+    each one's receive points for its lower id and for its higher id, placed
+    by build_scenario's rule.  No nodes, two at one point, or a lens that
+    own_point_distance misses raise ScenarioError."""
+    if len(nodes) < 1:
+        raise ScenarioError("nodes", "need at least one node")
+    if len(nodes) < 2:
+        return [], np.empty((0, 2)), np.empty((0, 2))
+    order = sorted(range(len(nodes)), key=lambda k: nodes[k].id)
+    ranked = [nodes[k] for k in order]
+    i, j = np.triu_indices(len(nodes), 1)  # every pair (a, c) by id, a below c, sorted
+    positions = np.array([n.position for n in ranked])
+    diff = positions[j] - positions[i]
+    # one pair's 1-D np.linalg.norm bit for bit, which norm(axis=1) and
+    # hypot are not: the distance the receive points were always placed from
+    d = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    coincident = np.flatnonzero(d == 0.0)
+    if coincident.size:
+        # name the first such pair in the caller's node order
+        p, q = min(sorted((order[i[k]], order[j[k]])) for k in coincident.tolist())
+        raise ScenarioError(
+            "nodes", f"nodes {nodes[p].id} and {nodes[q].id} are coincident; overlap geometry undefined"
+        )
+    r = np.array([n.range_radius for n in ranked], dtype=float)
+    hit = d < r[i] + r[j]
+    i, j, d, diff = i[hit], j[hit], d[hit], diff[hit]
+    lo, hi = np.maximum(-r[i], d - r[j]), np.minimum(r[i], d + r[j])
+    margin = 1e-9 * (hi - lo)
+    lo, hi = lo + margin, hi - margin
+    if own_point_distance is None:
+        # Python's float power, as the points were always placed with: numpy's
+        # square differs from it in the last bit on about 1 in 1200 radii
+        sq = np.array([n.range_radius**2 for n in ranked], dtype=float)
+        t_a = t_c = np.minimum(np.maximum((d * d + sq[i] - sq[j]) / (2.0 * d), lo), hi)
+    else:
+        low, high = np.maximum(lo, d - hi), np.minimum(hi, d - lo)
+        missed = np.flatnonzero(~((low < own_point_distance) & (own_point_distance < high)))
+        if missed.size:
+            k = missed[0]
+            pair = f"pair ({ranked[i[k]].id}, {ranked[j[k]].id})"
+            rule = (f"must lie in ({low[k]:g}, {high[k]:g}) to keep both points of {pair} inside its overlap"
+                    if low[k] < high[k] else f"cannot keep both points of {pair} inside its overlap at any distance")
+            raise ScenarioError("own_point_distance", f"{rule}, got {own_point_distance:g}")
+        t_a, t_c = np.full_like(d, own_point_distance), d - own_point_distance
+    direction = diff / d[:, None]
+    pairs = [(ranked[a].id, ranked[c].id) for a, c in zip(i.tolist(), j.tolist())]
+    return pairs, positions[i] + t_a[:, None] * direction, positions[i] + t_c[:, None] * direction
 
 
 def detect_overlaps(nodes: list[Node]) -> list[tuple[int, int]]:
@@ -117,68 +163,7 @@ def detect_overlaps(nodes: list[Node]) -> list[tuple[int, int]]:
     is sorted, so it is independent of the input node order.  No nodes, or
     two at one point, raise ScenarioError.
     """
-    if len(nodes) < 1:
-        raise ScenarioError("nodes", "need at least one node")
-    i, j = np.triu_indices(len(nodes), 1)  # every pair, in itertools.combinations order
-    positions = np.array([n.position for n in nodes])
-    d = np.linalg.norm(positions[i] - positions[j], axis=1)
-    coincident = np.flatnonzero(d == 0.0)
-    if coincident.size:
-        a, c = nodes[i[coincident[0]]], nodes[j[coincident[0]]]
-        raise ScenarioError(
-            "nodes", f"nodes {a.id} and {c.id} are coincident; overlap geometry undefined"
-        )
-    radii = np.array([n.range_radius for n in nodes], dtype=float)
-    hit = d < radii[i] + radii[j]
-    ids = [n.id for n in nodes]
-    return sorted((min(ids[a], ids[c]), max(ids[a], ids[c])) for a, c in zip(i[hit], j[hit]))
-
-
-def interference_points(
-    a: Node, c: Node, own_point_distance: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Place the pair's receive points, for a and for c, inside the overlap lens.
-
-    The lens is the open interval of distances t from a, along a->c, with
-    |t| < r_a and |d - t| < r_c, less 1e-9 of its width at each end so that
-    rounding cannot put a point on a disk's edge.  By default both points
-    sit at the foot of the common chord, (d^2 + r_a^2 - r_c^2) / (2 d),
-    clamped into the lens (it falls outside when one disk contains the
-    other).  With own_point_distance, a's point sits exactly that far from
-    a and c's that far from c; ScenarioError names the interval it must lie
-    in, or says that no distance keeps both points in the lens.
-    """
-    d = float(np.linalg.norm(c.position - a.position))
-    if d == 0.0:
-        raise ValueError("coincident nodes have no overlap geometry")
-    if d >= a.range_radius + c.range_radius:
-        raise ValueError(
-            f"disks of nodes {a.id} and {c.id} do not overlap (d={d:.6g})"
-        )
-    lo = max(-a.range_radius, d - c.range_radius)
-    hi = min(a.range_radius, d + c.range_radius)
-    margin = 1e-9 * (hi - lo)
-    lo, hi = lo + margin, hi - margin
-    if own_point_distance is None:
-        x = (d * d + a.range_radius**2 - c.range_radius**2) / (2.0 * d)
-        t_a = t_c = min(max(x, lo), hi)
-    else:
-        low, high = max(lo, d - hi), min(hi, d - lo)
-        if not low < high:
-            raise ScenarioError(
-                "own_point_distance",
-                f"cannot keep both points of pair ({a.id}, {c.id}) inside its overlap "
-                f"at any distance, got {own_point_distance:g}"
-            )
-        if not low < own_point_distance < high:
-            raise ScenarioError(
-                "own_point_distance",
-                f"must lie in ({low:g}, {high:g}) to keep both points of pair "
-                f"({a.id}, {c.id}) inside its overlap, got {own_point_distance:g}"
-            )
-        t_a, t_c = own_point_distance, d - own_point_distance
-    direction = (c.position - a.position) / d
-    return a.position + t_a * direction, a.position + t_c * direction
+    return _measure_pairs(nodes)[0]
 
 
 def path_gain(distance: float, scenario: NetworkScenario) -> float:
@@ -200,20 +185,26 @@ def build_scenario(
     """Assemble and check a network: detect every overlap, place its receive
     points and pick the measured link.
 
-    own_point_distance, when given, is each point's distance from its own
-    node along the pair's axis (see interference_points).  measured_pair
-    defaults to the first overlap and measured_node to the pair's lower id;
-    with no overlap and no pair the link is single, by default the first
-    node's.  Any rule broken raises ScenarioError naming its argument.
+    An overlapping pair (a, c), a's id below c's and d apart, has both its
+    points on the segment from a to c, inside the lens: the open interval
+    of distances t from a with |t| < r_a and |d - t| < r_c, less 1e-9 of its
+    width at each end so that rounding cannot put a point on a disk's edge.
+    By default both sit at the foot of the common chord,
+    (d^2 + r_a^2 - r_c^2) / (2 d), clamped into the lens (it falls outside
+    when one disk contains the other).  With own_point_distance, a's point
+    sits exactly that far from a and c's that far from c; for the first
+    pair where that leaves the lens, ScenarioError names the interval the
+    distance must lie in, or says that none keeps both points inside.
+    measured_pair defaults to the first overlap and measured_node to the
+    pair's lower id; with no overlap and no pair the link is single, by
+    default the first node's.  Any rule broken raises ScenarioError naming
+    its argument.
     """
     ids = [n.id for n in nodes]
     if len(set(ids)) != len(ids):
         raise ScenarioError("nodes", f"duplicate node ids in {ids}")
-    by_id = {n.id: n for n in nodes}
-    overlaps = []
-    for i, j in detect_overlaps(nodes):
-        p_i, p_j = interference_points(by_id[i], by_id[j], own_point_distance)
-        overlaps.append(OverlapRegion(pair=(i, j), point_a=p_i, point_b=p_j))
+    pairs, points_a, points_b = _measure_pairs(nodes, own_point_distance)
+    overlaps = [OverlapRegion(pair, p_a, p_b) for pair, p_a, p_b in zip(pairs, points_a, points_b)]
     region, members = None, ids
     if measured_pair is not None or overlaps:
         pair = tuple(sorted(measured_pair)) if measured_pair is not None else overlaps[0].pair

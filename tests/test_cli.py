@@ -100,6 +100,22 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    def test_near_tangent_nodes_exit_0(self, tmp_path, capsys):
+        # the radii sum to the nodes' distance, which norm(axis=1) puts one
+        # ulp lower: the disks are tangent, so the run is a single link
+        cfg = write_config(tmp_path, {
+            "trials": 2, "snr": {"start": 0.0},
+            "scenario": {"packet_bits": 8, "nodes": [
+                {"id": 0, "x": 9.699, "y": 41.769, "radius": 41.74885945846977},
+                {"id": 1, "x": 18.963, "y": 0.036, "radius": 1.0},
+            ]},
+        })
+        out = tmp_path / "x.csv"
+        rc = main(["--config", cfg, "--out", str(out)])
+        assert rc == 0
+        assert f"custom: wrote 5 rows to {out}" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 6
+
 NONFINITE_FIELDS = (
     "nakagami_omega",
     "rotation_angle",

@@ -1,7 +1,7 @@
 """Golden CSV digests: every named experiment at a small seeded budget.
 
 Each entry of EXPERIMENTS runs at trials 3, seed 7 and its default snr grid,
-and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins thirteen runs
+and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins fifteen runs
 that the trials-3 digests never reach: a batch of 100 nearly deterministic
 channels (capacity_vs_nodes with nakagami_m 1e6, which erases no trial but
 hands the slicer values up to ~5e10 whose sign, not their distance to the
@@ -21,7 +21,9 @@ three-word master seed, 2^64 + 5, and 300 trials per point, so each
 point's trials split into two blocks and the second block's streams start
 at trial 256.  Two more send the chain at 60 dB: one with 100-bit BPSK
 packets, which are not a whole number of bytes, and one with QPSK past the
-interferer.  A refactor must leave these bytes unchanged; moving a
+interferer.  The last two lay out four nodes off the axes at non-integer
+positions, with clamped default points, and three of them with
+own_point_distance set.  A refactor must leave these bytes unchanged; moving a
 digest on purpose needs a CHANGES.md entry that says why the output
 changed.  CAPACITY_ROWS_SHA256 pins the capacity
 rows of the first seventeen runs apart from the rest of the CSV.
@@ -68,6 +70,19 @@ _CONTAINED = {
         {"id": 1, "x": 5.0, "y": 0.0, "radius": 2.0},
     ],
 }
+
+# four nodes at non-integer, off-axis positions: node 3's small disk lies
+# inside each of the other three, so its three pairs' default points are
+# clamped, and pair (1, 2) is one whose distance np.linalg.norm(axis=1)
+# puts an ulp away from the one-pair norm its points are placed from; the
+# first three again with own_point_distance set
+_OFF_AXIS_NODES = [
+    {"id": 0, "x": -0.303, "y": -1.935, "radius": 13.8829},
+    {"id": 1, "x": -2.437, "y": 4.559, "radius": 10.0592},
+    {"id": 2, "x": -2.556, "y": 8.162, "radius": 10.6112},
+    {"id": 3, "x": -8.506, "y": 2.211, "radius": 2.0516},
+]
+_OFF_AXIS = {"packet_bits": 64, "transmission_mode": "diversity"}
 
 LARGER_RUNS = {
     "capacity_vs_nodes-m1e6-trials100-seed3": (
@@ -141,6 +156,24 @@ LARGER_RUNS = {
     "custom-chain3-qpsk-trials20-seed5": (
         {"trials": 20, "seed": 5, "snr": {"start": 60.0}, "scenario": {**_CHAIN3, "modulation": "qpsk"}},
         "476404653e4c3fd6b68050affab8219e32d49261f81bdce340adf81b5ad3ef1a",
+    ),
+    "custom-off-axis-trials20-seed8": (
+        {
+            "trials": 20,
+            "seed": 8,
+            "snr": {"start": 60.0},
+            "scenario": {**_OFF_AXIS, "measured_pair": [1, 2], "nodes": _OFF_AXIS_NODES},
+        },
+        "e4313c8dace7729cd427cc1311406a991e4954f6850d932b8b4bc7d379c5ae5a",
+    ),
+    "custom-off-axis-own-point-trials20-seed8": (
+        {
+            "trials": 20,
+            "seed": 8,
+            "snr": {"start": 60.0},
+            "scenario": {**_OFF_AXIS, "own_point_distance": 5.07, "nodes": _OFF_AXIS_NODES[:3]},
+        },
+        "02b617f432f90d19aa8922c133c1e2db3f67b57fd4760980c266ec94f24e96ce",
     ),
 }
 

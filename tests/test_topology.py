@@ -13,7 +13,6 @@ from beamlink.topology import (
     ScenarioError,
     build_scenario,
     detect_overlaps,
-    interference_points,
     path_gain,
 )
 
@@ -110,6 +109,24 @@ class TestDetectOverlaps:
                 seen["contained"] += d <= abs(a.range_radius - c.range_radius)
         assert min(seen.values()) > 10, seen
 
+    def test_one_distance_decides_overlap_and_placement(self):
+        # pairs whose norm(axis=1) distance and one-pair norm differ by an
+        # ulp: disks whose radii sum to either one are tangent or overlap by
+        # the one-pair norm, and placing their points raises nothing
+        rng = np.random.default_rng(26)
+        a_xy, c_xy = rng.uniform(0, 50, size=(2, 4000, 2)).round(3)
+        by_axis = np.linalg.norm(c_xy - a_xy, axis=1)
+        per_pair = np.array([np.linalg.norm(c - a) for a, c in zip(a_xy, c_xy)])
+        split = np.flatnonzero((by_axis != per_pair) & (per_pair > 33) & (per_pair < 63))[:40]
+        assert np.any(by_axis[split] < per_pair[split]) and np.any(by_axis[split] > per_pair[split])
+        for k in split:
+            for dist in (by_axis[k], per_pair[k]):
+                r_a = float(dist) - 1.0  # exact for distances in [32, 64)
+                assert r_a + 1.0 == dist
+                nodes = [make_node(0, *a_xy[k], r_a), make_node(1, *c_xy[k], 1.0)]
+                pairs = [o.pair for o in build_scenario(nodes).overlaps]
+                assert pairs == detect_overlaps(nodes) == ([(0, 1)] if per_pair[k] < dist else [])
+
     def test_order_independent(self):
         rng = np.random.default_rng(3)
         nodes = [
@@ -123,11 +140,17 @@ class TestDetectOverlaps:
         assert detect_overlaps(shuffled) == ref
 
 
+def receive_points(a, c, own=None):
+    """The two receive points build_scenario places for the pair of a and c."""
+    (region,) = build_scenario([a, c], own_point_distance=own).overlaps
+    return region.point_a, region.point_b
+
+
 class TestInterferencePoints:
     def test_symmetric_case_midpoint(self):
         a, c = make_node(0, 0, 0, 6), make_node(1, 10, 0, 6)
         # equal radii, d=10: chord foot at x = 5, the segment midpoint
-        p_a, p_c = interference_points(a, c)
+        p_a, p_c = receive_points(a, c)
         np.testing.assert_allclose(p_a, [5.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(p_c, [5.0, 0.0], atol=1e-12)
 
@@ -136,47 +159,55 @@ class TestInterferencePoints:
         # point at t leaves its partner at 10 - t, so t must lie in (4, 6)
         a, c = make_node(0, 0, 0, 6), make_node(1, 10, 0, 6)
         for own in (4.0, 6.0):
-            with pytest.raises(ValueError, match=r"must lie in \(4, 6\)"):
-                interference_points(a, c, own)
+            with pytest.raises(ScenarioError, match=r"must lie in \(4, 6\)"):
+                receive_points(a, c, own)
         # containment ends the lens at the small disk, (3, 7), and a point at
         # t leaves its partner at 5 - t, outside it for every t
         a, c = make_node(0, 0, 0, 20), make_node(1, 5, 0, 2)
         for own in (3.5, 2.5, 1.5, 4.0):
-            with pytest.raises(ValueError, match=r"pair \(0, 1\) inside its overlap at any distance"):
-                interference_points(a, c, own)
+            with pytest.raises(ScenarioError, match=r"pair \(0, 1\) inside its overlap at any distance"):
+                receive_points(a, c, own)
 
     def test_asymmetric_chord_distance(self):
         # x = (d^2 + r_a^2 - r_c^2) / (2 d) = (100 + 64 - 36) / 20 = 6.4
         a, c = make_node(0, 0, 0, 8), make_node(1, 10, 0, 6)
-        p_a, p_c = interference_points(a, c)
+        p_a, p_c = receive_points(a, c)
         np.testing.assert_allclose(p_a, [6.4, 0.0], atol=1e-12)
         np.testing.assert_allclose(p_c, [6.4, 0.0], atol=1e-12)
 
     def test_containment_clamps_into_small_disk(self):
         a, c = make_node(0, 0, 0, 20), make_node(1, 5, 0, 2)
-        p_a, p_c = interference_points(a, c)
+        p_a, p_c = receive_points(a, c)
         for p in (p_a, p_c):
             assert np.linalg.norm(p - a.position) < a.range_radius
             assert np.linalg.norm(p - c.position) < c.range_radius
-        with pytest.raises(ValueError, match=r"pair \(0, 1\)"):
-            interference_points(a, c, 4.0)
+        with pytest.raises(ScenarioError, match=r"pair \(0, 1\)"):
+            receive_points(a, c, 4.0)
 
-    def test_nonoverlapping_error(self):
+    def test_nonoverlapping_has_no_region(self):
         a, c = make_node(0, 0, 0, 6), make_node(1, 13, 0, 6)
-        with pytest.raises(ValueError):
-            interference_points(a, c)
+        assert build_scenario([a, c]).overlaps == []
 
     def test_offsets_shift_along_segment(self):
         a, c = make_node(0, 0, 0, 6), make_node(1, 10, 0, 6)
-        p_a, p_c = interference_points(a, c, own_point_distance=4.5)
+        p_a, p_c = receive_points(a, c, own=4.5)
         np.testing.assert_array_equal(p_a, [4.5, 0.0])
         np.testing.assert_array_equal(p_c, [5.5, 0.0])
 
     def test_distances_outside_lens_rejected(self):
         a, c = make_node(0, 0, 0, 6), make_node(1, 10, 0, 6)
         for own in (4.0, 6.0, 100.0):
-            with pytest.raises(ValueError, match=f"got {own:g}$"):
-                interference_points(a, c, own)
+            with pytest.raises(ScenarioError, match=f"got {own:g}$"):
+                receive_points(a, c, own)
+
+    def test_points_follow_node_ids_not_input_order(self):
+        # point_a belongs to the lower id wherever that node sits in the list
+        a, c = make_node(7, 10, 0, 6), make_node(3, 0, 0, 8)
+        (region,) = build_scenario([a, c]).overlaps
+        assert region.pair == (3, 7)
+        np.testing.assert_allclose(region.point_a, [6.4, 0.0], atol=1e-12)
+        with pytest.raises(ScenarioError, match=r"pair \(3, 7\) inside its overlap, got 1$"):
+            build_scenario([a, c], own_point_distance=1.0)
 
     @given(
         d=st.floats(min_value=0.1, max_value=30.0),
@@ -187,14 +218,14 @@ class TestInterferencePoints:
     )
     @settings(max_examples=300, deadline=None)
     def test_points_inside_both_disks(self, d, r_a, r_c, own, angle):
-        if d >= r_a + r_c:
-            return
         a = make_node(0, 0, 0, r_a)
         c = make_node(1, d * math.cos(angle), d * math.sin(angle), r_c)
-        points = [interference_points(a, c)]
+        if not build_scenario([a, c]).overlaps:
+            return
+        points = [receive_points(a, c)]
         try:
-            placed = interference_points(a, c, own)
-        except ValueError:
+            placed = receive_points(a, c, own)
+        except ScenarioError:
             pass
         else:
             dist = float(np.linalg.norm(c.position - a.position))
