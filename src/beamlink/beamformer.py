@@ -153,8 +153,9 @@ def compose(drivers: list[np.ndarray]) -> np.ndarray:
     if not drivers:
         raise ValueError("cannot compose an empty driver list")
     product = drivers[0]
-    for d in drivers[1:]:
-        product = product @ d
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: degenerate at normalization
+        for d in drivers[1:]:
+            product = product @ d
     return product
 
 

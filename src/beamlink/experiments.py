@@ -280,7 +280,7 @@ class ExperimentConfig:
                 )
             except ScenarioError as e:  # the field specs leave only the network rules to reject
                 raise ConfigError(f"field 'scenario.{e.field}': {e}{where}") from None
-            draws = 4 * len(network.overlaps) + len(nodes) if network.overlaps else 1
+            draws = 4 * len(network.pairs) + len(nodes) if network.pairs else 1
             trials = min(self.trials, _BATCH_TRIALS)
             if trials * draws * sc.dimension**2 > MAX_CHANNEL_ENTRIES:
                 raise ConfigError(

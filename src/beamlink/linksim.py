@@ -53,7 +53,7 @@ from beamlink.channel import (
     stack,
 )
 from beamlink.metrics import RATES, capacity, effective_snr, uncoded_stream_params
-from beamlink.topology import NetworkScenario, Node, path_gain
+from beamlink.topology import NetworkScenario, _distance, path_gain
 
 __all__ = [
     "ModulationScheme",
@@ -274,13 +274,14 @@ def _alternating_unit_vector(dimension: int) -> np.ndarray:
 class _TaskPlan:
     """What every trial of a task shares; nothing here depends on the draws.
 
-    A trial draws one channel per entry of amplitudes.  Overlap k of pairs
-    solves draws 4k .. 4k+3.  senders lists (node id, draw of its channel at
-    the measured receive point) for each node that transmits there: the
-    desired node first, then, when the link includes interference, every
-    other node heard there by ascending id.  A heard node that does not
-    send still has its channel drawn, so the channel stream does not
-    depend on include_interference.
+    A trial draws one channel per entry of amplitudes, each its node's
+    sqrt(path gain * tx power) at the point it is drawn to.  Overlap k of
+    pairs solves draws 4k .. 4k+3.  senders lists (node id, draw of its
+    channel at the measured receive point) for each node that transmits
+    there: the desired node first, then, when the link includes
+    interference, every other node heard there by ascending id.  A heard
+    node that does not send still has its channel drawn, so the channel
+    stream does not depend on include_interference.
     """
 
     dimension: int
@@ -303,55 +304,50 @@ class _TaskPlan:
         )
 
 
-def _amplitude(node: Node, point: np.ndarray, scenario: NetworkScenario) -> float:
-    dist = float(np.linalg.norm(point - node.position))
-    gain = 1.0 if dist == 0.0 else path_gain(dist, scenario)
-    return math.sqrt(gain * node.tx_power)
-
-
 def _plan(scenario: NetworkScenario, link: LinkConfig) -> _TaskPlan:
     """Fix the draw order: per overlap (sorted by id pair) the four pair
     channels, then the measured point's other interferers by ascending id.
-    The desired node and its region are the scenario's measured link."""
+    The desired node and its pair are the scenario's measured link.  Every
+    distance comes from topology._distance, every gain from one path_gain."""
     moments = derive_moments(link.fading) if link.fading is not None else None
     corr = moments if moments is not None else MomentDecomposition(0.0, 1.0)
     rotator = build_rotator(corr, link.dimension, link.rotation_angle)
-    desired, region = scenario.measured_node, scenario.measured_region
-    by_id = {node.id: node for node in scenario.nodes}
+    desired, pairs = scenario.measured_node, scenario.pairs
+    ranked = sorted(scenario.nodes, key=lambda n: n.id)
+    ids = [node.id for node in ranked]
+    positions = np.array([node.position for node in ranked])
 
-    if region is None:
+    if scenario.measured_pair is None:
         # single-link calibration: no neighbors to drive, unit normalization
-        node = by_id[desired]
-        draws = [(node, node.position + np.array([scenario.reference_distance, 0.0]))]
-        pairs, heard = [], {desired: 0}
+        at = np.array([ids.index(desired)])
+        points = positions[at] + np.array([scenario.reference_distance, 0.0])
+        heard = {desired: 0}
     else:
-        point = region.point_for(desired)
-        pairs = [overlap.pair for overlap in scenario.overlaps]
-        draws, heard = [], {}
-        for overlap in scenario.overlaps:
-            i, j = overlap.pair
-            node_i, node_j = by_id[i], by_id[j]
-            p_i, p_j = overlap.point_a, overlap.point_b
-            if overlap.pair == region.pair:
-                # keep the realizations the solver sees at the measured point
-                k = len(draws)
-                heard = {i: k + 1, j: k + 2} if desired == i else {i: k, j: k + 3}
-            # stack order: channel to the neighbor's point on top, own point below
-            draws += [(node_i, p_j), (node_i, p_i), (node_j, p_i), (node_j, p_j)]
+        k = pairs.index(scenario.measured_pair)
+        a, c = scenario.measured_pair
+        point = scenario.points[k, 0 if desired == a else 1]
+        # keep the realizations the solver sees at the measured point
+        heard = {a: 4 * k + 1, c: 4 * k + 2} if desired == a else {a: 4 * k, c: 4 * k + 3}
+        # stack order per pair (i, j): node i's channels to j's point and to
+        # its own, then node j's to i's point and to its own
+        ends = np.searchsorted(ids, pairs)
+        at = ends[:, [0, 0, 1, 1]].ravel()
+        points = scenario.points[:, [1, 0, 0, 1]].reshape(-1, 2)
         # other nodes whose disks cover the measured point also interfere
         # there; their channels to this point are not part of any solve
-        paired = {node_id for overlap in scenario.overlaps for node_id in overlap.pair}
-        for node in sorted(scenario.nodes, key=lambda n: n.id):
-            if node.id in heard or node.id not in paired:
-                continue
-            if float(np.linalg.norm(point - node.position)) < node.range_radius:
-                heard[node.id] = len(draws)
-                draws.append((node, point))
+        others = np.bincount(ends.ravel(), minlength=len(ranked)) > 0
+        others[ends[k]] = False
+        radii = np.array([node.range_radius for node in ranked])
+        covering = np.flatnonzero(others & (_distance(point - positions) < radii))
+        heard.update((ids[m], len(at) + q) for q, m in enumerate(covering.tolist()))
+        at = np.concatenate([at, covering])
+        points = np.concatenate([points, np.broadcast_to(point, (len(covering), 2))])
     senders = [(desired, heard.pop(desired))]
     if link.include_interference:
         senders += sorted(heard.items())
 
-    amplitudes = np.array([_amplitude(node, p, scenario) for node, p in draws])
+    power = np.array([node.tx_power for node in ranked])[at]
+    amplitudes = np.sqrt(path_gain(_distance(points - positions[at]), scenario) * power)
     return _TaskPlan(
         dimension=link.dimension,
         moments=moments,

@@ -1,11 +1,12 @@
 """Planar node layout: transmission-range disks, overlap lenses, receive points.
 
-Every pair of nodes whose range disks intersect with positive area gets an
-overlap region carrying two designated receive points, one associated with
-each node of the pair.  One pass measures each node pair's distance once;
-coincidence, overlap and the receive points all read it.  build_scenario
-alone assembles and checks a network, states where the points sit and
-picks its measured link.  Path gains follow a log-distance law.
+Every pair of nodes whose range disks intersect with positive area gets two
+designated receive points inside their lens, one for each node of the pair.
+One pass measures each node pair's distance once; coincidence, overlap and
+the receive points all read it, and the network keeps its sorted pairs and
+their points as arrays.  build_scenario alone assembles and checks a
+network, states where the points sit and picks its measured link.  Every
+distance comes from _distance, and path gains follow a log-distance law.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import numpy as np
 __all__ = [
     "ScenarioError",
     "Node",
-    "OverlapRegion",
     "NetworkScenario",
     "detect_overlaps",
     "path_gain",
@@ -52,43 +52,20 @@ class Node:
 
 
 @dataclass
-class OverlapRegion:
-    """Receive points inside the lens where two range disks intersect.
+class NetworkScenario:
+    """Nodes, their overlaps, the measured link and the propagation constants.
 
-    pair is ordered by node id; point_a is the receive point associated with
-    pair[0], point_b with pair[1].  Both points lie strictly inside both
-    disks.
+    pairs lists every overlapping id pair (a, c), a < c, sorted; points[k]
+    holds pair k's two receive points, a's first, so points is a
+    (len(pairs), 2, 2) array.  measured_node's packets are counted at its
+    receive point of measured_pair, or over a single link when that is None.
     """
 
-    pair: tuple[int, int]
-    point_a: np.ndarray
-    point_b: np.ndarray
-
-    def __post_init__(self):
-        self.point_a = np.asarray(self.point_a, dtype=float)
-        self.point_b = np.asarray(self.point_b, dtype=float)
-        if self.pair[0] >= self.pair[1]:
-            raise ValueError(f"pair must be ordered by id, got {self.pair}")
-
-    def point_for(self, node_id: int) -> np.ndarray:
-        """The receive point associated with the given member of the pair."""
-        if node_id == self.pair[0]:
-            return self.point_a
-        if node_id == self.pair[1]:
-            return self.point_b
-        raise KeyError(f"node {node_id} is not part of pair {self.pair}")
-
-
-@dataclass
-class NetworkScenario:
-    """Nodes, their detected overlaps, the measured link and the propagation
-    constants: measured_node's packets are counted at its receive point in
-    measured_region, or over a single link when that is None."""
-
     nodes: list[Node]
-    overlaps: list[OverlapRegion]
+    pairs: list[tuple[int, int]]
+    points: np.ndarray
     measured_node: int
-    measured_region: OverlapRegion | None
+    measured_pair: tuple[int, int] | None
     path_loss_exponent: float = 3.0
     reference_distance: float = 1.0
 
@@ -103,25 +80,30 @@ class NetworkScenario:
             )
 
 
+def _distance(diff: np.ndarray) -> np.ndarray:
+    """The lengths of (n, 2) difference vectors, each bit for bit its row's
+    1-D np.linalg.norm, which norm(axis=1) and hypot are not: every
+    node-to-node and node-to-point distance is measured here."""
+    return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+
+
 def _measure_pairs(
     nodes: list[Node], own_point_distance: float | None = None
-) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Measure every node pair once: the overlapping id pairs, sorted, and
-    each one's receive points for its lower id and for its higher id, placed
-    by build_scenario's rule.  No nodes, two at one point, or a lens that
+    their (pairs, 2, 2) receive points, the lower id's first, placed by
+    build_scenario's rule.  No nodes, two at one point, or a lens that
     own_point_distance misses raise ScenarioError."""
     if len(nodes) < 1:
         raise ScenarioError("nodes", "need at least one node")
     if len(nodes) < 2:
-        return [], np.empty((0, 2)), np.empty((0, 2))
+        return [], np.empty((0, 2, 2))
     order = sorted(range(len(nodes)), key=lambda k: nodes[k].id)
     ranked = [nodes[k] for k in order]
     i, j = np.triu_indices(len(nodes), 1)  # every pair (a, c) by id, a below c, sorted
     positions = np.array([n.position for n in ranked])
     diff = positions[j] - positions[i]
-    # one pair's 1-D np.linalg.norm bit for bit, which norm(axis=1) and
-    # hypot are not: the distance the receive points were always placed from
-    d = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    d = _distance(diff)
     coincident = np.flatnonzero(d == 0.0)
     if coincident.size:
         # name the first such pair in the caller's node order
@@ -150,9 +132,9 @@ def _measure_pairs(
                     if low[k] < high[k] else f"cannot keep both points of {pair} inside its overlap at any distance")
             raise ScenarioError("own_point_distance", f"{rule}, got {own_point_distance:g}")
         t_a, t_c = np.full_like(d, own_point_distance), d - own_point_distance
-    direction = diff / d[:, None]
+    t = np.stack([t_a, t_c], axis=1)[:, :, None]
     pairs = [(ranked[a].id, ranked[c].id) for a, c in zip(i.tolist(), j.tolist())]
-    return pairs, positions[i] + t_a[:, None] * direction, positions[i] + t_c[:, None] * direction
+    return pairs, positions[i, None] + t * (diff / d[:, None])[:, None]
 
 
 def detect_overlaps(nodes: list[Node]) -> list[tuple[int, int]]:
@@ -166,12 +148,17 @@ def detect_overlaps(nodes: list[Node]) -> list[tuple[int, int]]:
     return _measure_pairs(nodes)[0]
 
 
-def path_gain(distance: float, scenario: NetworkScenario) -> float:
-    """Log-distance power gain (max(d, d0)/d0)^(-eta), equal to 1 at or below d0."""
-    if not distance > 0:
-        raise ValueError(f"distance must be > 0, got {distance}")
-    d0 = scenario.reference_distance
-    return (max(distance, d0) / d0) ** (-scenario.path_loss_exponent)
+def path_gain(distance: float | np.ndarray, scenario: NetworkScenario) -> float | np.ndarray:
+    """Log-distance power gain (max(d, d0)/d0)^(-eta), 1 at or below d0 and
+    at 0; an array of distances gives their gains, each by Python's float
+    power, which numpy's power differs from in the last bit on some ratios."""
+    d = np.asarray(distance, dtype=float)
+    bad = ~(d >= 0)
+    if bad.any():
+        raise ValueError(f"distance must be >= 0, got {d[bad][0]}")
+    d0, eta = scenario.reference_distance, -scenario.path_loss_exponent
+    gains = [r**eta for r in (np.maximum(d, d0) / d0).ravel().tolist()]
+    return np.reshape(gains, d.shape) if d.ndim else gains[0]
 
 
 def build_scenario(
@@ -203,25 +190,24 @@ def build_scenario(
     ids = [n.id for n in nodes]
     if len(set(ids)) != len(ids):
         raise ScenarioError("nodes", f"duplicate node ids in {ids}")
-    pairs, points_a, points_b = _measure_pairs(nodes, own_point_distance)
-    overlaps = [OverlapRegion(pair, p_a, p_b) for pair, p_a, p_b in zip(pairs, points_a, points_b)]
-    region, members = None, ids
-    if measured_pair is not None or overlaps:
-        pair = tuple(sorted(measured_pair)) if measured_pair is not None else overlaps[0].pair
-        region = next((o for o in overlaps if o.pair == pair), None)
-        if region is None:
-            raise ScenarioError("measured_pair", f"measured pair {pair} has no overlap region")
-        members = region.pair
+    pairs, points = _measure_pairs(nodes, own_point_distance)
+    members = ids
+    if measured_pair is not None or pairs:
+        measured_pair = tuple(sorted(measured_pair)) if measured_pair is not None else pairs[0]
+        if measured_pair not in pairs:
+            raise ScenarioError("measured_pair", f"measured pair {measured_pair} has no overlap region")
+        members = measured_pair
     if measured_node is None:
         measured_node = members[0]
     elif measured_node not in members:
-        where = f"pair {members}" if region is not None else "the network"
+        where = f"pair {members}" if measured_pair is not None else "the network"
         raise ScenarioError("measured_node", f"measured node {measured_node} is not in {where}")
     return NetworkScenario(
         nodes=list(nodes),
-        overlaps=overlaps,
+        pairs=pairs,
+        points=points,
         measured_node=measured_node,
-        measured_region=region,
+        measured_pair=measured_pair,
         path_loss_exponent=path_loss_exponent,
         reference_distance=reference_distance,
     )

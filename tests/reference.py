@@ -1,5 +1,5 @@
 """References for the packet stage: the full-block path, the per-trial
-stage and an exact oracle.
+stage and an exact oracle; and for the draw plan, the per-draw planner.
 
 The full-block path is how a trial's packet went through the link before
 the stage drew only the slicer's axes: `2 * M * N` complex-noise normals per
@@ -25,6 +25,11 @@ and symbols are known, its slicer input is `e = d + W n` with the known part
 exact conditional error probability `p = Q(x d / sqrt(var))` on its axis,
 with x the sign sent there.  Summed over the bits of a run, `sum p` is the
 expected count of bit errors and `sum p (1 - p)` its variance.
+
+The per-draw planner is how the draw plan was built before it took its
+geometry as arrays: draw by draw, a 1-D `np.linalg.norm` for each distance,
+one scalar path gain per draw with gain 1 at distance 0, and the heard-node
+test node by node.  The plan must equal it bit for bit.
 """
 from __future__ import annotations
 
@@ -250,3 +255,39 @@ def stage_run(scenario, link: LinkConfig, n_trials: int, master_seed: int, monke
                 mean, var = mean + p.sum(), var + (p * (1.0 - p)).sum()
     assert next(symbols, None) is None
     return sum((r.stats for r in results), TrialStats()), mean, var
+
+
+def per_draw_plan(scenario, link: LinkConfig):
+    """The draw plan's (pairs, senders, amplitudes), one draw at a time."""
+    desired, pairs = scenario.measured_node, list(scenario.pairs)
+    by_id = {node.id: node for node in scenario.nodes}
+    if scenario.measured_pair is None:
+        node = by_id[desired]
+        draws = [(node, node.position + np.array([scenario.reference_distance, 0.0]))]
+        heard = {desired: 0}
+    else:
+        measured = pairs.index(scenario.measured_pair)
+        point = scenario.points[measured, scenario.measured_pair.index(desired)]
+        draws, heard = [], {}
+        for k, (i, j) in enumerate(pairs):
+            p_i, p_j = scenario.points[k]
+            if k == measured:
+                heard = {i: 4 * k + 1, j: 4 * k + 2} if desired == i else {i: 4 * k, j: 4 * k + 3}
+            draws += [(by_id[i], p_j), (by_id[i], p_i), (by_id[j], p_i), (by_id[j], p_j)]
+        paired = {node_id for pair in pairs for node_id in pair}
+        for node in sorted(scenario.nodes, key=lambda n: n.id):
+            if node.id in heard or node.id not in paired:
+                continue
+            if float(np.linalg.norm(point - node.position)) < node.range_radius:
+                heard[node.id] = len(draws)
+                draws.append((node, point))
+    senders = [(desired, heard.pop(desired))]
+    if link.include_interference:
+        senders += sorted(heard.items())
+    d0, eta = scenario.reference_distance, scenario.path_loss_exponent
+    amplitudes = []
+    for node, p in draws:
+        dist = float(np.linalg.norm(p - node.position))
+        gain = 1.0 if dist == 0.0 else (max(dist, d0) / d0) ** (-eta)
+        amplitudes.append(math.sqrt(gain * node.tx_power))
+    return pairs, senders, np.array(amplitudes)

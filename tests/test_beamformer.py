@@ -211,6 +211,16 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose([])
 
+    @pytest.mark.parametrize("entry", [1e200 + 0j, 1e200 + 1e200j, complex(math.inf, 0.0)])
+    def test_overflow_is_degenerate_not_a_warning(self, entry):
+        # an overflowed or inf product reaches normalization as inf or nan,
+        # which erases the trial; under filterwarnings = error a warning
+        # from the product would fail here first
+        product = compose([np.full((3, 2, 2), entry)] * 2)
+        with pytest.raises(DegenerateNormalizationError) as exc:
+            normalization([product])
+        assert exc.value.mask.tolist() == [True] * 3
+
 
 class TestNormalization:
     def comp(self, entries):

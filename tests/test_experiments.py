@@ -325,8 +325,8 @@ class TestRuns:
         assert same == cfg and hash(same) == hash(cfg)
         # a replaced config builds its own runs: 6 m disks 20 m apart do not overlap
         apart = replace(cfg, scenario=replace(cfg.scenario, node_spacing=20.0))
-        assert all(network.overlaps for *_, network, _ in cfg.runs)
-        assert not any(network.overlaps for *_, network, _ in apart.runs)
+        assert all(network.pairs for *_, network, _ in cfg.runs)
+        assert not any(network.pairs for *_, network, _ in apart.runs)
 
     def test_default_link_is_link_configs_default(self):
         # LinkConfig repeats ScenarioConfig's link defaults; the two must agree

@@ -1,7 +1,7 @@
 """Golden CSV digests: every named experiment at a small seeded budget.
 
 Each entry of EXPERIMENTS runs at trials 3, seed 7 and its default snr grid,
-and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins fifteen runs
+and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins sixteen runs
 that the trials-3 digests never reach: a batch of 100 nearly deterministic
 channels (capacity_vs_nodes with nakagami_m 1e6, which erases no trial but
 hands the slicer values up to ~5e10 whose sign, not their distance to the
@@ -21,9 +21,11 @@ three-word master seed, 2^64 + 5, and 300 trials per point, so each
 point's trials split into two blocks and the second block's streams start
 at trial 256.  Two more send the chain at 60 dB: one with 100-bit BPSK
 packets, which are not a whole number of bytes, and one with QPSK past the
-interferer.  The last two lay out four nodes off the axes at non-integer
+interferer.  Two more lay out four nodes off the axes at non-integer
 positions, with clamped default points, and three of them with
-own_point_distance set.  A refactor must leave these bytes unchanged; moving a
+own_point_distance set.  The last lays out a triangle where one pair's
+chord foot lands exactly on its lower node, so one channel is drawn at
+distance 0.  A refactor must leave these bytes unchanged; moving a
 digest on purpose needs a CHANGES.md entry that says why the output
 changed.  CAPACITY_ROWS_SHA256 pins the capacity
 rows of the first seventeen runs apart from the rest of the CSV.
@@ -83,6 +85,18 @@ _OFF_AXIS_NODES = [
     {"id": 3, "x": -8.506, "y": 2.211, "radius": 2.0516},
 ]
 _OFF_AXIS = {"packet_bits": 64, "transmission_mode": "diversity"}
+
+# the chord foot of pair (0, 1), (9 + 16 - 25) / 6 = 0 m from node 0, lands
+# exactly on node 0: its channel to its own receive point is drawn at
+# distance 0, where the path gain is 1
+_CHORD_ON_NODE = {
+    "packet_bits": 64,
+    "nodes": [
+        {"id": 0, "x": 0.0, "y": 0.0, "radius": 4.0},
+        {"id": 1, "x": 3.0, "y": 0.0, "radius": 5.0},
+        {"id": 2, "x": 1.0, "y": 2.5, "radius": 3.0},
+    ],
+}
 
 LARGER_RUNS = {
     "capacity_vs_nodes-m1e6-trials100-seed3": (
@@ -174,6 +188,15 @@ LARGER_RUNS = {
             "scenario": {**_OFF_AXIS, "own_point_distance": 5.07, "nodes": _OFF_AXIS_NODES[:3]},
         },
         "02b617f432f90d19aa8922c133c1e2db3f67b57fd4760980c266ec94f24e96ce",
+    ),
+    "custom-chord-on-node-trials20-seed3": (
+        {
+            "trials": 20,
+            "seed": 3,
+            "snr": {"start": 0.0, "stop": 20.0, "step": 10.0},
+            "scenario": _CHORD_ON_NODE,
+        },
+        "6c2a8848eed34b0717e650c0e3ca8e65532f9138f38ef6dff08589a00d5c4f77",
     ),
 }
 

@@ -22,13 +22,14 @@ from beamlink.linksim import (
     run_trials,
 )
 from beamlink.metrics import RATES, capacity, effective_snr
-from beamlink.topology import Node, build_scenario
+from beamlink.topology import Node, ScenarioError, build_scenario
 from reference import (
     POINTS,
     block_streams,
     complex_modulate,
     full_block_detect,
     full_block_received_signal,
+    per_draw_plan,
     per_trial_run,
 )
 
@@ -408,6 +409,69 @@ def test_composites_carry_unit_total_power():
     composites = linksim._solve_network(plan, plan.draw(rng, 20))
     power = sum(np.sum(np.abs(c) ** 2, axis=(1, 2)) for c in composites.values())
     np.testing.assert_allclose(power, 1.0, rtol=0.0, atol=1e-12)
+
+
+class TestPlan:
+    """The draw plan against the per-draw planner, bit for bit."""
+
+    # pair (0, 1)'s chord foot lands on node 0: a draw at distance 0
+    CHORD_ON_NODE = [((0.0, 0.0), 4.0), ((3.0, 0.0), 5.0), ((1.0, 2.5), 3.0)]
+
+    def plans(self, scenario):
+        for include_interference in (True, False):
+            link = LinkConfig(snr_db=(0.0,), include_interference=include_interference)
+            plan = linksim._plan(scenario, link)
+            yield (plan.pairs, plan.senders, plan.amplitudes[:, 0, 0]), per_draw_plan(scenario, link)
+
+    def test_random_networks_match_per_draw_planner(self):
+        rng = np.random.default_rng(28)
+        built = {False: 0, True: 0}
+        for k in range(300):
+            count = int(rng.integers(2, 7))
+            ids = rng.permutation(40)[:count].tolist()
+            xy = rng.uniform(-10, 10, size=(count, 2)).round(3)
+            radii = rng.uniform(1, 12, size=count).round(4)
+            powers = rng.choice([0.25, 1.0, 3.7], size=count)
+            nodes = [Node(i, p, r, w) for i, p, r, w in zip(ids, xy, radii, powers)]
+            own = float(rng.uniform(1, 4)) if k % 2 else None
+            try:
+                sc = build_scenario(nodes, float(rng.choice([2.0, 3.0, 3.7])),
+                                    float(rng.choice([0.5, 1.0, 2.0])), own)
+            except ScenarioError:
+                continue
+            built[own is not None] += 1
+            for (pairs, senders, amplitudes), (ref_pairs, ref_senders, ref_amplitudes) in self.plans(sc):
+                assert (pairs, senders) == (ref_pairs, ref_senders)
+                assert amplitudes.tobytes() == ref_amplitudes.tobytes()
+        assert min(built.values()) > 30, built
+
+    def test_chord_on_node_and_single_link(self):
+        nodes = [Node(i, np.array(xy), r) for i, (xy, r) in enumerate(self.CHORD_ON_NODE)]
+        sc = build_scenario(nodes)
+        assert sc.points[0].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        for scenario in (sc, single_node_scenario()):
+            for (pairs, senders, amplitudes), (ref_pairs, ref_senders, ref_amplitudes) in self.plans(scenario):
+                assert (pairs, senders) == (ref_pairs, ref_senders)
+                assert amplitudes.tobytes() == ref_amplitudes.tobytes()
+        # node 0's channel to its own receive point, drawn at distance 0
+        assert linksim._plan(sc, LinkConfig(snr_db=(0.0,))).amplitudes[1, 0, 0] == 1.0
+
+    def test_one_path_gain_call_and_no_norm(self, monkeypatch):
+        calls = []
+        gain = linksim.path_gain
+
+        def counted(distance, scenario):
+            calls.append(len(distance))
+            return gain(distance, scenario)
+
+        def norm(*args, **kwargs):
+            raise AssertionError("the plan measures no distance with np.linalg.norm")
+
+        monkeypatch.setattr(linksim, "path_gain", counted)
+        monkeypatch.setattr(np.linalg, "norm", norm)
+        nodes = [Node(i, np.array(xy), r) for i, (xy, r) in enumerate(self.CHORD_ON_NODE)]
+        plan = linksim._plan(build_scenario(nodes), LinkConfig(snr_db=(0.0,)))
+        assert calls == [len(plan.amplitudes)] == [4 * 3 + 1]
 
 
 class TestSinr:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from beamlink.topology import (
     NetworkScenario,
     Node,
-    OverlapRegion,
     ScenarioError,
     build_scenario,
     detect_overlaps,
@@ -124,7 +123,7 @@ class TestDetectOverlaps:
                 r_a = float(dist) - 1.0  # exact for distances in [32, 64)
                 assert r_a + 1.0 == dist
                 nodes = [make_node(0, *a_xy[k], r_a), make_node(1, *c_xy[k], 1.0)]
-                pairs = [o.pair for o in build_scenario(nodes).overlaps]
+                pairs = build_scenario(nodes).pairs
                 assert pairs == detect_overlaps(nodes) == ([(0, 1)] if per_pair[k] < dist else [])
 
     def test_order_independent(self):
@@ -142,8 +141,8 @@ class TestDetectOverlaps:
 
 def receive_points(a, c, own=None):
     """The two receive points build_scenario places for the pair of a and c."""
-    (region,) = build_scenario([a, c], own_point_distance=own).overlaps
-    return region.point_a, region.point_b
+    (points,) = build_scenario([a, c], own_point_distance=own).points
+    return points[0], points[1]
 
 
 class TestInterferencePoints:
@@ -186,7 +185,8 @@ class TestInterferencePoints:
 
     def test_nonoverlapping_has_no_region(self):
         a, c = make_node(0, 0, 0, 6), make_node(1, 13, 0, 6)
-        assert build_scenario([a, c]).overlaps == []
+        sc = build_scenario([a, c])
+        assert (sc.pairs, sc.points.shape, sc.measured_pair) == ([], (0, 2, 2), None)
 
     def test_offsets_shift_along_segment(self):
         a, c = make_node(0, 0, 0, 6), make_node(1, 10, 0, 6)
@@ -201,11 +201,12 @@ class TestInterferencePoints:
                 receive_points(a, c, own)
 
     def test_points_follow_node_ids_not_input_order(self):
-        # point_a belongs to the lower id wherever that node sits in the list
+        # a pair's first point belongs to the lower id wherever that node
+        # sits in the list
         a, c = make_node(7, 10, 0, 6), make_node(3, 0, 0, 8)
-        (region,) = build_scenario([a, c]).overlaps
-        assert region.pair == (3, 7)
-        np.testing.assert_allclose(region.point_a, [6.4, 0.0], atol=1e-12)
+        sc = build_scenario([a, c])
+        assert sc.pairs == [(3, 7)]
+        np.testing.assert_allclose(sc.points[0, 0], [6.4, 0.0], atol=1e-12)
         with pytest.raises(ScenarioError, match=r"pair \(3, 7\) inside its overlap, got 1$"):
             build_scenario([a, c], own_point_distance=1.0)
 
@@ -220,7 +221,7 @@ class TestInterferencePoints:
     def test_points_inside_both_disks(self, d, r_a, r_c, own, angle):
         a = make_node(0, 0, 0, r_a)
         c = make_node(1, d * math.cos(angle), d * math.sin(angle), r_c)
-        if not build_scenario([a, c]).overlaps:
+        if not build_scenario([a, c]).pairs:
             return
         points = [receive_points(a, c)]
         try:
@@ -242,9 +243,10 @@ class TestPathGain:
     def scenario(self, eta=3.0, d0=1.0):
         return NetworkScenario(
             nodes=[make_node(0, 0, 0, 6)],
-            overlaps=[],
+            pairs=[],
+            points=np.empty((0, 2, 2)),
             measured_node=0,
-            measured_region=None,
+            measured_pair=None,
             path_loss_exponent=eta,
             reference_distance=d0,
         )
@@ -261,9 +263,27 @@ class TestPathGain:
     def test_below_reference_clamped(self):
         assert path_gain(0.25, self.scenario()) == pytest.approx(1.0)
 
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            path_gain(0.0, self.scenario())
+    def test_zero_distance_unity(self):
+        # a node's channel to a receive point on the node itself
+        assert path_gain(0.0, self.scenario(eta=3.7, d0=2.0)) == 1.0
+
+    def test_rejects_negative_and_nan_distance(self):
+        for bad in (-1e-300, -2.0, math.nan, [1.0, math.nan], np.array([0.0, -1.0])):
+            with pytest.raises(ValueError, match="distance must be >= 0"):
+                path_gain(bad, self.scenario())
+
+    def test_array_matches_scalar_calls(self):
+        # Python's float power on every ratio: numpy's power differs from it
+        # in the last bit on some, which would move the draws' amplitudes
+        rng = np.random.default_rng(28)
+        for eta, d0 in ((3.0, 1.0), (2.7, 0.5), (0.0, 2.0)):
+            sc = self.scenario(eta=eta, d0=d0)
+            d = np.concatenate([[0.0, d0, d0 / 3], rng.uniform(0, 50, 2000)])
+            gains = path_gain(d, sc)
+            assert isinstance(gains, np.ndarray) and gains.shape == d.shape
+            np.testing.assert_array_equal(gains, [path_gain(float(x), sc) for x in d])
+            assert all(type(path_gain(float(x), sc)) is float for x in d[:3])
+        assert path_gain(np.empty(0), self.scenario()).shape == (0,)
 
     @given(
         d1=st.floats(min_value=0.01, max_value=100.0),
@@ -281,15 +301,13 @@ class TestBuildScenario:
     def test_overlaps_match_detection(self):
         nodes = [make_node(0, 0, 0, 6), make_node(1, 10, 0, 6), make_node(2, 40, 0, 6)]
         sc = build_scenario(nodes)
-        assert [o.pair for o in sc.overlaps] == [(0, 1)]
+        assert sc.pairs == [(0, 1)]
 
     def test_own_point_distance_applied(self):
         # 7 m disks 10 m apart: the lens (3, 7) holds both points
         nodes = [make_node(0, 0, 0, 7), make_node(1, 10, 0, 7)]
         sc = build_scenario(nodes, own_point_distance=4.0)
-        region = sc.overlaps[0]
-        np.testing.assert_array_equal(region.point_for(0), [4.0, 0.0])
-        np.testing.assert_array_equal(region.point_for(1), [6.0, 0.0])
+        np.testing.assert_array_equal(sc.points, [[[4.0, 0.0], [6.0, 0.0]]])
 
     def test_duplicate_ids_rejected(self):
         nodes = [make_node(0, 0, 0, 6), make_node(0, 10, 0, 6)]
@@ -299,19 +317,18 @@ class TestBuildScenario:
     def test_default_measured_link(self):
         sc = build_scenario(collinear(3))
         assert sc.measured_node == 0
-        assert sc.measured_region is sc.overlaps[0]
-        assert sc.measured_region.pair == (0, 1)
+        assert sc.measured_pair == sc.pairs[0] == (0, 1)
 
     def test_explicit_pair_and_node(self):
         sc = build_scenario(collinear(3), measured_pair=(2, 1))
-        assert (sc.measured_region.pair, sc.measured_node) == ((1, 2), 1)
+        assert (sc.measured_pair, sc.measured_node) == ((1, 2), 1)
         sc = build_scenario(collinear(3), measured_pair=(1, 2), measured_node=2)
-        assert sc.measured_region is sc.overlaps[1]
+        assert sc.measured_pair == sc.pairs[1]
         assert sc.measured_node == 2
 
     def test_single_node_default(self):
         sc = build_scenario([make_node(4, 0, 0, 6)])
-        assert (sc.measured_node, sc.measured_region) == (4, None)
+        assert (sc.measured_node, sc.measured_pair) == (4, None)
 
     @pytest.mark.parametrize(
         "nodes, kwargs, field",
@@ -330,8 +347,3 @@ class TestBuildScenario:
         with pytest.raises(ScenarioError) as info:
             build_scenario(nodes, **kwargs)
         assert info.value.field == field
-
-    def test_region_point_lookup_unknown_id(self):
-        region = OverlapRegion(pair=(0, 1), point_a=np.zeros(2), point_b=np.ones(2))
-        with pytest.raises(KeyError):
-            region.point_for(7)
