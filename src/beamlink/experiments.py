@@ -22,7 +22,7 @@ from itertools import islice
 
 import numpy as np
 
-from beamlink.linksim import _BATCH_TRIALS, MODULATIONS, LinkConfig, run_trials
+from beamlink.linksim import _BATCH_TRIALS, MODULATIONS, LinkConfig, _draw_sites, run_trials
 from beamlink.channel import NakagamiParams
 from beamlink.metrics import (
     Estimate,
@@ -33,7 +33,7 @@ from beamlink.metrics import (
     packet_error_rate,
     uncoded_stream_params,
 )
-from beamlink.topology import NetworkScenario, Node, ScenarioError, build_scenario
+from beamlink.topology import NetworkScenario, Node, ScenarioError, build_scenario, path_gain
 
 __all__ = [
     "ConfigError",
@@ -135,8 +135,12 @@ MAX_PACKET_BITS = 100_000
 MAX_CHANNEL_ENTRIES = 10_000_000
 # largest power scale (tx_power, a node's power, nakagami_omega), whose
 # inverse 1e-50 is the smallest: with the +-1000 dB snr bound, a transmit-
-# referenced SNR stays within 2000 dB of unit (path gain is not bounded)
+# referenced SNR stays within 2000 dB of unit
 MAX_POWER_SCALE = 1e50
+# lowest received SNR (dB) a network may give: each node's power scales
+# times its path gain at the farthest receive point its channels are drawn
+# at, at the grid's lowest snr, so the noise's 1/SNR stays far from overflow
+MIN_RECEIVED_SNR_DB = -2000.0
 
 
 def _spec(default=MISSING, kind=float, *, ge=None, gt=None, le=None, choices=None, fold=False):
@@ -280,6 +284,21 @@ class ExperimentConfig:
                 )
             except ScenarioError as e:  # the field specs leave only the network rules to reject
                 raise ConfigError(f"field 'scenario.{e.field}': {e}{where}") from None
+            if network.pairs:  # a single link's one channel is drawn at gain 1
+                lowest = self.snr.start + 10.0 * math.log10(fading.omega if fading else 1.0)
+                ranked, at, distances, _ = _draw_sites(network)
+                farthest = np.zeros(len(ranked))
+                np.maximum.at(farthest, at, distances)
+                for node, gain in zip(ranked, path_gain(farthest, network).tolist()):
+                    received = lowest + 10.0 * math.log10(node.tx_power) + (
+                        10.0 * math.log10(gain) if gain > 0.0 else -math.inf
+                    )
+                    if received < MIN_RECEIVED_SNR_DB:
+                        raise ConfigError(
+                            f"field 'scenario' must give every node a received snr of at least "
+                            f"{MIN_RECEIVED_SNR_DB:g} dB at its farthest channel, got {received:.6g} "
+                            f"dB for node {node.id} at snr {self.snr.start:g} dB{where}"
+                        )
             draws = 4 * len(network.pairs) + len(nodes) if network.pairs else 1
             trials = min(self.trials, _BATCH_TRIALS)
             if trials * draws * sc.dimension**2 > MAX_CHANNEL_ENTRIES:

@@ -6,32 +6,34 @@ measured node, and detects it at that node's receive point with every other
 covering node contributing interference.  The trials of SNR-sweep point
 p are counted in blocks of _BATCH_TRIALS from trial 0, and block b draws
 each kind of draw (channels, bits, noise) from its own stream, spawned from
-(master_seed, spawn_key=(p, b, kind)) and filled in trial order.  So every
-draw of a trial sits at a position fixed by its index: results are
-bit-identical for any worker count, execution order, chunk size or run
-trial count, and an erased trial moves no other trial's draws.
+(master_seed, spawn_key=(p, b, kind)) and filled in trial order (the block
+contract, stated in _run_task).  So a trial's draws depend only on the
+trials at or before it in its block: results are bit-identical for any
+worker count, execution order, chunk size or run trial count.
 
 What does not depend on the draws (moments, rotator, which channels to
-draw and their path amplitudes, which nodes send at the measured point) is
-worked out once per run.  The tasks of all the runs (one run, one SNR
-point, one block of trials each) go to one scheduler, which runs them here
-for one process or on one process pool.  A task solves the pairs and the
-link algebra of all its trials as stacks, then sends one packet per trial,
-a few trials at a time: the slicer reads e = sum_s A_s x_s + W n behind the
-zero-forcing combiner W (beamformer.left_pseudoinverse of the desired
-sender's effective channel), so a trial draws only the normals of the real
-axes the slicer reads and colors them with a factor of W n's covariance,
-and its errors are the sign decisions on those axes that differ from the
-signs of the desired sender's coordinates.  A singular solve,
-normalization or equalizer erases the trials its SolveError marks, and the
-stacked steps run again on the rest.
+draw and their path amplitudes, which nodes send at the measured point,
+and whether the trials count their errors or draw their noise) is worked
+out once per run.  The tasks of all the runs (one run, one SNR point, one
+block of trials each) go to one scheduler, which runs them here for one
+process or on one process pool.  A task solves the pairs and the link
+algebra of all its trials as stacks.  The slicer reads e = sum_s A_s x_s +
+W n behind the zero-forcing combiner W (beamformer.left_pseudoinverse of
+the desired sender's effective channel).  With one stream its axes are
+independent given the channels, so a task counts each trial's errors from
+their exact law (_count_errors) and draws no noise.  Otherwise it sends
+one packet per trial, a few trials at a time: a trial draws only the
+normals of the real axes the slicer reads and colors them with a factor of
+W n's covariance, and its errors are the sign decisions on those axes that
+differ from the signs of the desired sender's coordinates.  A singular
+solve, normalization or equalizer erases the trials its SolveError marks,
+and the stacked steps run again on the rest.
 """
 from __future__ import annotations
 
 import math
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -53,7 +55,7 @@ from beamlink.channel import (
     stack,
 )
 from beamlink.metrics import RATES, capacity, effective_snr, uncoded_stream_params
-from beamlink.topology import NetworkScenario, _distance, path_gain
+from beamlink.topology import NetworkScenario, Node, _distance, path_gain
 
 __all__ = [
     "ModulationScheme",
@@ -281,7 +283,9 @@ class _TaskPlan:
     there: the desired node first, then, when the link includes
     interference, every other node heard there by ascending id.  A heard
     node that does not send still has its channel drawn, so the channel
-    stream does not depend on include_interference.
+    stream does not depend on include_interference.  patterns holds what
+    _count_errors sums over when the trials count their errors, and is None
+    when they draw their noise (_plan states the rule).
     """
 
     dimension: int
@@ -292,6 +296,7 @@ class _TaskPlan:
     senders: list[tuple[int, int]]
     amplitudes: np.ndarray  # (draws, 1, 1): sqrt(path gain * tx power)
     repetition: np.ndarray | None  # (M,) in diversity mode, None for multiplexing
+    patterns: np.ndarray | None  # (P, senders - 1, D) interferer coordinates, or None
 
     def draw(self, rng: Generator, trials: int) -> np.ndarray:
         """The (trials, draws, M, M) channels of that many trials in turn,
@@ -305,13 +310,47 @@ class _TaskPlan:
 
 
 def _plan(scenario: NetworkScenario, link: LinkConfig) -> _TaskPlan:
-    """Fix the draw order: per overlap (sorted by id pair) the four pair
-    channels, then the measured point's other interferers by ascending id.
-    The desired node and its pair are the scenario's measured link.  Every
-    distance comes from topology._distance, every gain from one path_gain."""
+    """What a run's tasks share: the draws (_draw_sites) and their path
+    amplitudes, every gain from one path_gain, the senders at the measured
+    point and whether the trials count their errors."""
     moments = derive_moments(link.fading) if link.fading is not None else None
     corr = moments if moments is not None else MomentDecomposition(0.0, 1.0)
     rotator = build_rotator(corr, link.dimension, link.rotation_angle)
+    desired = scenario.measured_node
+    ranked, at, distances, heard = _draw_sites(scenario)
+    senders = [(desired, heard.pop(desired))]
+    if link.include_interference:
+        senders += sorted(heard.items())
+    # the trials count their errors where the slicer's axes are independent
+    # given the channels (one stream) and counting is the cheaper path (a
+    # 40-node diversity network would have 2^39 patterns)
+    b, interferers = link.modulation.bits_per_symbol, len(senders) - 1
+    patterns = 2 ** (b * interferers)
+    counted = link.streams == 1 and _SYMBOLS_PER_PATTERN * patterns <= link.symbols_per_stream
+
+    power = np.array([node.tx_power for node in ranked])[at]
+    amplitudes = np.sqrt(path_gain(distances, scenario) * power)
+    return _TaskPlan(
+        dimension=link.dimension,
+        moments=moments,
+        rotator=rotator,
+        desired=desired,
+        pairs=scenario.pairs,
+        senders=senders,
+        amplitudes=amplitudes[:, None, None],
+        repetition=_alternating_unit_vector(link.dimension) if link.mode == "diversity" else None,
+        patterns=_symbol_patterns(interferers, b) if counted else None,
+    )
+
+
+def _draw_sites(scenario: NetworkScenario) -> tuple[list[Node], np.ndarray, np.ndarray, dict[int, int]]:
+    """Fix the draw order: per overlap (sorted by id pair) the four pair
+    channels, then the measured point's other interferers by ascending id;
+    the desired node and its pair are the scenario's measured link.
+    Returns the nodes by ascending id, each draw's sender as an index into
+    them, each draw's distance from its sender to its receive point, taken
+    with topology._distance, and the draw index of every node heard at the
+    measured point."""
     desired, pairs = scenario.measured_node, scenario.pairs
     ranked = sorted(scenario.nodes, key=lambda n: n.id)
     ids = [node.id for node in ranked]
@@ -342,22 +381,18 @@ def _plan(scenario: NetworkScenario, link: LinkConfig) -> _TaskPlan:
         heard.update((ids[m], len(at) + q) for q, m in enumerate(covering.tolist()))
         at = np.concatenate([at, covering])
         points = np.concatenate([points, np.broadcast_to(point, (len(covering), 2))])
-    senders = [(desired, heard.pop(desired))]
-    if link.include_interference:
-        senders += sorted(heard.items())
+    return ranked, at, _distance(points - positions[at]), heard
 
-    power = np.array([node.tx_power for node in ranked])[at]
-    amplitudes = np.sqrt(path_gain(_distance(points - positions[at]), scenario) * power)
-    return _TaskPlan(
-        dimension=link.dimension,
-        moments=moments,
-        rotator=rotator,
-        desired=desired,
-        pairs=pairs,
-        senders=senders,
-        amplitudes=amplitudes[:, None, None],
-        repetition=_alternating_unit_vector(link.dimension) if link.mode == "diversity" else None,
-    )
+
+def _symbol_patterns(interferers: int, bits_per_symbol: int) -> np.ndarray:
+    """Every pattern of the interferers' symbols, as the (P, interferers, b)
+    coordinates modulate gives them, P = 2^(b * interferers): pattern j's
+    interferer s sends the symbol whose b bits are digit s of j in base 2^b,
+    msb first, so j's bits read msb first are the interferers' bits in turn."""
+    b = bits_per_symbol
+    digits = b * interferers
+    bits = (np.arange(2**digits)[:, None] >> np.arange(digits)[::-1]) & 1
+    return (1 - 2 * bits).reshape(2**digits, interferers, b) / math.sqrt(b)
 
 
 def _solve_network(plan: _TaskPlan, channels: np.ndarray) -> dict[int, np.ndarray]:
@@ -403,6 +438,18 @@ _BATCH_TRIALS = 256
 # no draw and bounds only memory
 _CHUNK_VALUES = 4 * 2304
 
+# a single-stream trial counts its errors when its stream has at least this
+# many symbols per pattern of the interferers' symbols.  A pattern costs
+# _count_errors its b erfc calls, a 2^b-outcome multinomial row and its
+# known parts, where a symbol costs the packet stage its bits, normals and
+# decisions.  On diversity lines (BPSK and QPSK, 1-12 senders, 8-65536
+# symbols per stream, 100 trials, 2 vCPUs) the two paths cost about the
+# same per trial at 10-16 symbols per pattern; at 32 counting took 0.4-1.0
+# of the packet stage's time (1.0 only on packets of at most 64 symbols,
+# where both cost the same ~13 us), and at 1.1 (12 senders, 2304 symbols)
+# it took 1.7
+_SYMBOLS_PER_PATTERN = 32
+
 
 def _block_streams(master_seed: int, point_idx: int, block: int) -> list[Generator]:
     """The channel, bits and noise streams of one block of trials: kind k's
@@ -418,40 +465,43 @@ def _run_task(
 ) -> tuple[TrialStats, np.ndarray]:
     """Counters and capacity samples of trials [start, stop) of one SNR point.
 
-    The trials are one block: start is a multiple of _BATCH_TRIALS, and
-    block start // _BATCH_TRIALS takes each kind of draw from its own
-    stream (_block_streams), in trial order.  The channel stream (kind 0)
-    gives every trial's channels in one sample_channel call.  The bits
-    stream (kind 1) gives each trial ceil(senders * bytes / 8) raw 64-bit
-    words, whose first senders * bytes little-endian bytes are each
-    sender's ceil(packet_bits / 8) bytes in turn.  The noise stream (kind
-    2) gives each trial the (D, N) normals of its D = K * bits-per-symbol
-    slicer axes.  Every trial draws, erased or not, so a trial's draws sit
-    at positions fixed by its index within the block.
+    The block contract.  The trials are one block: start is a multiple of
+    _BATCH_TRIALS, and block start // _BATCH_TRIALS takes each kind of draw
+    from its own stream (_block_streams), in trial order.  The channel
+    stream (kind 0) gives every trial's channels in one sample_channel
+    call.  Where the plan counts errors (plan.patterns, one stream), the
+    bits stream (kind 1) gives each trial, erased or not, its pattern
+    counts, and the noise stream (kind 2) each surviving trial its error
+    outcomes, each in one multinomial call per chunk (_count_errors).  How
+    many raw words numpy's binomial takes depends on its p, and an erased
+    trial draws no outcomes, so such a trial's position in the noise
+    stream depends on the trials before it in the block, not on its index
+    alone.  Otherwise the bits stream gives each trial ceil(senders * bytes
+    / 8) raw 64-bit words, whose first senders * bytes little-endian bytes
+    are each sender's ceil(packet_bits / 8) bytes in turn, and the noise
+    stream each trial the (D, N) normals of its D = K * bits-per-symbol
+    slicer axes; every trial draws, erased or not, so its draws sit at
+    positions fixed by its index within the block.  Either way a trial's
+    draws depend only on the trials at or before it in its block, so no
+    chunk size, worker count or run trial count moves them.
 
     Every pair of every trial is solved as one stack, and so is the link
     algebra at the measured point: the (trials, senders, M, K) stack of
     each sender's channel @ composite (@ rep in diversity mode) a_s, the
     desired node's zero-forcing equalizer W = left_pseudoinverse(a_0), the
-    other senders' A_s = W a_s, the SINR terms, the capacities and the
-    noise factor.  The packet stage then takes the trials a chunk of at most
-    _CHUNK_VALUES slicer values at a time: one random_raw and one
-    standard_normal call draw the chunk's words and normals, the surviving
-    trials' rows are kept, and modulate, received_signal and detect each run
-    once.  A coordinate is negative exactly where its bit is 1, so a
-    decision is wrong where it differs from the sign of the desired
-    sender's coordinate; on that one (trials, K, D/K, N) array a symbol is
-    wrong where any of its D/K bits is, and a packet where any of its bits is.
+    other senders' A_s = W a_s, the SINR terms and the capacities.  Then
+    _count_errors or _decide_errors counts the surviving trials' errors.
 
     A numerical failure in the solve, the normalization or the equalizer
     erases its trials: one lost packet each, NaN capacity.  The failing
     step's SolveError marks them; the stacked steps run again on the rest,
-    which gives every other trial the result it would get alone.
+    which gives every other trial the channels and capacity it would get
+    alone.
     """
     n = stop - start
     channel_rng, bits_rng, noise_rng = _block_streams(master_seed, point_idx, start // _BATCH_TRIALS)
     channels = plan.draw(channel_rng, n)
-    scheme, rep = link.modulation, plan.repetition
+    rep = plan.repetition
     alive = np.arange(n)
     while True:
         try:
@@ -475,14 +525,119 @@ def _run_task(
     caps = np.full(n, math.nan)
     caps[alive] = capacity(effective_snr(interference, noise_gain, sigma2))
 
-    b = scheme.bits_per_symbol
-    axes = link.streams * b
-    factor = _noise_factor(pinv, sigma2, b)
+    b = link.modulation.bits_per_symbol
     leak_axes = _real_axes(leaks, b)
-    senders, packet_bytes = len(plan.senders), (link.packet_bits + 7) // 8
+    if plan.patterns is not None:
+        errors = _count_errors(plan.patterns, leak_axes, sigma2 * noise_gain[:, 0], link, alive, n,
+                               bits_rng, noise_rng)
+    else:
+        factor = _noise_factor(pinv, sigma2, b)
+        errors = _decide_errors(len(plan.senders), leak_axes, factor, link, alive, n, bits_rng, noise_rng)
+    bit_errors, symbol_errors, packet_errors = errors
+    erased = n - len(alive)
+    stats = TrialStats(
+        bits_sent=len(alive) * link.packet_bits,
+        bit_errors=bit_errors,
+        symbols_sent=len(alive) * link.packet_bits // b,
+        symbol_errors=symbol_errors,
+        packets_sent=n,
+        packet_errors=packet_errors + erased,
+        erasures=erased,
+    )
+    return stats, caps
+
+
+def _count_errors(
+    patterns: np.ndarray,
+    leak_axes: np.ndarray,
+    noise_var: np.ndarray,
+    link: LinkConfig,
+    alive: np.ndarray,
+    n: int,
+    bits_rng: Generator,
+    noise_rng: Generator,
+) -> tuple[int, int, int]:
+    """Bit, symbol and packet errors of a single-stream task's surviving
+    trials alive of [0, n), drawn from their exact law given the channels.
+
+    Up to one rotation of every symbol (a sign for BPSK, a quarter turn for
+    QPSK), which leaves the noise W n ~ CN(0, noise_var) unchanged and at
+    most swaps QPSK's two axes, each symbol time sends the desired symbol
+    with bits 0 and one of the P equally likely patterns of the
+    interferers' symbols: a trial's pattern counts are Multinomial(N,
+    uniform).  Under pattern j, axis i's known part is d = c + sum_s sum_k
+    L_s[i, k] x_js[k], added sender by sender as received_signal adds it,
+    and its noise is N(0, noise_var / 2), independent across the axes, so
+    the axis errs with p = Q(d / sqrt(noise_var / 2)) = erfc(d /
+    sqrt(noise_var)) / 2.  Pattern j's symbols then fall into the 2^b
+    outcomes of which axes err, Multinomial(count_j, q_j), all axes wrong
+    first and none wrong last (for BPSK, Binomial(count_j, p)).  This is
+    conditional (quasi-analytic) estimation: Jeruchim, Balaban &
+    Shanmugan, Simulation of Communication Systems, 2nd ed., 2000.
+
+    The trials go a chunk of at most _CHUNK_VALUES pattern axes at a time:
+    one multinomial call on bits_rng draws the chunk's pattern counts,
+    erased trials included, and one on noise_rng the survivors' outcomes.
+    numpy draws a call's rows in turn, so the chunk size moves no draw.
+    """
+    npatterns, _, b = patterns.shape
+    # (2^b, b) outcomes: bit i of outcome o set where axis i decides right
+    right = (np.arange(2**b)[:, None] >> np.arange(b)) & 1
+    wrong_bits = b - right.sum(axis=1)
+    uniform = np.full(npatterns, 1.0 / npatterns)
+    chunk = max(1, _CHUNK_VALUES // (npatterns * b))
+    bit_errors = symbol_errors = packet_errors = 0
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        counts = bits_rng.multinomial(link.symbols_per_stream, uniform, size=hi - lo)
+        i, j = np.searchsorted(alive, (lo, hi))
+        if i == j:
+            continue
+        known = np.full((j - i, npatterns, b), 1.0 / math.sqrt(b))
+        for s in range(patterns.shape[1]):
+            for k in range(b):
+                known += leak_axes[i:j, None, s, :, k] * patterns[None, :, s, None, k]
+        u = known / np.sqrt(noise_var[i:j])[:, None, None]
+        # erfc of |u|, so that both tails keep their precision
+        tail = 0.5 * np.array([math.erfc(v) for v in np.abs(u).ravel().tolist()]).reshape(u.shape)
+        errs, holds = np.where(u < 0.0, 1.0 - tail, tail), np.where(u < 0.0, tail, 1.0 - tail)
+        q = np.where(right, holds[..., None, :], errs[..., None, :]).prod(axis=-1)
+        # (trials, P, 2^b) symbols per outcome; the last outcome has no error
+        outcomes = noise_rng.multinomial(counts[alive[i:j] - lo], q)
+        erred = outcomes[..., :-1]
+        bit_errors += int((outcomes * wrong_bits).sum())
+        symbol_errors += int(erred.sum())
+        packet_errors += int(np.count_nonzero(erred.any(axis=(1, 2))))
+    return bit_errors, symbol_errors, packet_errors
+
+
+def _decide_errors(
+    senders: int,
+    leak_axes: np.ndarray,
+    factor: np.ndarray,
+    link: LinkConfig,
+    alive: np.ndarray,
+    n: int,
+    bits_rng: Generator,
+    noise_rng: Generator,
+) -> tuple[int, int, int]:
+    """Bit, symbol and packet errors of a task's surviving trials alive of
+    [0, n), from sign decisions on drawn bits and noise.
+
+    The trials go a chunk of at most _CHUNK_VALUES slicer values at a time:
+    one random_raw and one standard_normal call draw the chunk's words and
+    normals, the surviving trials' rows are kept, and modulate,
+    received_signal (with factor, each trial's noise factor) and detect
+    each run once.  A coordinate is negative exactly where its bit is 1, so
+    a decision is wrong where it differs from the sign of the desired
+    sender's coordinate; on that one (trials, K, D/K, N) array a symbol is
+    wrong where any of its D/K bits is, and a packet where any of its bits is.
+    """
+    scheme = link.modulation
+    packet_bytes = (link.packet_bits + 7) // 8
     words = -(-senders * packet_bytes // 8)
     chunk = max(1, _CHUNK_VALUES // link.packet_bits)
-    normals = np.empty((chunk, axes, link.symbols_per_stream))
+    normals = np.empty((chunk, link.streams * scheme.bits_per_symbol, link.symbols_per_stream))
     bit_errors = symbol_errors = packet_errors = 0
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
@@ -501,17 +656,7 @@ def _run_task(
         bit_errors += int(np.count_nonzero(wrong))
         symbol_errors += int(np.count_nonzero(wrong.any(axis=2)))
         packet_errors += int(np.count_nonzero(wrong.any(axis=(1, 2, 3))))
-    erased = n - len(alive)
-    stats = TrialStats(
-        bits_sent=len(alive) * link.packet_bits,
-        bit_errors=bit_errors,
-        symbols_sent=len(alive) * link.packet_bits // b,
-        symbol_errors=symbol_errors,
-        packets_sent=n,
-        packet_errors=packet_errors + erased,
-        erasures=erased,
-    )
-    return stats, caps
+    return bit_errors, symbol_errors, packet_errors
 
 
 def run_trials(
@@ -550,6 +695,10 @@ def run_trials(
     if processes == 1:
         chunks = [_run_task(*task) for task in args]
     else:
+        # imported here, so a run on one process never loads the pool's
+        # modules (about 1.1 MB resident)
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             chunks = list(pool.map(_run_task, *zip(*args)))
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -21,7 +22,7 @@ def real_pool(monkeypatch):
             opened.append((self.processes, len(iterables[0])))
             return super().map(fn, *iterables)
 
-    monkeypatch.setattr(linksim, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
     monkeypatch.setattr(linksim.os, "cpu_count", lambda: 3)
     return opened
 

@@ -26,6 +26,15 @@ exact conditional error probability `p = Q(x d / sqrt(var))` on its axis,
 with x the sign sent there.  Summed over the bits of a run, `sum p` is the
 expected count of bit errors and `sum p (1 - p)` its variance.
 
+A counting trial (a single-stream task's, linksim._count_errors) sends no
+symbols; the oracle reads its pattern counts off its block's bits stream
+instead, each pattern j as that many symbol times of the desired symbol
+with bits 0 and the interferers' symbols whose bits are j's digits, msb
+first (counted_symbols).
+
+The even-M Rayleigh MRC closed form is the exact BPSK bit error rate of
+the single-link diversity run (mrc_bpsk_ber).
+
 The per-draw planner is how the draw plan was built before it took its
 geometry as arrays: draw by draw, a 1-D `np.linalg.norm` for each distance,
 one scalar path gain per draw with gain 1 at distance 0, and the heard-node
@@ -125,6 +134,40 @@ def bit_error_probabilities(sent, w, symbols, sigma2: float, scheme) -> np.ndarr
     # Q(u) = erfc(u / sqrt 2) / 2
     p = [0.5 * erfc(np.sign(x) * d / (sd * math.sqrt(2.0))) for d, x in axes]
     return np.stack(p, axis=-1).reshape(-1)
+
+
+def counted_symbols(plan, link: LinkConfig, bits_rng) -> np.ndarray:
+    """A counting trial's (senders, 1, N) complex symbols as the oracle reads
+    them: its pattern counts, the next on its block's bits stream, each
+    pattern j as that many symbol times of the desired symbol with bits 0
+    and the interferers' symbols whose bits are j's digits, msb first."""
+    scheme, n = link.modulation, link.symbols_per_stream
+    digits = scheme.bits_per_symbol * (len(plan.senders) - 1)
+    counts = bits_rng.multinomial(n, np.full(2**digits, 2.0**-digits))
+    bits = [[(j >> (digits - 1 - k)) & 1 for k in range(digits)] for j in range(2**digits)]
+    interferers = complex_modulate(np.repeat(np.array(bits, dtype=np.uint8), counts, axis=0), scheme)
+    desired = np.full((n, 1), POINTS[scheme.kind][0])
+    return np.concatenate([desired, interferers.reshape(n, -1)], axis=1).T[:, None, :]
+
+
+def mrc_bpsk_ber(branches: int, mean_snr: float) -> float:
+    """BPSK bit error rate of maximal-ratio combining over an even number of
+    i.i.d. Rayleigh branches of mean SNR mean_snr each:
+    ((1 - mu) / 2)^L sum_{k<L} C(L - 1 + k, k) ((1 + mu) / 2)^k, with
+    mu = sqrt(mean_snr / (1 + mean_snr)) (Proakis & Salehi, Digital
+    Communications, 5th ed., 2008, section 13.4).
+
+    The single-link diversity trial sends through h = H v with v the
+    alternating unit vector, whose entries sum to 0 for even M, so the mean
+    of H cancels and h ~ CN(0, variance I_M): M Rayleigh branches of mean
+    SNR variance * snr at unit tx_power and path gain, and the combiner
+    W = h^H / ||h||^2 gives the slicer SNR ||h||^2 / sigma2."""
+    if branches % 2:
+        raise ValueError(f"the closed form needs an even branch count, got {branches}")
+    mu = math.sqrt(mean_snr / (1.0 + mean_snr))
+    return ((1.0 - mu) / 2.0) ** branches * sum(
+        math.comb(branches - 1 + k, k) * ((1.0 + mu) / 2.0) ** k for k in range(branches)
+    )
 
 
 def block_streams(master_seed: int, point: int, block: int) -> list[np.random.Generator]:
@@ -232,7 +275,8 @@ def per_trial_run(scenario, link: LinkConfig, n_trials: int, master_seed: int):
 
 def stage_run(scenario, link: LinkConfig, n_trials: int, master_seed: int, monkeypatch):
     """run_trials on one run, with the oracle's sums from the symbols each
-    chunk hands received_signal: (counters, sum p, sum p (1 - p))."""
+    chunk hands received_signal, or for a counting run from each trial's
+    counted_symbols: (counters, sum p, sum p (1 - p))."""
     handed = []
     stage = linksim.received_signal
 
@@ -248,10 +292,13 @@ def stage_run(scenario, link: LinkConfig, n_trials: int, master_seed: int, monke
     mean = var = 0.0
     for point, snr_db in enumerate(link.snr_db):
         sigma2 = 10.0 ** (-snr_db / 10.0)
-        for channel_rng, *_ in trial_streams(master_seed, point, n_trials):
+        for channel_rng, bits_rng, _ in trial_streams(master_seed, point, n_trials):
             solved = trial_link(plan, channel_rng)
+            # a counting trial draws its pattern counts, erased or not
+            counted = None if plan.patterns is None else counted_symbols(plan, link, bits_rng)
             if solved is not None:
-                p = bit_error_probabilities(*solved, next(symbols), sigma2, link.modulation)
+                sent_symbols = next(symbols) if counted is None else counted
+                p = bit_error_probabilities(*solved, sent_symbols, sigma2, link.modulation)
                 mean, var = mean + p.sum(), var + (p * (1.0 - p)).sum()
     assert next(symbols, None) is None
     return sum((r.stats for r in results), TrialStats()), mean, var

@@ -99,6 +99,45 @@ class TestExitCodes:
         assert err == "config error: field 'scenario.tx_power' must be <= 1e+50, got 1e+209\n"
         assert not out.exists()
 
+    def test_unheard_network_exits_1_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        # two nodes 1e100 m apart with 1e100 m disks at a 100 m reference
+        # distance: the path gain at a receive point is about 1e-294, so at
+        # -1000 dB sigma2 W W^H overflowed and the run exited 2 with
+        # "Eigenvalues did not converge"; the received-snr bound
+        # (MIN_RECEIVED_SNR_DB), on each node's farthest drawn channel (5e99
+        # m), refuses it at load time instead
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "run_trials", no_trials)
+        cfg = write_config(tmp_path, {
+            "trials": 3, "snr": {"start": -1000.0},
+            "scenario": {"reference_distance": 100.0, "range_radius": 1e100, "modulation": "qpsk",
+                         "node_spacing": 1e100},
+        })
+        out = tmp_path / "x.csv"
+        rc = main(["--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == (
+            "config error: field 'scenario' must give every node a received snr of at least "
+            "-2000 dB at its farthest channel, got -3930.97 dB for node 0 at snr -1000 dB\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radius", [1e100, 1e150])
+    def test_close_nodes_with_huge_disks_exit_0(self, tmp_path, capsys, radius):
+        # every channel is drawn within 1 m of its sender, so the received-snr
+        # bound passes although path_gain(radius) is about 1e-300 or, at
+        # 1e150, underflows to 0
+        cfg = write_config(tmp_path, {
+            "trials": 2, "snr": {"start": 0.0},
+            "scenario": {"node_spacing": 1.0, "range_radius": radius, "packet_bits": 8},
+        })
+        out = tmp_path / "x.csv"
+        rc = main(["--config", cfg, "--out", str(out)])
+        assert rc == 0
+        assert f"custom: wrote 5 rows to {out}" in capsys.readouterr().out
 
     def test_near_tangent_nodes_exit_0(self, tmp_path, capsys):
         # the radii sum to the nodes' distance, which norm(axis=1) puts one

@@ -41,9 +41,9 @@ from beamlink.experiments import EXPERIMENTS, emit_csv, load_config, run_experim
 
 GOLDEN_SHA256 = {
     "capacity_vs_nodes": "bfbd9f27552b94d968566ffc02e3bb8db4cf674f6bc4f3aedb2dce482b448539",
-    "per_vs_distance": "d8f4314a123d81686ef74a3db17724ad206cd1711b3a5b1bc68b1fcf2bcc0751",
+    "per_vs_distance": "cd5d21a0902992ab9911e3df3e32374d50ba144e2ddd1c1d18119b8d45e7eeda",
     "per_vs_modulation": "36c96046ca1291169bf66d9a43fd1e04d483d310dd63927b01f05c4a6d25b659",
-    "ber_vs_dimension": "47e9d48c195f83d80e6bec2dffe9143472a3c8bac66be0eb57487fedcd7c2c65",
+    "ber_vs_dimension": "3d3bcda75ffb006e5dab1cc167e0479708274484ee712203aa38beb4571d7bb4",
     "custom": "f134da9cd90d1390ca13c921cf36d1a0d804ddbfd29095839c7513c4b8aff464",
 }
 
@@ -105,7 +105,7 @@ LARGER_RUNS = {
     ),
     "ber_vs_dimension-trials20-seed7": (
         {"experiment": "ber_vs_dimension", "trials": 20, "seed": 7},
-        "7b351d969c846843d37a5c34c1fad449f85f095e52dd3dae49c1541f6275d87d",
+        "a27670d43a2d3e8a20a958f403c1d698894cb455ebb02022ba6e1c8ed7854c30",
     ),
     "ber_vs_dimension-multiplexing-bits8-literal-trials30-seed2": (
         {
@@ -118,7 +118,7 @@ LARGER_RUNS = {
     ),
     "ber_vs_dimension-qpsk-trials20-seed4": (
         {"experiment": "ber_vs_dimension", "trials": 20, "seed": 4, "scenario": {"modulation": "qpsk"}},
-        "5dee024e0ae37f98287725f7a2071d0ac66342cf0452808fbe5112f76c325b5a",
+        "377b43bae912082072aea75ee3a816016ceb051659a024b42ec11b5f77af30c4",
     ),
     "custom-chain3-interference-trials20-seed5": (
         {"trials": 20, "seed": 5, "snr": {"start": 20.0}, "scenario": _CHAIN3},
@@ -135,7 +135,7 @@ LARGER_RUNS = {
     ),
     "per_vs_distance-trials30-seed11": (
         {"experiment": "per_vs_distance", "trials": 30, "seed": 11},
-        "ec921d7147f58705308422deac5d5b66f6e4ba96d939ed00f463dfeb10d1561d",
+        "961ab0d3b174a00b27413f4cf8b70d37986c86b3cf868d382b985a91aa23598b",
     ),
     "custom-chain3-diversity-m4-trials20-seed6": (
         {
@@ -161,7 +161,7 @@ LARGER_RUNS = {
             "seed": 2**64 + 5,
             "scenario": {"packet_bits": 64},
         },
-        "030863b97815589128e290cd981569645c2dcb6acbcded9f2aab2650a9c65497",
+        "98c6713ee6abe31e88ffff015f07e45909ea06149f89fab636598dabe9eba642",
     ),
     "custom-chain3-bits100-trials20-seed5": (
         {"trials": 20, "seed": 5, "snr": {"start": 60.0}, "scenario": {**_CHAIN3, "packet_bits": 100}},

@@ -1,11 +1,13 @@
+import concurrent.futures
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import chi2_contingency as scipy_chi2_contingency
 from scipy.stats import norm as scipy_norm
 
 from beamlink import experiments, linksim
@@ -544,7 +546,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(linksim, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(linksim.os, "cpu_count", lambda: 2)
     return opened
 
@@ -625,6 +627,81 @@ class TestRunTrials:
             long.bit_errors, long.symbol_errors, long.packet_errors - long.erasures
         )
 
+    def test_counted_trial_count_invariance(self, zero_channels):
+        # the chain's diversity link counts its errors past both other
+        # nodes: trial 257 reads the same in a run of 260 trials as in one of
+        # 300, its capacity sample and, with every other trial erased, its
+        # counters; the erased trials still draw their pattern counts
+        config = experiments.load_config(overrides={
+            "trials": 1, "seed": 8, "snr": {"start": 15.0, "stop": 15.0},
+            "scenario": {**TestSinr.CHAIN3, "dimension": 4, "transmission_mode": "diversity",
+                         "packet_bits": 128},
+        })
+        ((*_, sc, link),) = config.runs
+        assert linksim._plan(sc, link).patterns.shape == (4, 2, 1)
+        short, long = (run_trials([(sc, link)], n, master_seed=8)[0] for n in (260, 300))
+        assert short.capacity_samples.tobytes() == long.capacity_samples[:260].tobytes()
+        zero_channels(lambda plan, p, t: t != 257)
+        short, long = (run_trials([(sc, link)], n, master_seed=8)[0].stats for n in (260, 300))
+        assert (short.erasures, long.erasures) == (259, 299)
+        assert 0 < short.bit_errors < short.bits_sent == 128
+        assert (short.bit_errors, short.symbol_errors, short.packet_errors - short.erasures) == (
+            long.bit_errors, long.symbol_errors, long.packet_errors - long.erasures
+        )
+
+    def test_counted_worker_count_invariance(self, monkeypatch, real_pool):
+        # the chain's diversity link counts its errors; blocks of 5 trials,
+        # 3 per point, merged across processes
+        config = experiments.load_config(overrides={
+            "trials": 1, "seed": 7, "snr": {"start": 10.0, "stop": 20.0, "step": 10.0},
+            "scenario": {**TestSinr.CHAIN3, "transmission_mode": "diversity", "packet_bits": 128},
+        })
+        ((*_, sc, link),) = config.runs
+        assert linksim._plan(sc, link).patterns is not None
+        monkeypatch.setattr(linksim, "_BATCH_TRIALS", 5)
+        serial = run_trials([(sc, link)], n_trials=13, master_seed=7, workers=1)
+        parallel = run_trials([(sc, link)], n_trials=13, master_seed=7, workers=3)
+        assert real_pool == [(3, 6)]
+        assert 0 < serial[0].stats.bit_errors
+        for a, b in zip(serial, parallel):
+            assert a.stats == b.stats
+            np.testing.assert_array_equal(a.capacity_samples, b.capacity_samples)
+
+    @pytest.mark.parametrize("modulation, packet_bits", [("bpsk", 128), ("qpsk", 1024)])
+    def test_counted_chunk_size_invariance(self, monkeypatch, modulation, packet_bits):
+        # chunks of one trial count what one chunk per task counts; the
+        # packets are the smallest that count past the chain's 2 interferers
+        config = experiments.load_config(overrides={
+            "trials": 1, "seed": 3, "snr": {"start": 15.0, "stop": 15.0},
+            "scenario": {**TestSinr.CHAIN3, "dimension": 4, "transmission_mode": "diversity",
+                         "modulation": modulation, "packet_bits": packet_bits},
+        })
+        ((*_, sc, link),) = config.runs
+        assert linksim._plan(sc, link).patterns is not None
+        (default,) = run_trials([(sc, link)], 270, master_seed=3)
+        monkeypatch.setattr(linksim, "_CHUNK_VALUES", 1)
+        (one,) = run_trials([(sc, link)], 270, master_seed=3)
+        assert default.stats == one.stats
+        assert 0 < one.stats.bit_errors
+
+    @pytest.mark.parametrize("mode, modulation, packet_bits, counted", [
+        ("diversity", "bpsk", 128, True),  # 32 symbols for each of 2^2 patterns
+        ("diversity", "bpsk", 127, False),
+        ("diversity", "qpsk", 1024, True),  # 32 symbols for each of 4^2 patterns
+        ("diversity", "qpsk", 1022, False),
+        ("multiplexing", "bpsk", 2304, False),  # two streams
+    ])
+    def test_counting_rule(self, mode, modulation, packet_bits, counted):
+        # a run counts its errors only with one stream and at least
+        # _SYMBOLS_PER_PATTERN symbols per pattern of the interferers' symbols
+        config = experiments.load_config(overrides={
+            "trials": 1, "snr": {"start": 15.0, "stop": 15.0},
+            "scenario": {**TestSinr.CHAIN3, "transmission_mode": mode,
+                         "modulation": modulation, "packet_bits": packet_bits},
+        })
+        ((*_, sc, link),) = config.runs
+        assert (linksim._plan(sc, link).patterns is not None) == counted
+
     def test_singular_trial_erased_alone_in_its_batch(self, zero_channels):
         # trial 3's channel is zeroed, so its h_eff is singular: it alone is
         # erased, and every other trial reads as in the block without the
@@ -689,6 +766,44 @@ class TestRunTrials:
         plan.draw(channel_rng, 2)
         bits_rng.bit_generator.random_raw(2 * 2)
         noise_rng.standard_normal((2, 4, 9))
+        assert [rng.bit_generator.state for rng in made] == [
+            rng.bit_generator.state for rng in (channel_rng, bits_rng, noise_rng)
+        ]
+
+        # the same chain in 2-antenna diversity with 1024-bit packets sends
+        # one QPSK stream of 512 symbols past 2 interferers, 32 for each of
+        # their 4^2 = 16 patterns, so the trials count their errors: the
+        # channel stream gives both trials' channels, the bits stream both
+        # trials' pattern counts from one multinomial(512, uniform over 16)
+        # call, and the noise stream both
+        # survivors' outcomes from one multinomial call on those counts,
+        # over the (2, 16, 4) probabilities of which axes err; nothing else
+        link = replace(link, mode="diversity", packet_bits=1024)
+        plan = linksim._plan(scenario, link)
+        assert plan.patterns.shape == (16, 2, 2)
+        calls = []
+
+        class Recorded(np.random.Generator):
+            def multinomial(self, n, pvals, size=None):
+                calls.append((made.index(self), np.array(n), np.array(pvals), size))
+                return super().multinomial(n, pvals, size)
+
+        def recorded_calls(bit_generator):
+            made.append(Recorded(bit_generator))
+            return made[-1]
+
+        made.clear()
+        monkeypatch.setattr(linksim, "Generator", recorded_calls)
+        stats, _ = linksim._run_task(plan, link, 5, 1, 3, 5)
+        assert (stats.bits_sent, stats.erasures) == (2 * 1024, 0)
+        channel_rng, bits_rng, noise_rng = block_streams(5, 1, 1)
+        plan.draw(channel_rng, 2)
+        counts = bits_rng.multinomial(512, np.full(16, 1 / 16), size=2)
+        (stream, n, pvals, size), (noise_stream, outcome_n, q, no_size) = calls
+        assert (stream, n.tolist(), pvals.tolist(), size) == (1, 512, np.full(16, 1 / 16).tolist(), 2)
+        assert (noise_stream, outcome_n.tolist(), q.shape, no_size) == (2, counts.tolist(), (2, 16, 4), None)
+        np.testing.assert_allclose(q.sum(axis=-1), 1.0)
+        noise_rng.multinomial(counts, q)
         assert [rng.bit_generator.state for rng in made] == [
             rng.bit_generator.state for rng in (channel_rng, bits_rng, noise_rng)
         ]
@@ -905,7 +1020,10 @@ class TestRunTrials:
 class TestChunkedStage:
     """The packet stage's counters, a chunk of trials at a time, against the
     per-trial stage of tests/reference.py, which draws its bytes with
-    integers and compares its decisions bit by bit."""
+    integers and compares its decisions bit by bit.  The single-stream
+    cases would count their errors (_count_errors); here they go through
+    the packet stage, which a single-stream task takes past the pattern
+    cap."""
 
     # the golden runs' 3-node chain: node 2 is heard at the measured receive point
     CHAIN3 = {"node_count": 3, "node_spacing": 5.0, "range_radius": 12.0}
@@ -932,6 +1050,8 @@ class TestChunkedStage:
         })
         ((*_, scenario, link),) = config.runs
         monkeypatch.setattr(linksim, "_CHUNK_VALUES", 3 * link.packet_bits)
+        plan = linksim._plan
+        monkeypatch.setattr(linksim, "_plan", lambda *args: replace(plan(*args), patterns=None))
         zero_channels(lambda plan, p, t: t == 4)
         results = run_trials([(scenario, link)], n_trials=10, master_seed=31)
         want_stats, want_caps = per_trial_run(scenario, link, 10, 31)
@@ -939,6 +1059,67 @@ class TestChunkedStage:
         assert want_stats.erasures == 2 and 0 < want_stats.bit_errors < want_stats.bits_sent
         caps = np.concatenate([r.capacity_samples for r in results])
         assert caps.tobytes() == want_caps.tobytes()
+
+
+def _same_law(a, b, alpha):
+    """Two-sample chi-square test that the integer samples a and b share one
+    law: the values pooled into bins of at least 20 pooled samples in
+    ascending order (the last bin takes any remainder), then Pearson's test
+    on the 2 x bins table.  True unless it rejects at level alpha."""
+    values, pooled = np.unique(np.concatenate([a, b]), return_counts=True)
+    edges, filled = [], 0
+    for value, count in zip(values, pooled):
+        filled += count
+        if filled >= 20:
+            edges.append(value)
+            filled = 0
+    if len(edges) < 2:
+        return True
+    bins = np.searchsorted(np.array(edges[:-1]), values, side="left")
+    table = np.zeros((2, len(edges)), dtype=int)
+    for row, sample in enumerate((a, b)):
+        np.add.at(table[row], bins[np.searchsorted(values, sample)], 1)
+    return scipy_chi2_contingency(table).pvalue > alpha
+
+
+class TestCountedLaw:
+    """A counting trial's bit, symbol and packet error counts have the law
+    of the packet stage's sign decisions, given its channels.  The channels
+    are one draw, fixed for every trial; each path runs 600 one-trial runs
+    on seeds of its own, and a two-sample chi-square test at level 0.001
+    compares the per-trial counts with the per-trial stage of
+    tests/reference.py (which draws bits and normals)."""
+
+    ALPHA = 0.001
+    TRIALS = 600
+    # (scenario, snr): noise alone decides bits on the single links; past
+    # the pair's other node (Re A = -0.55 on the fixed draw), at 47 dB the
+    # interferer's sign moves an axis's error rate between ~1e-4 and ~0.15
+    CASES = {
+        "bpsk-single-link": ({"node_count": 1, "packet_bits": 32}, 0.0),
+        "qpsk-single-link": ({"node_count": 1, "modulation": "qpsk", "packet_bits": 64}, 3.0),
+        "bpsk-one-interferer": ({"node_count": 2, "packet_bits": 64}, 47.0),
+        "qpsk-one-interferer": ({"node_count": 2, "modulation": "qpsk", "packet_bits": 256}, 47.0),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_counts_match_the_decisions(self, name, monkeypatch):
+        scenario, snr = self.CASES[name]
+        config = experiments.load_config(overrides={
+            "trials": 1, "seed": 1, "snr": {"start": snr, "stop": snr},
+            "scenario": {**scenario, "transmission_mode": "diversity"},
+        })
+        ((*_, sc, link),) = config.runs
+        plan = linksim._plan(sc, link)
+        assert plan.patterns is not None and len(plan.senders) == scenario["node_count"]
+        fixed = plan.draw(np.random.default_rng(2024), 1)
+        monkeypatch.setattr(linksim._TaskPlan, "draw", lambda self, rng, trials: fixed.repeat(trials, 0))
+        counted = [run_trials([(sc, link)], 1, seed)[0].stats for seed in range(self.TRIALS)]
+        decided = [per_trial_run(sc, link, 1, 10**6 + seed)[0] for seed in range(self.TRIALS)]
+        for field in ("bit_errors", "symbol_errors", "packet_errors"):
+            a, b = (np.array([getattr(s, field) for s in stats]) for stats in (counted, decided))
+            assert 0 < a.mean() < link.packet_bits / 2, (field, a.mean())
+            assert _same_law(a, b, self.ALPHA), (field, np.bincount(a), np.bincount(b))
 
 
 class TestTrialStreams:

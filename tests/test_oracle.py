@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 
 import pytest
-from reference import full_block_run, stage_run
+import numpy as np
+from reference import full_block_run, mrc_bpsk_ber, stage_run
 from test_golden import CAPACITY_ROWS_SHA256, golden_overrides
 
 from beamlink import linksim
+from beamlink.channel import derive_moments
 from beamlink.experiments import load_config
 
 # the golden runs' 3-node chain: node 2 is heard at the measured receive point
@@ -75,3 +77,23 @@ def test_oracle_sees_a_wrong_noise_power(monkeypatch):
     config, ((scenario, link),) = _runs(NAMED["identity-channel"])
     stats, mean, var = stage_run(scenario, link, config.trials, config.seed, monkeypatch)
     assert abs(stats.bit_errors - mean) > 5.0 * math.sqrt(var)
+
+
+def test_counted_ber_matches_the_mrc_closed_form():
+    # ber_vs_dimension counts its errors; over 20 seeds of 300 trials, the
+    # mean BER of each of its 16 points (M = 2 and 4, 0 to 14 dB) lies within
+    # four standard errors of the even-M Rayleigh MRC closed form, the
+    # standard error taken from the seeds' own spread
+    seeds = range(100, 120)
+    bers = []
+    for seed in seeds:
+        config, runs = _runs({"experiment": "ber_vs_dimension", "trials": 300, "seed": seed})
+        results = linksim.run_trials(runs, config.trials, config.seed)
+        bers.append([r.stats.bit_errors / r.stats.bits_sent for r in results])
+    variance = derive_moments(runs[0][1].fading).variance
+    exact = [mrc_bpsk_ber(link.dimension, variance * 10.0 ** (snr / 10.0))
+             for _, link in runs for snr in link.snr_db]
+    assert [link.dimension for _, link in runs] == [2, 4]
+    mean, se = np.mean(bers, axis=0), np.std(bers, axis=0, ddof=1) / math.sqrt(len(seeds))
+    z = (mean - np.array(exact)) / se
+    assert np.all(np.abs(z) <= 4.0), z.round(2).tolist()
