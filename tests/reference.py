@@ -26,11 +26,10 @@ exact conditional error probability `p = Q(x d / sqrt(var))` on its axis,
 with x the sign sent there.  Summed over the bits of a run, `sum p` is the
 expected count of bit errors and `sum p (1 - p)` its variance.
 
-A counting trial (a single-stream task's, linksim._count_errors) sends no
-symbols; the oracle reads its pattern counts off its block's bits stream
-instead, each pattern j as that many symbol times of the desired symbol
-with bits 0 and the interferers' symbols whose bits are j's digits, msb
-first (counted_symbols).
+A counting trial (linksim._count_errors) sends no symbols; the oracle
+reads its pattern counts off its block's bits stream instead, each pattern
+j as that many symbol times of the senders' symbols whose bits are j's
+digits, msb first (counted_symbols).
 
 The even-M Rayleigh MRC closed form is the exact BPSK bit error rate of
 the single-link diversity run (mrc_bpsk_ber).
@@ -137,17 +136,19 @@ def bit_error_probabilities(sent, w, symbols, sigma2: float, scheme) -> np.ndarr
 
 
 def counted_symbols(plan, link: LinkConfig, bits_rng) -> np.ndarray:
-    """A counting trial's (senders, 1, N) complex symbols as the oracle reads
+    """A counting trial's (senders, K, N) complex symbols as the oracle reads
     them: its pattern counts, the next on its block's bits stream, each
-    pattern j as that many symbol times of the desired symbol with bits 0
-    and the interferers' symbols whose bits are j's digits, msb first."""
+    pattern j as that many symbol times of the senders' symbols whose bits,
+    sender by sender and stream by stream, are j's digits, msb first, with
+    the leading digits that no pattern sets read as 0 (the desired symbol's
+    bits with one stream, its first bit with two)."""
     scheme, n = link.modulation, link.symbols_per_stream
-    digits = scheme.bits_per_symbol * (len(plan.senders) - 1)
-    counts = bits_rng.multinomial(n, np.full(2**digits, 2.0**-digits))
-    bits = [[(j >> (digits - 1 - k)) & 1 for k in range(digits)] for j in range(2**digits)]
-    interferers = complex_modulate(np.repeat(np.array(bits, dtype=np.uint8), counts, axis=0), scheme)
-    desired = np.full((n, 1), POINTS[scheme.kind][0])
-    return np.concatenate([desired, interferers.reshape(n, -1)], axis=1).T[:, None, :]
+    patterns, senders = len(plan.patterns), len(plan.senders)
+    digits = scheme.bits_per_symbol * link.streams * senders
+    counts = bits_rng.multinomial(n, np.full(patterns, 1.0 / patterns))
+    bits = [[(j >> (digits - 1 - k)) & 1 for k in range(digits)] for j in range(patterns)]
+    symbols = complex_modulate(np.repeat(np.array(bits, dtype=np.uint8), counts, axis=0), scheme)
+    return symbols.reshape(n, senders, link.streams).transpose(1, 2, 0)
 
 
 def mrc_bpsk_ber(branches: int, mean_snr: float) -> float:

@@ -1,7 +1,7 @@
 """Golden CSV digests: every named experiment at a small seeded budget.
 
 Each entry of EXPERIMENTS runs at trials 3, seed 7 and its default snr grid,
-and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins sixteen runs
+and the sha256 of the CSV it writes is pinned.  LARGER_RUNS pins seventeen runs
 that the trials-3 digests never reach: a batch of 100 nearly deterministic
 channels (capacity_vs_nodes with nakagami_m 1e6, which erases no trial but
 hands the slicer values up to ~5e10 whose sign, not their distance to the
@@ -23,9 +23,11 @@ at trial 256.  Two more send the chain at 60 dB: one with 100-bit BPSK
 packets, which are not a whole number of bytes, and one with QPSK past the
 interferer.  Two more lay out four nodes off the axes at non-integer
 positions, with clamped default points, and three of them with
-own_point_distance set.  The last lays out a triangle where one pair's
+own_point_distance set.  One more lays out a triangle where one pair's
 chord foot lands exactly on its lower node, so one channel is drawn at
-distance 0.  A refactor must leave these bytes unchanged; moving a
+distance 0.  The last sends capacity_vs_nodes with QPSK, whose 2304-bit
+packets over 2 streams go through the packet stage, not the counted
+errors.  A refactor must leave these bytes unchanged; moving a
 digest on purpose needs a CHANGES.md entry that says why the output
 changed.  CAPACITY_ROWS_SHA256 pins the capacity
 rows of the first seventeen runs apart from the rest of the CSV.
@@ -40,11 +42,11 @@ from beamlink import experiments, linksim
 from beamlink.experiments import EXPERIMENTS, emit_csv, load_config, run_experiment
 
 GOLDEN_SHA256 = {
-    "capacity_vs_nodes": "bfbd9f27552b94d968566ffc02e3bb8db4cf674f6bc4f3aedb2dce482b448539",
+    "capacity_vs_nodes": "90efdb53bf7aecb91b146fca3c800bee6691e5251a77fc3da7067661c5b65c85",
     "per_vs_distance": "cd5d21a0902992ab9911e3df3e32374d50ba144e2ddd1c1d18119b8d45e7eeda",
-    "per_vs_modulation": "36c96046ca1291169bf66d9a43fd1e04d483d310dd63927b01f05c4a6d25b659",
+    "per_vs_modulation": "02f61168daf802fb187d905d647a692652ae425e83031c666b7622a9cac22588",
     "ber_vs_dimension": "3d3bcda75ffb006e5dab1cc167e0479708274484ee712203aa38beb4571d7bb4",
-    "custom": "f134da9cd90d1390ca13c921cf36d1a0d804ddbfd29095839c7513c4b8aff464",
+    "custom": "0f15ec15b5e27cc494150f2868a06dd892a55ed0f21bca0a7f17adde77be1459",
 }
 
 # nodes 0, 1, 2 on a 5 m chain with 12 m disks: node 2 covers the receive
@@ -101,7 +103,7 @@ _CHORD_ON_NODE = {
 LARGER_RUNS = {
     "capacity_vs_nodes-m1e6-trials100-seed3": (
         {"experiment": "capacity_vs_nodes", "trials": 100, "seed": 3, "scenario": {"nakagami_m": 1e6}},
-        "68d4aad3c00ef5e052d1224152d88aa060b2e17f13cc51a8ff67b388700b6d0a",
+        "764c5e523fa503c3a92f7dbefae8bea00dbf42bed7408881bd031e1e11e543f7",
     ),
     "ber_vs_dimension-trials20-seed7": (
         {"experiment": "ber_vs_dimension", "trials": 20, "seed": 7},
@@ -122,7 +124,7 @@ LARGER_RUNS = {
     ),
     "custom-chain3-interference-trials20-seed5": (
         {"trials": 20, "seed": 5, "snr": {"start": 20.0}, "scenario": _CHAIN3},
-        "ed502d4c495846ae10edc51d639974891041119b846027798beec42d7db65abb",
+        "eafa3c2c2fc3a0f8903f7c5a0a42f948f35c5e7e1e22beb6b4471beba494e4e0",
     ),
     "custom-chain3-no-interference-trials20-seed5": (
         {
@@ -131,7 +133,7 @@ LARGER_RUNS = {
             "snr": {"start": 20.0},
             "scenario": {**_CHAIN3, "include_interference": False},
         },
-        "51f3a0af2802b7653869643f717720a4545aaae43b1e65848814c723cd4e723d",
+        "b93a4660a6c3eb4ce2b5fe7826c27d5822bd751002ebb5988c4f1dd05f9929c2",
     ),
     "per_vs_distance-trials30-seed11": (
         {"experiment": "per_vs_distance", "trials": 30, "seed": 11},
@@ -197,6 +199,10 @@ LARGER_RUNS = {
             "scenario": _CHORD_ON_NODE,
         },
         "6c2a8848eed34b0717e650c0e3ca8e65532f9138f38ef6dff08589a00d5c4f77",
+    ),
+    "capacity_vs_nodes-qpsk-trials10-seed12": (
+        {"experiment": "capacity_vs_nodes", "trials": 10, "seed": 12, "scenario": {"modulation": "qpsk"}},
+        "a4472573aa3658067521923a69a33ba893c5e8f7441ab3e69aac616820cca2d4",
     ),
 }
 

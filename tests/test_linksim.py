@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency as scipy_chi2_contingency
+from scipy.stats import multivariate_normal as scipy_mvn
 from scipy.stats import norm as scipy_norm
 
 from beamlink import experiments, linksim
@@ -33,6 +34,7 @@ from reference import (
     full_block_received_signal,
     per_draw_plan,
     per_trial_run,
+    trial_link,
 )
 
 
@@ -627,34 +629,48 @@ class TestRunTrials:
             long.bit_errors, long.symbol_errors, long.packet_errors - long.erasures
         )
 
+    # the chain's diversity link counts its errors past both other nodes, and
+    # the 2x2 BPSK pair its errors on 2 correlated axes past its other node
+    DIVERSITY_CHAIN3 = {**TestSinr.CHAIN3, "transmission_mode": "diversity"}
+    PAIR_2X2 = {"node_count": 2, "packet_bits": 512}
+
     def test_counted_trial_count_invariance(self, zero_channels):
-        # the chain's diversity link counts its errors past both other
-        # nodes: trial 257 reads the same in a run of 260 trials as in one of
-        # 300, its capacity sample and, with every other trial erased, its
+        scenario = {**self.DIVERSITY_CHAIN3, "dimension": 4, "packet_bits": 128}
+        self._check_counted_trial_count_invariance(scenario, (4, 3, 1), zero_channels)
+
+    def test_counted_trial_count_invariance_on_two_axes(self, zero_channels):
+        self._check_counted_trial_count_invariance(self.PAIR_2X2, (8, 2, 2), zero_channels)
+
+    def _check_counted_trial_count_invariance(self, scenario, shape, zero_channels):
+        # trial 257 reads the same in a run of 260 trials as in one of 300,
+        # its capacity sample and, with every other trial erased, its
         # counters; the erased trials still draw their pattern counts
         config = experiments.load_config(overrides={
-            "trials": 1, "seed": 8, "snr": {"start": 15.0, "stop": 15.0},
-            "scenario": {**TestSinr.CHAIN3, "dimension": 4, "transmission_mode": "diversity",
-                         "packet_bits": 128},
+            "trials": 1, "seed": 8, "snr": {"start": 15.0, "stop": 15.0}, "scenario": scenario,
         })
         ((*_, sc, link),) = config.runs
-        assert linksim._plan(sc, link).patterns.shape == (4, 2, 1)
+        assert linksim._plan(sc, link).patterns.shape == shape
         short, long = (run_trials([(sc, link)], n, master_seed=8)[0] for n in (260, 300))
         assert short.capacity_samples.tobytes() == long.capacity_samples[:260].tobytes()
         zero_channels(lambda plan, p, t: t != 257)
         short, long = (run_trials([(sc, link)], n, master_seed=8)[0].stats for n in (260, 300))
         assert (short.erasures, long.erasures) == (259, 299)
-        assert 0 < short.bit_errors < short.bits_sent == 128
+        assert 0 < short.bit_errors < short.bits_sent == link.packet_bits
         assert (short.bit_errors, short.symbol_errors, short.packet_errors - short.erasures) == (
             long.bit_errors, long.symbol_errors, long.packet_errors - long.erasures
         )
 
     def test_counted_worker_count_invariance(self, monkeypatch, real_pool):
-        # the chain's diversity link counts its errors; blocks of 5 trials,
-        # 3 per point, merged across processes
+        scenario = {**self.DIVERSITY_CHAIN3, "packet_bits": 128}
+        self._check_counted_worker_count_invariance(scenario, monkeypatch, real_pool)
+
+    def test_counted_worker_count_invariance_on_two_axes(self, monkeypatch, real_pool):
+        self._check_counted_worker_count_invariance(self.PAIR_2X2, monkeypatch, real_pool)
+
+    def _check_counted_worker_count_invariance(self, scenario, monkeypatch, real_pool):
+        # blocks of 5 trials, 3 per point, merged across processes
         config = experiments.load_config(overrides={
-            "trials": 1, "seed": 7, "snr": {"start": 10.0, "stop": 20.0, "step": 10.0},
-            "scenario": {**TestSinr.CHAIN3, "transmission_mode": "diversity", "packet_bits": 128},
+            "trials": 1, "seed": 7, "snr": {"start": 10.0, "stop": 20.0, "step": 10.0}, "scenario": scenario,
         })
         ((*_, sc, link),) = config.runs
         assert linksim._plan(sc, link).patterns is not None
@@ -667,13 +683,17 @@ class TestRunTrials:
             assert a.stats == b.stats
             np.testing.assert_array_equal(a.capacity_samples, b.capacity_samples)
 
-    @pytest.mark.parametrize("modulation, packet_bits", [("bpsk", 128), ("qpsk", 1024)])
-    def test_counted_chunk_size_invariance(self, monkeypatch, modulation, packet_bits):
+    @pytest.mark.parametrize("mode, dimension, modulation, packet_bits", [
+        pytest.param("diversity", 4, "bpsk", 128, id="bpsk-128"),
+        pytest.param("diversity", 4, "qpsk", 1024, id="qpsk-1024"),
+        pytest.param("multiplexing", 2, "bpsk", 2048, id="multiplexing-bpsk-2048"),
+    ])
+    def test_counted_chunk_size_invariance(self, monkeypatch, mode, dimension, modulation, packet_bits):
         # chunks of one trial count what one chunk per task counts; the
         # packets are the smallest that count past the chain's 2 interferers
         config = experiments.load_config(overrides={
             "trials": 1, "seed": 3, "snr": {"start": 15.0, "stop": 15.0},
-            "scenario": {**TestSinr.CHAIN3, "dimension": 4, "transmission_mode": "diversity",
+            "scenario": {**TestSinr.CHAIN3, "dimension": dimension, "transmission_mode": mode,
                          "modulation": modulation, "packet_bits": packet_bits},
         })
         ((*_, sc, link),) = config.runs
@@ -684,20 +704,32 @@ class TestRunTrials:
         assert default.stats == one.stats
         assert 0 < one.stats.bit_errors
 
-    @pytest.mark.parametrize("mode, modulation, packet_bits, counted", [
-        ("diversity", "bpsk", 128, True),  # 32 symbols for each of 2^2 patterns
-        ("diversity", "bpsk", 127, False),
-        ("diversity", "qpsk", 1024, True),  # 32 symbols for each of 4^2 patterns
-        ("diversity", "qpsk", 1022, False),
-        ("multiplexing", "bpsk", 2304, False),  # two streams
+    @pytest.mark.parametrize("scenario, counted", [
+        # the chain's diversity link: 32 symbols for each of 2^2 patterns
+        pytest.param({**DIVERSITY_CHAIN3, "packet_bits": 128}, True, id="diversity-bpsk-128-True"),
+        pytest.param({**DIVERSITY_CHAIN3, "packet_bits": 127}, False, id="diversity-bpsk-127-False"),
+        # 32 symbols for each of 4^2 patterns
+        pytest.param({**DIVERSITY_CHAIN3, "modulation": "qpsk", "packet_bits": 1024}, True,
+                     id="diversity-qpsk-1024-True"),
+        pytest.param({**DIVERSITY_CHAIN3, "modulation": "qpsk", "packet_bits": 1022}, False,
+                     id="diversity-qpsk-1022-False"),
+        # 2x2 BPSK past 2 interferers: 36 symbols for each of 2^(2 * 3 - 1)
+        pytest.param({**TestSinr.CHAIN3, "packet_bits": 2304}, True, id="multiplexing-bpsk-2304-True"),
+        # past one: 32 symbols for each of 2^(2 * 2 - 1)
+        pytest.param({"node_count": 2, "packet_bits": 512}, True, id="pair-multiplexing-bpsk-512-True"),
+        pytest.param({"node_count": 2, "packet_bits": 510}, False, id="pair-multiplexing-bpsk-510-False"),
+        # four slicer axes (2x2 QPSK) or three (3x3 BPSK) never count
+        pytest.param({"node_count": 1, "modulation": "qpsk", "packet_bits": 2304}, False,
+                     id="single-multiplexing-qpsk-2304-False"),
+        pytest.param({"node_count": 1, "dimension": 3, "packet_bits": 2304}, False,
+                     id="single-3x3-bpsk-2304-False"),
     ])
-    def test_counting_rule(self, mode, modulation, packet_bits, counted):
-        # a run counts its errors only with one stream and at least
-        # _SYMBOLS_PER_PATTERN symbols per pattern of the interferers' symbols
+    def test_counting_rule(self, scenario, counted):
+        # a run counts its errors only with one stream or two BPSK streams,
+        # and at least _SYMBOLS_PER_PATTERN symbols per pattern of the
+        # senders' bits
         config = experiments.load_config(overrides={
-            "trials": 1, "snr": {"start": 15.0, "stop": 15.0},
-            "scenario": {**TestSinr.CHAIN3, "transmission_mode": mode,
-                         "modulation": modulation, "packet_bits": packet_bits},
+            "trials": 1, "snr": {"start": 15.0, "stop": 15.0}, "scenario": scenario,
         })
         ((*_, sc, link),) = config.runs
         assert (linksim._plan(sc, link).patterns is not None) == counted
@@ -780,7 +812,7 @@ class TestRunTrials:
         # over the (2, 16, 4) probabilities of which axes err; nothing else
         link = replace(link, mode="diversity", packet_bits=1024)
         plan = linksim._plan(scenario, link)
-        assert plan.patterns.shape == (16, 2, 2)
+        assert plan.patterns.shape == (16, 3, 2)
         calls = []
 
         class Recorded(np.random.Generator):
@@ -1092,27 +1124,37 @@ class TestCountedLaw:
 
     ALPHA = 0.001
     TRIALS = 600
-    # (scenario, snr): noise alone decides bits on the single links; past
-    # the pair's other node (Re A = -0.55 on the fixed draw), at 47 dB the
-    # interferer's sign moves an axis's error rate between ~1e-4 and ~0.15
+    DIVERSITY = {"transmission_mode": "diversity"}
+    # (scenario, snr, seed of the fixed draw): noise alone decides bits on
+    # the single links; past the pair's other node in diversity (Re A =
+    # -0.55 on draw 2024), at 47 dB the interferer's sign moves an axis's
+    # error rate between ~1e-4 and ~0.15.  The 2x2 BPSK links count on two
+    # correlated axes: the single link's noise has correlation -0.88 on
+    # draw 2024; past the pair's other node, draw 2036 has +0.36 and leaks
+    # that move a stream's error rate up to ~0.6, and draw 2031 has -0.96
+    # (past Genz's |r| = 0.925 switch) and error rates up to ~0.016
     CASES = {
-        "bpsk-single-link": ({"node_count": 1, "packet_bits": 32}, 0.0),
-        "qpsk-single-link": ({"node_count": 1, "modulation": "qpsk", "packet_bits": 64}, 3.0),
-        "bpsk-one-interferer": ({"node_count": 2, "packet_bits": 64}, 47.0),
-        "qpsk-one-interferer": ({"node_count": 2, "modulation": "qpsk", "packet_bits": 256}, 47.0),
+        "bpsk-single-link": ({**DIVERSITY, "node_count": 1, "packet_bits": 32}, 0.0, 2024),
+        "qpsk-single-link": ({**DIVERSITY, "node_count": 1, "modulation": "qpsk", "packet_bits": 64},
+                             3.0, 2024),
+        "bpsk-one-interferer": ({**DIVERSITY, "node_count": 2, "packet_bits": 64}, 47.0, 2024),
+        "qpsk-one-interferer": ({**DIVERSITY, "node_count": 2, "modulation": "qpsk", "packet_bits": 256},
+                                47.0, 2024),
+        "2x2-bpsk-single-link": ({"node_count": 1, "packet_bits": 128}, 8.0, 2024),
+        "2x2-bpsk-one-interferer": ({"node_count": 2, "packet_bits": 512}, 47.0, 2036),
+        "2x2-bpsk-correlated": ({"node_count": 2, "packet_bits": 512}, 47.0, 2031),
     }
 
     @pytest.mark.parametrize("name", CASES)
     def test_counts_match_the_decisions(self, name, monkeypatch):
-        scenario, snr = self.CASES[name]
+        scenario, snr, draw = self.CASES[name]
         config = experiments.load_config(overrides={
-            "trials": 1, "seed": 1, "snr": {"start": snr, "stop": snr},
-            "scenario": {**scenario, "transmission_mode": "diversity"},
+            "trials": 1, "seed": 1, "snr": {"start": snr, "stop": snr}, "scenario": scenario,
         })
         ((*_, sc, link),) = config.runs
         plan = linksim._plan(sc, link)
         assert plan.patterns is not None and len(plan.senders) == scenario["node_count"]
-        fixed = plan.draw(np.random.default_rng(2024), 1)
+        fixed = plan.draw(np.random.default_rng(draw), 1)
         monkeypatch.setattr(linksim._TaskPlan, "draw", lambda self, rng, trials: fixed.repeat(trials, 0))
         counted = [run_trials([(sc, link)], 1, seed)[0].stats for seed in range(self.TRIALS)]
         decided = [per_trial_run(sc, link, 1, 10**6 + seed)[0] for seed in range(self.TRIALS)]
@@ -1120,6 +1162,123 @@ class TestCountedLaw:
             a, b = (np.array([getattr(s, field) for s in stats]) for stats in (counted, decided))
             assert 0 < a.mean() < link.packet_bits / 2, (field, a.mean())
             assert _same_law(a, b, self.ALPHA), (field, np.bincount(a), np.bincount(b))
+
+    def test_two_axis_outcome_law_matches_scipy(self, monkeypatch):
+        # the (P, 4) outcome probabilities a 2x2 BPSK trial hands the noise
+        # stream's multinomial are, pattern by pattern, scipy's orthant
+        # probabilities of the slicer's e ~ N(d, Re(sigma2 W W^H) / 2), each
+        # axis decided right on the side of the desired coordinate's sign.
+        # Draw 2069 past the pair's other node has noise correlation -0.99
+        # and error rates up to ~0.5 at 40 dB, where the chi-square test
+        # above cannot tell rho from -rho
+        config = experiments.load_config(overrides={
+            "trials": 1, "seed": 1, "snr": {"start": 40.0, "stop": 40.0},
+            "scenario": {"node_count": 2, "packet_bits": 512},
+        })
+        ((*_, sc, link),) = config.runs
+        plan = linksim._plan(sc, link)
+        fixed = plan.draw(np.random.default_rng(2069), 1)
+        monkeypatch.setattr(linksim._TaskPlan, "draw", lambda self, rng, trials: fixed.repeat(trials, 0))
+        handed = []
+
+        class Recorded(np.random.Generator):
+            def multinomial(self, n, pvals, size=None):
+                handed.append(np.array(pvals))
+                return super().multinomial(n, pvals, size)
+
+        monkeypatch.setattr(linksim, "Generator", Recorded)
+        run_trials([(sc, link)], 1, 0)
+        (q,) = handed[-1]
+        sent, w = trial_link(plan, None)
+        cov = (10.0 ** (-40.0 / 10.0) / 2.0) * (w @ w.conj().T).real
+        assert cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]) < -0.925
+        digits = 2 * len(sent)
+        assert q.shape == (2 ** (digits - 1), 4)
+        for j, row in enumerate(q):
+            bits = np.array([(j >> (digits - 1 - t)) & 1 for t in range(digits)]).reshape(len(sent), 2)
+            x = 1.0 - 2.0 * bits
+            d = sum(w @ a @ xs for a, xs in zip(sent, x)).real
+            want = []
+            for o in range(4):
+                # axis i decided right (bit i of o) on x_0[i]'s side of 0
+                above = [(x[0, i] > 0) == bool((o >> i) & 1) for i in range(2)]
+                low = [0.0 if up else -np.inf for up in above]
+                high = [np.inf if up else 0.0 for up in above]
+                want.append(scipy_mvn.cdf(high, mean=d, cov=cov, lower_limit=low))
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-13, err_msg=f"pattern {j}")
+        assert 0.05 < q[:, :3].sum(axis=1).max()
+
+
+class TestOrthants:
+    """linksim._orthants, whose first orthant is _upper_orthant's port of
+    Genz's BVND, against scipy's own port behind
+    scipy.stats.multivariate_normal.cdf.  r takes both sides of BVND's
+    switches at 0.3, 0.75 and 0.925, and h and k run from -8 to 38."""
+
+    RHOS = (-1.0, -0.999, -0.93, -0.92, -0.76, -0.74, -0.31, -0.29, 0.0,
+            0.29, 0.31, 0.74, 0.76, 0.92, 0.93, 0.999, 1.0)
+    LIMITS = (-8.0, -5.0, -2.0, -0.5, 0.0, 0.7, 2.0, 4.0, 7.0, 12.0, 20.0, 30.0, 38.0)
+
+    def grid(self):
+        h, k = (a.ravel() for a in np.meshgrid(self.LIMITS, self.LIMITS))
+        rows = len(self.RHOS)
+        return np.tile(h, (rows, 1)), np.tile(k, (rows, 1)), np.array(self.RHOS)
+
+    @staticmethod
+    def scipy_orthant(h, k, r, upper=(True, True)):
+        """P(X > h or X < h, Y > k or Y < k) by scipy; r = +-1 in closed form."""
+        if abs(r) == 1.0:
+            x, y = (h if upper[0] else -h), (k if upper[1] else -k)
+            if r * (1 if upper[0] == upper[1] else -1) > 0:
+                return scipy_norm.sf(max(x, y))
+            return max(0.0, scipy_norm.cdf(-y) - scipy_norm.cdf(x))
+        low = [h if upper[0] else -np.inf, k if upper[1] else -np.inf]
+        high = [np.inf if upper[0] else h, np.inf if upper[1] else k]
+        return scipy_mvn.cdf(high, mean=[0.0, 0.0], cov=[[1.0, r], [r, 1.0]], lower_limit=low)
+
+    def test_gauss_legendre_tables(self):
+        for (nodes, weights), points in zip(linksim._GAUSS_LEGENDRE, (6, 12, 20)):
+            x, w = np.polynomial.legendre.leggauss(points)
+            np.testing.assert_allclose(nodes, x[: points // 2], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(weights, w[: points // 2], rtol=0, atol=1e-15)
+
+    def test_upper_orthant_matches_scipy(self):
+        # within 4e-16 everywhere (BVND's accuracy is absolute), and within
+        # 1e-12 relative on every orthant down to 1e-300 where both ports
+        # sum positive terms, 0 <= r < 0.925.  Below 0 the orthant is a
+        # difference in both; above 0.925 scipy's port loses far tails (it
+        # reads Phi(-20) = 2.75e-89 for P(X > 20, Y > 20) at r = 0.999,
+        # whose quadrature is 1.80e-89)
+        h, k, r = self.grid()
+        got = linksim._orthants(h, k, r)[..., 0]
+        for row, rho in enumerate(self.RHOS):
+            want = np.array([self.scipy_orthant(a, b, rho) for a, b in zip(h[row], k[row])])
+            np.testing.assert_allclose(got[row], want, rtol=0, atol=4e-16, err_msg=f"r = {rho}")
+            if 0.0 <= rho < 0.925:
+                tail = want >= 1e-300
+                assert tail.sum() > 100
+                np.testing.assert_allclose(got[row, tail], want[tail], rtol=1e-12, atol=0,
+                                           err_msg=f"r = {rho}")
+
+    def test_orthants_are_probability_vectors(self):
+        # every orthant matches scipy's within 4e-16, every q lies in [0, 1]
+        # and sums to 1, out to limits where P(X > h) underflows and at
+        # |r| = 1, and numpy's multinomial takes it
+        h, k, r = self.grid()
+        q = linksim._orthants(h, k, r)
+        for row, rho in enumerate(self.RHOS):
+            for col in range(0, h.shape[1], 5):
+                a, b = h[row, col], k[row, col]
+                want = [self.scipy_orthant(a, b, rho, upper) for upper in
+                        ((True, True), (False, True), (True, False), (False, False))]
+                np.testing.assert_allclose(q[row, col], want, rtol=0, atol=4e-16, err_msg=(a, b, rho))
+        far = np.array([-1e6, -41.0, 41.0, 1e6])
+        far_h, far_k = np.tile(far, (len(r), 4)), np.tile(np.repeat(far, 4), (len(r), 1))
+        q = np.concatenate([q, linksim._orthants(far_h, far_k, r)], axis=1)
+        assert np.all((0.0 <= q) & (q <= 1.0))
+        np.testing.assert_allclose(q.sum(axis=-1), 1.0, rtol=0, atol=4e-16)
+        counts = np.random.default_rng(0).multinomial(np.full(q.shape[:-1], 1000), q)
+        assert np.all(counts.sum(axis=-1) == 1000)
 
 
 class TestTrialStreams:

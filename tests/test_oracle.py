@@ -10,6 +10,7 @@ reads the same numbers on every run.  Where noise decides no bit (the
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 import numpy as np
@@ -70,8 +71,22 @@ def test_full_block_reference_matches_oracle(name):
 
 
 def test_oracle_sees_a_wrong_noise_power(monkeypatch):
-    # the stage with its noise drawn 2x too strong leaves the oracle's bound
-    # on a config where noise decides bits
+    # the identity channel's 2x2 BPSK link counts its errors on two axes;
+    # counted with its noise 2x too strong, they leave the oracle's bound
+    count = linksim._count_errors
+    monkeypatch.setattr(linksim, "_count_errors",
+                        lambda patterns, leaks, spread, *args: count(patterns, leaks, 2.0 * spread, *args))
+    config, ((scenario, link),) = _runs(NAMED["identity-channel"])
+    assert linksim._plan(scenario, link).patterns is not None
+    stats, mean, var = stage_run(scenario, link, config.trials, config.seed, monkeypatch)
+    assert abs(stats.bit_errors - mean) > 5.0 * math.sqrt(var)
+
+
+def test_oracle_sees_a_wrong_noise_power_in_the_packet_stage(monkeypatch):
+    # the same link through the packet stage, with its noise drawn 2x too
+    # strong, leaves the oracle's bound too
+    plan = linksim._plan
+    monkeypatch.setattr(linksim, "_plan", lambda *args: replace(plan(*args), patterns=None))
     factor = linksim._noise_factor
     monkeypatch.setattr(linksim, "_noise_factor", lambda *args: factor(*args) * math.sqrt(2.0))
     config, ((scenario, link),) = _runs(NAMED["identity-channel"])
