@@ -493,9 +493,10 @@ def _run_task(
     (_count_errors).  How many raw words numpy's binomial takes depends on
     its p, and an erased trial draws no outcomes, so such a trial's
     position in the noise stream depends on the trials before it in the
-    block, not on its index alone.  Otherwise the bits stream gives each trial ceil(senders * bytes
-    / 8) raw 64-bit words, whose first senders * bytes little-endian bytes
-    are each sender's ceil(packet_bits / 8) bytes in turn, and the noise
+    block, not on its index alone.  Otherwise the bits stream gives each
+    trial ceil(senders * bytes / 8) raw 64-bit words, whose first senders *
+    bytes little-endian bytes are each sender's ceil(packet_bits / 8) bytes
+    in turn, and the noise
     stream each trial the (D, N) normals of its D = K * bits-per-symbol
     slicer axes; every trial draws, erased or not, so its draws sit at
     positions fixed by its index within the block.  Either way a trial's
@@ -598,12 +599,11 @@ def _count_errors(
     side: with u = d / sqrt(spread[k]), independently with p = Q(u sqrt 2)
     = erfc(u) / 2 (x_0 > 0 on every axis of one stream), and for two
     correlated axes with the orthant probabilities of their margins
-    sign(x_0[i]) u sqrt 2 (_orthants).  Pattern
-    j's symbols then fall into the 2^D outcomes of which axes err,
-    Multinomial(count_j, q_j), all axes wrong first and none wrong last
-    (for one BPSK axis, Binomial(count_j, p)).  This is conditional
-    (quasi-analytic) estimation: Jeruchim, Balaban & Shanmugan, Simulation
-    of Communication Systems, 2nd ed., 2000.
+    sign(x_0[i]) u sqrt 2 (_orthants).  Pattern j's symbols then fall into
+    the 2^D outcomes of which axes err, Multinomial(count_j, q_j), all axes
+    wrong first and none wrong last (for one BPSK axis, Binomial(count_j,
+    p)).  This is conditional (quasi-analytic) estimation: Jeruchim,
+    Balaban & Shanmugan, Simulation of Communication Systems, 2nd ed., 2000.
 
     The trials go a chunk of at most _CHUNK_VALUES pattern axes at a time:
     one multinomial call on bits_rng draws the chunk's pattern counts,
