@@ -17,6 +17,7 @@ raises one SolveError whose mask marks every failing member.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -35,7 +36,12 @@ __all__ = [
     "normalization",
 ]
 
-RANK_THRESHOLD = 1e-10  # relative singular-value cutoff for rank decisions
+# relative singular-value cutoff for rank decisions: a member whose SVD has
+# sigma_min / sigma_max <= RANK_THRESHOLD is rank deficient.  The pair solve
+# first clears, with no SVD, the members whose bound on that ratio is above
+# _CLEAR_MARGIN * RANK_THRESHOLD; the SVD decides the rest.
+RANK_THRESHOLD = 1e-10
+_CLEAR_MARGIN = 100.0
 
 
 class SolveError(ValueError):
@@ -59,7 +65,16 @@ class IllConditionedChannelError(SolveError):
 
 
 class NoUniqueSolutionError(SolveError):
-    """The coupled driver system is singular or nearly so."""
+    """The coupled driver system is singular or nearly so; ratio is the
+    smallest sigma_min / sigma_max of the failing members (0 for a zero one)."""
+
+    def __init__(self, ratio: float, mask=True):
+        self.ratio = ratio
+        super().__init__(
+            f"stacked pair [S_a S_c] rank deficient, sigma_min/sigma_max ~ {ratio:.3e}; "
+            "driver pair not unique",
+            mask,
+        )
 
 
 class DegenerateNormalizationError(SolveError):
@@ -113,6 +128,26 @@ def left_pseudoinverse(channel: np.ndarray) -> np.ndarray:
     return _herm(vh) @ ((1.0 / sv)[..., :, None] * _herm(u))
 
 
+def _cleared_by_bound(pair: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Mask of the members of B (pair) proven full rank without an SVD.
+
+    sigma_min / sigma_max >= 1 / (||B||_F ||B^-1||_F) (Golub & Van Loan,
+    Matrix Computations, 4th ed., 2.3), so a bound above _CLEAR_MARGIN *
+    RANK_THRESHOLD puts the SVD ratio above the threshold too; B^-1's error
+    grows with cond(B) * eps (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 14), far inside that margin.  inverse is the
+    real view of each member's B^-1.  A member whose squared norm is not a
+    normal, finite float (under- or overflow) is not cleared.
+    """
+    lo, hi = sys.float_info.min, sys.float_info.max
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_b, norm_inv = (
+            np.einsum("...ij,...ij->...", v, v) for v in (pair.view(np.float64), inverse)
+        )
+        normal = (lo <= norm_b) & (norm_b <= hi) & (lo <= norm_inv) & (norm_inv <= hi)
+        return normal & (norm_b * norm_inv < (_CLEAR_MARGIN * RANK_THRESHOLD) ** -2)
+
+
 def solve_coupled_drivers(
     stack_a: np.ndarray, stack_c: np.ndarray, rotator: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -124,23 +159,38 @@ def solve_coupled_drivers(
         S_a M_ac + S_c M_ca = T
 
     With B = [S_a S_c] square (2M x 2M) and of full rank the fit is exact,
-    so [M_ac; M_ca] = B^-1 T, found by one LU solve; it satisfies both
-    M_ac = P_a (T - S_c M_ca) and M_ca = P_c (T - S_a M_ac), with P the left
-    pseudoinverse of the owner's stack.  Returns (M_ac, M_ca), each M x M
-    (each (..., M, M) for (..., 2M, M) stacks, which share the one 2M x M
-    rotator).  Raises NoUniqueSolutionError, its mask over every leading
-    axis, where B is rank_deficient.
+    so [M_ac; M_ca] = B^-1 T; it satisfies both M_ac = P_a (T - S_c M_ca)
+    and M_ca = P_c (T - S_a M_ac), with P the left pseudoinverse of the
+    owner's stack.  One LU solve against [T | I_2M] gives each member's
+    drivers and its B^-1.  The rank rule is rank_deficient on B's singular
+    values, but a member whose bound 1 / (||B||_F ||B^-1||_F) clears it
+    (_cleared_by_bound) takes no SVD; the SVD decides the others, and every
+    member when the solve meets an exactly singular one.  Returns (M_ac,
+    M_ca), each M x M (each (..., M, M) for (..., 2M, M) stacks, which
+    share the one 2M x M rotator).  Raises NoUniqueSolutionError, its mask
+    over every leading axis, where B is rank_deficient.
     """
     pair = np.concatenate([stack_a, stack_c], axis=-1)
-    bad = rank_deficient(np.linalg.svd(pair, compute_uv=False))
-    if bad.any():
-        raise NoUniqueSolutionError(
-            "stacked pair [S_a S_c] rank deficient; driver pair not unique", bad
-        )
-    drivers = np.linalg.solve(pair, rotator)
+    dim = stack_a.shape[-1]
+    rhs = np.concatenate([rotator, np.eye(2 * dim, dtype=complex)], axis=-1)
+    try:
+        solved = np.linalg.solve(pair, rhs)
+    except np.linalg.LinAlgError:  # an exactly singular member
+        solved, unsure = None, np.ones(pair.shape[:-2], dtype=bool)
+    else:
+        unsure = ~_cleared_by_bound(pair, solved.view(np.float64)[..., 2 * dim :])
+    if unsure.any():
+        sv = np.linalg.svd(pair[unsure], compute_uv=False)
+        bad = rank_deficient(sv)
+        if bad.any():
+            mask = np.zeros(unsure.shape, dtype=bool)
+            mask[unsure] = bad
+            raise NoUniqueSolutionError(
+                min(0.0 if s[0] == 0.0 else s[-1] / s[0] for s in sv[bad]), mask
+            )
+    drivers = np.linalg.solve(pair, rotator) if solved is None else solved[..., :dim]
     if not np.all(np.isfinite(drivers)):
         raise ValueError("driver entries must be finite")
-    dim = stack_a.shape[-1]
     return drivers[..., :dim, :], drivers[..., dim:, :]
 
 

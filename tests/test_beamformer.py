@@ -11,6 +11,7 @@ from beamlink.beamformer import (
     compose,
     left_pseudoinverse,
     normalization,
+    rank_deficient,
     solve_coupled_drivers,
 )
 from beamlink.channel import (
@@ -345,3 +346,112 @@ class TestStackedInputs:
         with pytest.raises(IllConditionedChannelError) as exc:
             left_pseudoinverse(stack(mat, mat))
         assert exc.value.mask.shape == () and bool(exc.value.mask)
+
+
+def conditioned_pairs(rng, dim, ratios, scale):
+    """(len(ratios), 2M, 2M) pair matrices U diag(sigma) V^H times scale, with
+    U, V random unitaries, sigma_max 1 and sigma_min / sigma_max each ratio."""
+    n = 2 * dim
+    members = []
+    for ratio in ratios:
+        u, v = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0] for _ in "uv")
+        sigma = np.concatenate([[1.0], np.sort(rng.uniform(ratio, 1.0, n - 2))[::-1], [ratio]])
+        members.append(scale * (u * sigma) @ v.conj().T)
+    return np.array(members)
+
+
+def solve_pairs(pairs, rot):
+    dim = pairs.shape[-1] // 2
+    return solve_coupled_drivers(pairs[..., :dim], pairs[..., dim:], rot)
+
+
+class TestRankDecision:
+    """The bound clears members without an SVD; the rank rule stays
+    rank_deficient on each member's singular values."""
+
+    # ratios straddling RANK_THRESHOLD, dense just below and above it
+    NEAR = [0.5e-10, 0.9e-10, 0.99e-10, 1e-10, 1.01e-10, 1.1e-10, 2e-10, 1e-8, 1.1e-8]
+
+    def ratios(self, rng):
+        return self.NEAR + list(10.0 ** rng.uniform(-12, -6, 40))
+
+    def assert_mask_is_svd_rule(self, pairs, rot):
+        expected = rank_deficient(np.linalg.svd(pairs, compute_uv=False))
+        if not expected.any():
+            solve_pairs(pairs, rot)
+            return
+        with pytest.raises(NoUniqueSolutionError) as exc:
+            solve_pairs(pairs, rot)
+        assert exc.value.mask.shape == expected.shape
+        assert exc.value.mask.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e170])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_mask_equals_svd_rule(self, dim, scale):
+        rng = np.random.default_rng(dim)
+        rot = build_rotator(derive_moments(NakagamiParams(m=1.0, omega=1.0)), dim)
+        pairs = conditioned_pairs(rng, dim, self.ratios(rng), scale)
+        self.assert_mask_is_svd_rule(pairs, rot)
+        # the full-rank members alone solve without a raise
+        keep = ~rank_deficient(np.linalg.svd(pairs, compute_uv=False))
+        self.assert_mask_is_svd_rule(pairs[keep], rot)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_mixed_scales_mask_equals_svd_rule(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        rot = build_rotator(derive_moments(NakagamiParams(m=1.0, omega=1.0)), dim)
+        pairs = np.concatenate(
+            [conditioned_pairs(rng, dim, self.ratios(rng), s) for s in (1e-170, 1.0, 1e170)]
+        )
+        pairs = pairs[rng.permutation(len(pairs))].reshape(3, -1, 2 * dim, 2 * dim)
+        self.assert_mask_is_svd_rule(pairs, rot)
+
+    def test_reports_worst_ratio_of_failing_members(self):
+        rng = np.random.default_rng(20)
+        rot = build_rotator(derive_moments(NakagamiParams(m=1.0, omega=1.0)), 2)
+        pairs = conditioned_pairs(rng, 2, [1e-3, 3e-11, 1e-2, 4e-12, 1e-11], 1.0)
+        sv = np.linalg.svd(pairs, compute_uv=False)
+        with pytest.raises(NoUniqueSolutionError) as exc:
+            solve_pairs(pairs, rot)
+        assert np.flatnonzero(exc.value.mask).tolist() == [1, 3, 4]
+        assert exc.value.ratio == sv[3, -1] / sv[3, 0]
+        assert f"{exc.value.ratio:.3e}" in str(exc.value)
+
+
+class TestExactlySingularFallback:
+    def setup_method(self):
+        self.mom = derive_moments(NakagamiParams(m=1.0, omega=1.0))
+
+    @pytest.mark.parametrize(
+        "singular",
+        [stack(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)), np.zeros((4, 2), complex)],
+        ids=["eye_over_zero", "zero"],
+    )
+    def test_singular_member_takes_svd_path(self, singular):
+        rng = np.random.default_rng(30)
+        rot = build_rotator(self.mom, 2)
+        s_a = np.stack([random_stack(self.mom, 2, rng) for _ in range(8)])
+        s_c = np.stack([random_stack(self.mom, 2, rng) for _ in range(8)])
+        s_a[5] = s_c[5] = singular
+        pairs = np.concatenate([s_a, s_c], axis=-1)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(pairs, rot)
+        with pytest.raises(NoUniqueSolutionError) as exc:
+            solve_coupled_drivers(s_a, s_c, rot)
+        expected = rank_deficient(np.linalg.svd(pairs, compute_uv=False))
+        assert exc.value.mask.tolist() == expected.tolist()
+        assert np.flatnonzero(exc.value.mask).tolist() == [5]
+        assert exc.value.ratio == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_drivers_are_plain_solve_bytes(self, dim):
+        # the drivers of the solve against [T | I] are those of solve(B, T), bit for bit
+        rng = np.random.default_rng(40 + dim)
+        rot = build_rotator(self.mom, dim)
+        s_a = np.stack([random_stack(self.mom, dim, rng) for _ in range(64)])
+        s_c = np.stack([random_stack(self.mom, dim, rng) for _ in range(64)])
+        d_ac, d_ca = solve_coupled_drivers(s_a, s_c, rot)
+        for k, pair in enumerate(np.concatenate([s_a, s_c], axis=-1)):
+            plain = np.linalg.solve(pair, rot)
+            assert d_ac[k].tobytes() == plain[:dim].tobytes()
+            assert d_ca[k].tobytes() == plain[dim:].tobytes()
