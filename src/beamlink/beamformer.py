@@ -65,16 +65,11 @@ class IllConditionedChannelError(SolveError):
 
 
 class NoUniqueSolutionError(SolveError):
-    """The coupled driver system is singular or nearly so; ratio is the
-    smallest sigma_min / sigma_max of the failing members (0 for a zero one)."""
+    """The coupled driver system is singular or nearly so."""
 
     def __init__(self, ratio: float, mask=True):
-        self.ratio = ratio
-        super().__init__(
-            f"stacked pair [S_a S_c] rank deficient, sigma_min/sigma_max ~ {ratio:.3e}; "
-            "driver pair not unique",
-            mask,
-        )
+        self.ratio = ratio  # the failing members' smallest sigma_min / sigma_max
+        super().__init__(f"pair [S_a S_c] rank deficient, sigma ratio ~ {ratio:.3e}", mask)
 
 
 class DegenerateNormalizationError(SolveError):
@@ -129,15 +124,13 @@ def left_pseudoinverse(channel: np.ndarray) -> np.ndarray:
 
 
 def _cleared_by_bound(pair: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """Mask of the members of B (pair) proven full rank without an SVD.
-
-    sigma_min / sigma_max >= 1 / (||B||_F ||B^-1||_F) (Golub & Van Loan,
-    Matrix Computations, 4th ed., 2.3), so a bound above _CLEAR_MARGIN *
-    RANK_THRESHOLD puts the SVD ratio above the threshold too; B^-1's error
-    grows with cond(B) * eps (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 14), far inside that margin.  inverse is the
-    real view of each member's B^-1.  A member whose squared norm is not a
-    normal, finite float (under- or overflow) is not cleared.
+    """Mask of the members of B (pair) whose bound 1 / (||B||_F ||B^-1||_F)
+    on sigma_min / sigma_max (Golub & Van Loan, Matrix Computations, 4th
+    ed., 2.3) is above _CLEAR_MARGIN * RANK_THRESHOLD: full rank without an
+    SVD, since B^-1's error, of order cond(B) * eps (Higham, Accuracy and
+    Stability, 2nd ed., ch. 14), is far inside that margin.  inverse is the
+    real view of each member's B^-1; a squared norm that is not a normal,
+    finite float clears nothing.
     """
     lo, hi = sys.float_info.min, sys.float_info.max
     with np.errstate(over="ignore", invalid="ignore"):
@@ -170,7 +163,8 @@ def solve_coupled_drivers(
     share the one 2M x M rotator).  Raises NoUniqueSolutionError, its mask
     over every leading axis, where B is rank_deficient.
     """
-    pair = np.concatenate([stack_a, stack_c], axis=-1)
+    # complex128 whatever the stacks' dtype: _cleared_by_bound reads its float64 view
+    pair = np.concatenate([stack_a, stack_c], axis=-1, dtype=complex)
     dim = stack_a.shape[-1]
     rhs = np.concatenate([rotator, np.eye(2 * dim, dtype=complex)], axis=-1)
     try:

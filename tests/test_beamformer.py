@@ -354,7 +354,9 @@ def conditioned_pairs(rng, dim, ratios, scale):
     n = 2 * dim
     members = []
     for ratio in ratios:
-        u, v = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0] for _ in "uv")
+        u, v = (
+            np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0] for _ in "uv"
+        )
         sigma = np.concatenate([[1.0], np.sort(rng.uniform(ratio, 1.0, n - 2))[::-1], [ratio]])
         members.append(scale * (u * sigma) @ v.conj().T)
     return np.array(members)
@@ -424,7 +426,10 @@ class TestExactlySingularFallback:
 
     @pytest.mark.parametrize(
         "singular",
-        [stack(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)), np.zeros((4, 2), complex)],
+        [
+            stack(np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)),
+            np.zeros((4, 2), dtype=complex),
+        ],
         ids=["eye_over_zero", "zero"],
     )
     def test_singular_member_takes_svd_path(self, singular):
